@@ -20,12 +20,11 @@ from .problem import (
     solve_dirichlet,
     energy_error,
 )
-from .linalg import SolverError, SaddleSystem, SaddleFactorization, saddle_solve
+from .linalg import SolverError, SaddleFactorization
 from .schwarz import (
     SchwarzConfig,
     SchwarzState,
     run_schwarz,
-    extract_trace,
     contraction_estimate,
 )
 from .flux import (
@@ -35,10 +34,7 @@ from .flux import (
     average_gradient,
     build_corrector_space,
     constraint_residuals,
-    solve_corrector,
     corrected_flux,
-    improve_corrector_locally,
-    write_coefficients_csv,
 )
 from .majorant import (
     MajorantConstants,
@@ -49,8 +45,6 @@ from .majorant import (
     alpha_weights,
     evaluate_majorant,
     optimize_eps,
-    efficiency_index,
-    global_majorant_baseline,
 )
 from .pipeline import ConfigError, RunConfig, run_case
 from .vtkio import write_vtk

@@ -158,19 +158,6 @@ def corrected_flux(ytilde: BrokenFluxField, q: np.ndarray,
     return ytilde.with_corrector(space, np.asarray(q, dtype=float))
 
 
-def write_coefficients_csv(space: "CorrectorSpace", coeffs, path) -> None:
-    """Dump corrector coefficients as CSV rows (edge, side, cell, value).
-
-    Diagonal degrees of freedom carry edge=-1 and the owning cell index.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    lines = ["edge,side,cell,coefficient"]
-    for dof, edge, side, cell in space.dof_table():
-        lines.append(f"{edge},{side},{cell},{float(coeffs[dof])!r}")
-    with open(path, "w") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
-
-
 @dataclass
 class ConstraintResiduals:
     """Mean equilibration and mean jump residuals of a flux field."""
@@ -250,7 +237,7 @@ class CorrectorSpace:
                 and self.coarse.N_cells == self.mesh.n_triangles)
 
     def dof_table(self) -> list[tuple[int, int, int, int]]:
-        """(dof, coarse edge, side, cell) rows, e.g. for CSV dumps."""
+        """(dof, coarse edge, side, cell) rows, one per degree of freedom."""
         return [(i, int(self.dof_edge[i]), int(self.dof_side[i]),
                  int(self.dof_cell[i])) for i in range(self.n_dofs)]
 
@@ -570,124 +557,3 @@ class CorrectorSolver:
         b, d = corrector_rhs(self.space, ytilde, v, self.problem,
                              self.alphas, self.betas, self.f_tri)
         return self.fact.solve(b, d)
-
-
-def solve_corrector(ytilde: BrokenFluxField, v: ScalarFieldP1,
-                    problem: EllipticProblem, space: CorrectorSpace,
-                    alphas, betas, f_tri: np.ndarray | None = None,
-                    mean_tol: float = 1e-10):
-    """Minimize the weighted functional over the corrector space under c1/c2.
-
-    Returns (q, multipliers).  The corrected flux's constraint means are
-    verified against ``mean_tol`` (scale-normalized); violation raises
-    SolverError.
-    """
-    solver = CorrectorSolver(space, problem, alphas, betas, f_tri)
-    q, lam = solver.solve(ytilde, v)
-    y = ytilde.with_corrector(space, q)
-    res = constraint_residuals(y, problem.f, space.decomp, solver.f_tri)
-    scale_r = 1.0 + float(np.abs(solver.f_tri).max()
-                          / space.mesh.areas.min())
-    scale_s = 1.0 + float(np.abs(ytilde.p1_part).max() if ytilde.p1_part.size
-                          else 1.0)
-    if (np.abs(res.subdomain).max() > mean_tol * scale_r
-            or (len(res.interface)
-                and np.abs(res.interface).max() > mean_tol * scale_s)):
-        raise linalg.SolverError(
-            "corrector left admissibility residuals above tolerance: "
-            f"subdomain {np.abs(res.subdomain).max():.3e}, interface "
-            f"{np.abs(res.interface).max() if len(res.interface) else 0.0:.3e}")
-    return q, lam
-
-
-# ---------------------------------------------------------------------------
-# Local improvement of a coarse corrector
-# ---------------------------------------------------------------------------
-
-
-def _corrector_edge_fluxes(y: BrokenFluxField,
-                           fine_space: CorrectorSpace) -> np.ndarray:
-    """Coefficients of y's corrector re-expressed in the fine RT0 space.
-
-    Restricted to any fine triangle the corrector is a + g*x, whose normal
-    component along a straight fine edge is constant, so the coarse field
-    lies exactly in the fine space; the coefficient on a fine edge is its
-    total flux along the edge's fixed normal, evaluated from the adjacent
-    triangle on the matching side.
-    """
-    mesh = y.mesh
-    a, slope = y.corrector_affine()
-    coeffs = np.empty(fine_space.n_dofs)
-    edge_len = mesh.edge_lengths()
-    for dof in range(fine_space.n_dofs):
-        ce = fine_space.dof_edge[dof]
-        e = int(fine_space.coarse.edges[ce].fine_edges[0])
-        side = fine_space.dof_side[dof]
-        t0, t1 = mesh.edge_tris[e]
-        if side < 0:
-            t = int(t0)
-        else:
-            t = int(t0 if y.decomp.tri_subdomain[t0] == side else t1)
-        n = fine_space.coarse.edges[ce].normal
-        xm = 0.5 * (mesh.vertices[mesh.edges[e, 0]]
-                    + mesh.vertices[mesh.edges[e, 1]])
-        coeffs[dof] = edge_len[e] * float((a[t] + slope[t] * xm) @ n)
-    return coeffs
-
-
-def improve_corrector_locally(y: BrokenFluxField, v: ScalarFieldP1,
-                              problem: EllipticProblem, alphas, betas,
-                              fine_space: CorrectorSpace | None = None
-                              ) -> BrokenFluxField:
-    """Re-minimize the volume terms subdomain by subdomain on the fine mesh.
-
-    Interface coefficients are frozen at the coarse solution's traces, so the
-    jump term and the interface constraints are untouched; inside each
-    omega_k the corrector is re-solved over all fine-mesh RT0 coefficients
-    interior to omega_k (plus its Dirichlet-boundary edges) under the local
-    equilibration constraint.  The current corrector restricted to the fine
-    space is feasible for every local problem, hence the majorant never
-    increases.  When the corrector already lives on the fine triangulation
-    there is nothing to improve and y is returned unchanged.
-    """
-    if y.space is None or y.coeffs is None:
-        raise ValueError("flux field carries no corrector to improve")
-    if y.space.is_fine():
-        return y
-    from .mesh import build_coarse_mesh
-
-    mesh = y.mesh
-    decomp = y.decomp
-    if fine_space is None:
-        fine = build_coarse_mesh(mesh, decomp, mesh.mesh_size_h, cells="tri")
-        fine_space = build_corrector_space(fine, decomp, problem.A)
-    g = _corrector_edge_fluxes(y, fine_space)
-
-    ytilde = BrokenFluxField(mesh, decomp, y.p1_part)
-    G = corrector_matrix(fine_space, alphas, betas).tocsr()
-    b, d = corrector_rhs(fine_space, ytilde, v, problem, alphas, betas)
-
-    kinds = np.array([fine_space.coarse.edges[ce].kind
-                      for ce in fine_space.dof_edge])
-    # subdomain owning each dof: interface dofs are excluded anyway; other
-    # edges belong to a unique basic subdomain via either adjacent triangle
-    own = np.empty(fine_space.n_dofs, dtype=np.int64)
-    for dof in range(fine_space.n_dofs):
-        e = int(fine_space.coarse.edges[fine_space.dof_edge[dof]].fine_edges[0])
-        own[dof] = decomp.tri_subdomain[mesh.edge_tris[e, 0]]
-
-    for k in range(decomp.n_basic):
-        free = np.nonzero((kinds != INTERFACE) & (own == k))[0]
-        if len(free) == 0:
-            continue
-        fixed_mask = np.ones(fine_space.n_dofs, dtype=bool)
-        fixed_mask[free] = False
-        G_fx = G[free][:, fixed_mask]
-        rhs = b[free] - G_fx @ g[fixed_mask]
-        row = fine_space.C.getrow(k)
-        arr = row.toarray().ravel()
-        c_free = sp.csr_matrix(arr[free][None, :])
-        d_loc = np.array([d[k] - float(arr[fixed_mask] @ g[fixed_mask])])
-        fact = linalg.SaddleFactorization(G[free][:, free].tocsc(), c_free)
-        g[free], _ = fact.solve(rhs, d_loc)
-    return y.with_corrector(fine_space, g)

@@ -1,107 +1,50 @@
-"""Solver kernels: sparse SPD systems and symmetric saddle-point systems."""
+"""Solver kernel: sparse direct factorization of symmetric systems.
+
+Every linear solve in the package goes through ``SaddleFactorization``: the
+corrector KKT system, and, as its constraint-free case, the SPD subdomain
+and Dirichlet blocks.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+RANK_TOL = 1e-12     # relative pivot size below which constraint rows fold
+RESID_TOL = 1e-10    # residual bound of a solve, relative to 1 + ||rhs||
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, summed without BLAS.
+
+    ``np.linalg.norm`` calls BLAS ``ddot``, which OpenBLAS splits across
+    threads above 10,000 entries; the woken worker then spins for about
+    0.1 s after the call returns, next to the single-threaded factorization
+    that follows.  The residual check only needs the value, so it is kept
+    on the calling thread.
+    """
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
 
 class SolverError(RuntimeError):
     """Solver failure; carries the achieved residual when available."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
-
-
-@dataclass
-class SparseSymmetric:
-    """Symmetric matrix stored as strict lower triangle plus diagonal."""
-
-    n: int
-    lower: sp.csr_matrix
-    diag: np.ndarray
-
-    @classmethod
-    def from_csr(cls, A) -> "SparseSymmetric":
-        A = A.tocsr()
-        diff = (A - A.T).tocoo()
-        if diff.nnz:
-            scale = np.abs(A.data).max() if A.nnz else 1.0
-            if np.abs(diff.data).max() > 1e-12 * scale:
-                raise ValueError("matrix is not structurally symmetric")
-        return cls(A.shape[0], sp.tril(A, k=-1).tocsr(), A.diagonal().copy())
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.lower @ x + self.lower.T @ x + self.diag * x
-
-    def to_csr(self) -> sp.csr_matrix:
-        return (self.lower + self.lower.T + sp.diags(self.diag)).tocsr()
-
-
-def spd_solve(A, b, tol: float = 1e-12, cap: int | None = None,
-              x0: np.ndarray | None = None) -> np.ndarray:
-    """Preconditioned conjugate gradients with the diagonal preconditioner.
-
-    Returns x with ||Ax - b|| <= tol * ||b||; raises SolverError when the
-    iteration cap (default 10n) is exceeded.
-    """
-    if not isinstance(A, SparseSymmetric):
-        A = SparseSymmetric.from_csr(A)
-    b = np.asarray(b, dtype=float)
-    n = A.n
-    if cap is None:
-        cap = 10 * n
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A.matvec(x) if x.any() else b.copy()
-    dinv = np.where(A.diag > 0, 1.0 / np.where(A.diag > 0, A.diag, 1.0), 1.0)
-    z = dinv * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, cap + 1):
-        Ap = A.matvec(p)
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            true_r = b - A.matvec(x)
-            if np.linalg.norm(true_r) <= tol * bnorm:
-                return x
-            # recurrence residual drifted; restart from the true residual
-            r = true_r
-        z = dinv * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    achieved = np.linalg.norm(b - A.matvec(x)) / bnorm
-    raise SolverError(
-        f"PCG did not reach tol={tol} within {cap} iterations "
-        f"(achieved relative residual {achieved:.3e})",
-        residual=achieved, iterations=cap)
-
-
-@dataclass
-class SaddleSystem:
-    """min (1/2) x' G x - b' x  subject to  C x = d, as its KKT system."""
-
-    G: sp.spmatrix
-    C: sp.spmatrix
-    b: np.ndarray
-    d: np.ndarray
 
 
 class SaddleFactorization:
-    """Factorization of a KKT matrix, reusable across right-hand sides."""
+    """LU factorization of [[G, C'], [C, 0]], reusable across right-hand sides.
 
-    def __init__(self, G, C, rank_tol: float = 1e-12):
+    The leading block must be nonsingular and the constraint rows
+    independent; with no constraint rows (``C`` of shape (0, n)) this is a
+    plain factorization of ``G``.
+    """
+
+    def __init__(self, G, C):
         G = G.tocsc()
         C = sp.csc_matrix(C)
         self.n = G.shape[0]
@@ -112,7 +55,7 @@ class SaddleFactorization:
             _, R, piv = scipy.linalg.qr(C.T.toarray(), mode="economic",
                                         pivoting=True)
             diag = np.abs(np.diag(R))
-            thresh = rank_tol * max(diag[0], 1e-300)
+            thresh = RANK_TOL * max(diag[0], 1e-300)
             rank = int((diag > thresh).sum())
             if rank < self.m:
                 bad = sorted(int(i) for i in piv[rank:])
@@ -123,29 +66,19 @@ class SaddleFactorization:
         else:
             kkt = G
         try:
-            self._lu = spla.splu(kkt)
+            # every matrix factorized here is symmetric
+            self._lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"saddle factorization breakdown: {exc}") from exc
         self._kkt = kkt
 
-    def solve(self, b, d, resid_tol: float = 1e-10):
+    def solve(self, b, d=()):
+        """Return (x, lam); lam is empty when there are no constraints."""
         rhs = np.concatenate([b, d]) if self.m else np.asarray(b, dtype=float)
         z = self._lu.solve(rhs)
-        resid = np.linalg.norm(self._kkt @ z - rhs)
-        if not np.isfinite(resid) or resid > resid_tol * (1.0 + np.linalg.norm(rhs)):
+        resid = _norm(self._kkt @ z - rhs)
+        if not np.isfinite(resid) or resid > RESID_TOL * (1.0 + _norm(rhs)):
             raise SolverError(
                 f"saddle solve residual {resid:.3e} exceeds tolerance",
                 residual=resid)
         return z[:self.n], z[self.n:]
-
-
-def saddle_solve(S: SaddleSystem, rank_tol: float = 1e-12,
-                 resid_tol: float = 1e-10):
-    """Solve the KKT system [[G, C'], [C, 0]] [x; lam] = [b; d].
-
-    The leading block must be positive definite and the constraint rows
-    independent.  Returns (x, lam); lam is empty when there are no
-    constraints.
-    """
-    fact = SaddleFactorization(S.G, S.C, rank_tol=rank_tol)
-    return fact.solve(S.b, S.d, resid_tol=resid_tol)

@@ -69,7 +69,7 @@ class MajorantConstants:
     C_P: np.ndarray          # per basic subdomain
     beta: np.ndarray         # per interface
     E_max: float
-    C_F: float               # global Friedrichs constant (baseline bound)
+    C_F: float               # Friedrichs constant of the bounding box
 
     @property
     def C_P_max(self) -> float:
@@ -244,94 +244,3 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     return MajorantReport(M1_sq + M2_sq + M3_sq, M1_sq, M2_sq, M3_sq,
                           S1, S2, S3, tuple(float(e) for e in eps),
                           alphas, D11, res, guaranteed, err, eff)
-
-
-def efficiency_index(majorant_total: float, energy_err: float) -> float:
-    return majorant_total / energy_err if energy_err > 0 else math.inf
-
-
-# ---------------------------------------------------------------------------
-# Single-domain baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GlobalMajorant:
-    """Classical two-term functional bound, applicable only to globally
-    normal-continuous fluxes."""
-
-    conforming: bool
-    worst_jump: float
-    worst_edge: int                      # fine edge index, -1 if conforming
-    worst_location: Optional[np.ndarray]
-    total_sq: Optional[float] = None
-    S1: Optional[float] = None
-    S2: Optional[float] = None
-    hypercircle: bool = False
-
-    @property
-    def total(self) -> Optional[float]:
-        return math.sqrt(self.total_sq) if self.total_sq is not None else None
-
-
-def global_majorant_baseline(y: BrokenFluxField, v: ScalarFieldP1,
-                             problem: EllipticProblem,
-                             constants: MajorantConstants,
-                             jump_tol: float = 1e-10,
-                             f_tri: np.ndarray | None = None,
-                             f_sq_tri: np.ndarray | None = None
-                             ) -> GlobalMajorant:
-    """(1+e)||y - A grad v||^2 + (1+1/e) C_F^2 ||div y + f||^2, eps-optimal.
-
-    First verifies normal continuity of y across every interior fine edge
-    (midpoint test); a discontinuous candidate gets a report locating the
-    worst offending edge instead of a bound.  When the equilibration term
-    vanishes the bound collapses to the hypercircle identity M^2 = S1.
-    """
-    mesh = y.mesh
-    scale = 1.0 + float(np.abs(y.p1_part).max()) if y.p1_part.size else 1.0
-
-    interior = np.nonzero(~mesh.boundary_edge_flags)[0]
-    va, vb = mesh.edges[interior, 0], mesh.edges[interior, 1]
-    pa, pb = mesh.vertices[va], mesh.vertices[vb]
-    tang = pb - pa
-    lens = np.hypot(tang[:, 0], tang[:, 1])
-    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / lens[:, None]
-    mid = 0.5 * (pa + pb)
-
-    a_corr, g_corr = y.corrector_affine()
-    jumps = np.zeros(len(interior))
-    for side in (0, 1):
-        tris = mesh.edge_tris[interior, side]
-        tv = mesh.triangles[tris]
-        vals = np.zeros((len(interior), 2))
-        for pos, vid in ((0, va), (1, vb)):
-            loc = np.argmax(tv == vid[:, None], axis=1)
-            vals[:, pos] = np.einsum("ed,ed->e", y.p1_part[tris, loc], normals)
-        point = 0.5 * (vals[:, 0] + vals[:, 1])
-        point += np.einsum("ed,ed->e", a_corr[tris], normals)
-        point += g_corr[tris] * np.einsum("ed,ed->e", mid, normals)
-        jumps += point if side == 0 else -point
-    worst = int(np.argmax(np.abs(jumps))) if len(jumps) else -1
-    worst_jump = float(np.abs(jumps[worst])) if worst >= 0 else 0.0
-    if worst_jump > jump_tol * scale:
-        e = int(interior[worst])
-        return GlobalMajorant(False, worst_jump, e, mid[worst])
-
-    if f_tri is None or f_sq_tri is None:
-        f_tri, f_sq_tri = f_cell_integrals(mesh, problem.f)
-    bary, w = quad_rule(2)
-    yv = y.values(bary)
-    gv = v.gradient() @ problem.A.T
-    r = yv - gv[:, None, :]
-    ra = np.einsum("de,tqe->tqd", problem.A_inv, r)
-    S1 = float(np.sum(mesh.areas * (np.einsum("tqd,tqd->tq", ra, r) @ w)))
-    c = y.divergence()
-    S2 = float(np.sum(c ** 2 * mesh.areas + 2.0 * c * f_tri + f_sq_tri))
-    S2 = max(S2, 0.0)
-    if S2 <= 1e-12 * max(S1, 1.0):
-        return GlobalMajorant(True, worst_jump, -1, None, S1, S1, S2,
-                              hypercircle=True)
-    total_sq = (math.sqrt(S1) + constants.C_F / math.sqrt(constants.C_min)
-                * math.sqrt(S2)) ** 2
-    return GlobalMajorant(True, worst_jump, -1, None, total_sq, S1, S2)

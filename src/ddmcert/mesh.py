@@ -224,13 +224,6 @@ class DomainDecomposition:
         """All fine triangles of overlapping subdomain Omega_j."""
         return np.concatenate([self.basic[k].tris for k in self.overlaps[j]])
 
-    def interface_index(self, k: int, j: int) -> int:
-        a, b = min(k, j), max(k, j)
-        for m, g in enumerate(self.interfaces):
-            if (g.k, g.j) == (a, b):
-                return m
-        raise KeyError(f"no interface between subdomains {k} and {j}")
-
     def validate(self) -> None:
         mesh = self.mesh
         seen = np.zeros(mesh.n_triangles, dtype=np.int64)

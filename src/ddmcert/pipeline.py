@@ -6,10 +6,12 @@ plus corrector) and evaluates the majorant.  The corrector saddle system is
 factorized once per weight set and reused across sweeps; the optional
 eps-optimization re-solves with the closed-form weights.
 
-Every certified sweep is checked against the guarantee: the true energy
-error may never exceed the reported bounds beyond quadrature slack.  A
-violation marks the result (the CLI turns it into exit code 3); it would
-indicate a bug, not a property of the method.
+Every certified sweep is checked twice.  A flux that misses the
+admissibility constraints gives no guarantee, so ``certify_iterate`` raises
+SolverError (the CLI turns it into exit code 2).  The true energy error may
+never exceed the reported bounds beyond quadrature slack; a violation marks
+the result (the CLI turns it into exit code 3) and would indicate a bug, not
+a property of the method.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .flux import (BrokenFluxField, CorrectorSolver, CorrectorSpace,
                    average_gradient, build_corrector_space, corrected_flux)
+from .linalg import SolverError
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
                        evaluate_majorant, optimize_eps)
 from .mesh import (DomainDecomposition, MeshError, TriMesh,
@@ -135,6 +138,7 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     With ``eps_policy='opt'`` the corrector is re-solved under the
     closed-form optimal weights (two rounds are enough for the fixed point
     in practice); the report always carries the eps its weights used.
+    Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
     problem = solver.problem
@@ -153,6 +157,13 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
             y = corrected_flux(yt, q, space)
             rep = evaluate_majorant(y, v, problem, constants, eps,
                                     f_tri, f_sq)
+    if not rep.guaranteed:
+        r = rep.residuals
+        worst_s = np.abs(r.interface).max() if len(r.interface) else 0.0
+        raise SolverError(
+            "flux is not admissible, no guarantee: subdomain mean residual "
+            f"{np.abs(r.subdomain).max():.3e}, interface mean residual "
+            f"{worst_s:.3e}")
     return y, rep
 
 

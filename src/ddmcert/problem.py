@@ -89,11 +89,6 @@ class ScalarFieldP1:
         vals = self.values[self.mesh.triangles]        # (T, 3)
         return np.einsum("ti,tid->td", vals, g)
 
-    def at_quad(self, bary: np.ndarray) -> np.ndarray:
-        """Values at barycentric points, shape (T, Q)."""
-        vals = self.values[self.mesh.triangles]
-        return vals @ bary.T
-
     def copy(self) -> "ScalarFieldP1":
         return ScalarFieldP1(self.mesh, self.values.copy())
 
@@ -108,7 +103,6 @@ class EllipticProblem:
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
     C_min: float = field(default=None)
-    C_max: float = field(default=None)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -119,8 +113,6 @@ class EllipticProblem:
             raise ValueError("A must be positive definite")
         if self.C_min is None:
             self.C_min = float(eigs[0])
-        if self.C_max is None:
-            self.C_max = float(eigs[-1])
 
     @property
     def A_inv(self) -> np.ndarray:
@@ -211,13 +203,12 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     return vec
 
 
-def solve_dirichlet(system: LinearSystem, boundary_nodes, boundary_values,
-                    tol: float = 1e-12, cap: int | None = None) -> ScalarFieldP1:
+def solve_dirichlet(system: LinearSystem, boundary_nodes,
+                    boundary_values) -> ScalarFieldP1:
     """Solve the system with prescribed nodal boundary values.
 
     Constrained unknowns are eliminated symmetrically; the free block is
-    solved by preconditioned conjugate gradients to relative tolerance
-    ``tol``.
+    solved by a sparse direct factorization.
     """
     K = system.matrix
     n = K.shape[0]
@@ -229,9 +220,9 @@ def solve_dirichlet(system: LinearSystem, boundary_nodes, boundary_values,
     idx = np.nonzero(free)[0]
     if len(idx):
         r = system.rhs - K @ x
-        K_ff = K[idx][:, idx].tocsr()
-        x[idx] = linalg.spd_solve(linalg.SparseSymmetric.from_csr(K_ff),
-                                  r[idx], tol=tol, cap=cap)
+        fact = linalg.SaddleFactorization(K[idx][:, idx],
+                                          sp.csc_matrix((0, len(idx))))
+        x[idx] = fact.solve(r[idx])[0]
     if system.mesh is None:
         raise ValueError("LinearSystem carries no mesh reference")
     return ScalarFieldP1(system.mesh, x)

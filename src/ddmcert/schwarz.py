@@ -6,7 +6,9 @@ problem on a single Omega_j with boundary data taken from the trace of the
 current global iterate, then overwrites the iterate inside Omega_j.  The
 iteration counter therefore advances by one per subdomain solve; the additive
 variant instead solves every subdomain against the same pre-iterate once per
-sweep and combines updates in a fixed order.
+sweep and combines updates in a fixed order.  Each subdomain solve is a sparse
+direct factorization of the subdomain block, made afresh in the sweep that
+uses it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .mesh import TriMesh, DomainDecomposition
@@ -27,7 +30,6 @@ class SchwarzConfig:
     mode: str = "multiplicative"
     sweeps: int = 16
     order: Optional[tuple[int, ...]] = None
-    tol: float = 1e-12
     initial: object = "zero"     # "zero" or a ScalarFieldP1
 
     def validated(self, n_overlap: int) -> "SchwarzConfig":
@@ -38,7 +40,7 @@ class SchwarzConfig:
         order = tuple(range(n_overlap)) if self.order is None else tuple(self.order)
         if sorted(order) != list(range(n_overlap)):
             raise ValueError("order must be a permutation of the subdomains")
-        return SchwarzConfig(self.mode, self.sweeps, order, self.tol, self.initial)
+        return SchwarzConfig(self.mode, self.sweeps, order, self.initial)
 
 
 @dataclass
@@ -82,12 +84,6 @@ def interior_nodes(mesh: TriMesh, decomp: DomainDecomposition, j: int) -> np.nda
     return np.nonzero(mask)[0]
 
 
-def extract_trace(v: ScalarFieldP1, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal values of v on all vertices of the given edge set."""
-    ids = np.unique(v.mesh.edges[np.asarray(edges, dtype=np.int64)])
-    return ids, v.values[ids]
-
-
 def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
                 problem: EllipticProblem, config: SchwarzConfig,
                 system: LinearSystem | None = None,
@@ -116,17 +112,15 @@ def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
         v = np.zeros(mesh.n_vertices)
     v[bdry] = bvals
 
-    # Per-subdomain interior index sets and factored-out submatrices.
+    # Per-subdomain interior index sets and their stiffness blocks.
     idx_sets = [interior_nodes(mesh, decomp, j) for j in range(decomp.n_overlap)]
-    subs = [linalg.SparseSymmetric.from_csr(K[idx][:, idx].tocsr())
-            for idx in idx_sets]
+    blocks = [K[idx][:, idx].tocsc() for idx in idx_sets]
 
     vh = None
     scale = 0.0
     if track_discrete:
         from .problem import solve_dirichlet
-        vh = solve_dirichlet(LinearSystem(K, F, mesh=mesh), bdry, bvals,
-                             tol=config.tol)
+        vh = solve_dirichlet(LinearSystem(K, F, mesh=mesh), bdry, bvals)
         scale = float(np.sqrt(max(vh.values @ (K @ vh.values), 0.0)))
 
     def err_to_discrete(values):
@@ -137,11 +131,13 @@ def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
         idx = idx_sets[j]
         r = (F - K @ values)[idx]
         try:
-            return linalg.spd_solve(subs[j], r, tol=config.tol)
+            fact = linalg.SaddleFactorization(blocks[j],
+                                              sp.csc_matrix((0, len(idx))))
+            return fact.solve(r)[0]
         except linalg.SolverError as exc:
             raise linalg.SolverError(
                 f"subdomain solve failed on Omega_{j + 1}: {exc}",
-                residual=exc.residual, iterations=exc.iterations) from exc
+                residual=exc.residual) from exc
 
     state = SchwarzState(ScalarFieldP1(mesh, v), 0,
                          discrete_solution=vh, discrete_scale=scale)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ddmcert import flux
 from ddmcert.cli import (CSV_HEADER, _ratio, build_config, fmt_ieff, frac,
                          main, markdown_table, parse_config_file, sci3)
 from ddmcert.pipeline import ConfigError
@@ -233,3 +234,17 @@ def test_exit_config_on_bad_inputs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_non_admissible_certificate_exits_solver(monkeypatch, capsys):
+    exact_rhs = flux.corrector_rhs
+
+    def shifted_rhs(*args, **kwargs):
+        b, d = exact_rhs(*args, **kwargs)
+        return b, d + 1.0
+
+    monkeypatch.setattr(flux, "corrector_rhs", shifted_rhs)
+    assert main(["run", "--h", "1/4", "--sweeps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "not admissible" in err
+    assert "subdomain mean residual" in err

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddmcert.flux import (BrokenFluxField, average_gradient,
+from ddmcert.flux import (BrokenFluxField, CorrectorSolver, average_gradient,
                           build_corrector_space, constraint_residuals,
-                          corrected_flux, corrector_matrix, corrector_rhs,
-                          improve_corrector_locally, solve_corrector,
-                          write_coefficients_csv)
-from ddmcert.majorant import (MajorantConstants, alpha_weights,
-                              evaluate_majorant)
+                          corrected_flux, corrector_matrix, corrector_rhs)
+from ddmcert.majorant import MajorantConstants, alpha_weights
 from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
-from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
-                             manufactured_lshape_problem)
-from ddmcert.schwarz import SchwarzConfig, run_schwarz
+from ddmcert.problem import EllipticProblem, ScalarFieldP1
 
 BARY = np.array([[2 / 3, 1 / 6, 1 / 6],
                  [1 / 6, 2 / 3, 1 / 6],
@@ -166,9 +161,9 @@ def test_zero_residual_gives_zero_corrector():
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp)
     constants = MajorantConstants.default(decomp, affine)
-    q, lam = solve_corrector(yt, v, affine, space,
+    q, lam = CorrectorSolver(space, affine,
                              alpha_weights((1, 1, 1), constants),
-                             constants.beta)
+                             constants.beta).solve(yt, v)
     assert np.abs(q).max() < 1e-12
     assert np.abs(lam).max() < 1e-12
 
@@ -196,8 +191,9 @@ def test_single_cell_divergence_balance():
     constants = MajorantConstants(C_min=1.0, C_P=np.array([np.sqrt(2) / np.pi]),
                                   beta=np.zeros(0), E_max=2.0,
                                   C_F=np.sqrt(2) / np.pi)
-    q, _ = solve_corrector(yt, zero_v, unit_source, space,
-                           alpha_weights((1, 1, 1), constants), np.zeros(0))
+    q, _ = CorrectorSolver(space, unit_source,
+                           alpha_weights((1, 1, 1), constants),
+                           np.zeros(0)).solve(yt, zero_v)
     y = corrected_flux(yt, q, space)
     assert np.isclose(float((y.divergence() * mesh.areas).sum()), -1.0)
     res = constraint_residuals(y, unit_source.f, decomp)
@@ -277,49 +273,3 @@ def test_kkt_local_optimality(cert4):
             x[i] += delta
             x -= C.T @ (CCt_inv @ (C @ x - d))
             assert objective(x) >= base - 1e-13 * abs(base)
-
-
-def test_improvement_is_monotone_and_admissible():
-    p = manufactured_lshape_problem()
-    mesh, decomp = build_lshape_mesh(1 / 16)
-    state = run_schwarz(mesh, decomp, p, SchwarzConfig(sweeps=8),
-                        track_discrete=False)
-    constants = MajorantConstants.default(decomp, p)
-    alphas = alpha_weights((1.0, 1.0, 1.0), constants)
-    f_tri, f_sq = f_cell_integrals(mesh, p.f)
-    coarse = build_coarse_mesh(mesh, decomp, 0.25)
-    space = build_corrector_space(coarse, decomp)
-    yt = average_gradient(state.v, decomp, p.A)
-    q, _ = solve_corrector(yt, state.v, p, space, alphas, constants.beta,
-                           f_tri)
-    y = corrected_flux(yt, q, space)
-    before = evaluate_majorant(y, state.v, p, constants, f_tri=f_tri,
-                               f_sq_tri=f_sq)
-    improved = improve_corrector_locally(y, state.v, p, alphas,
-                                         constants.beta)
-    after = evaluate_majorant(improved, state.v, p, constants, f_tri=f_tri,
-                              f_sq_tri=f_sq)
-    assert after.total_sq <= before.total_sq * (1 + 1e-12)
-    assert after.M2_sq < before.M2_sq          # the coarse bottleneck drops
-    assert after.guaranteed
-    res = constraint_residuals(improved, p.f, decomp, f_tri)
-    assert np.abs(res.subdomain).max() < 1e-10
-    assert np.abs(res.interface).max() < 1e-10
-
-
-def test_improvement_noop_on_fine_space(cert4):
-    improved = improve_corrector_locally(cert4.y, cert4.v, cert4.problem,
-                                         alpha_weights((1, 1, 1),
-                                                       cert4.constants),
-                                         cert4.constants.beta)
-    assert improved is cert4.y
-
-
-def test_coefficient_csv_dump(tmp_path, cert4):
-    path = tmp_path / "coeffs.csv"
-    write_coefficients_csv(cert4.space, cert4.q, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "edge,side,cell,coefficient"
-    assert len(lines) == cert4.space.n_dofs + 1
-    edge, side, cell, val = lines[1].split(",")
-    assert float(val) == cert4.q[0]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddmcert.linalg import (SaddleSystem, SolverError, SparseSymmetric,
-                            saddle_solve, spd_solve)
+from ddmcert.linalg import SaddleFactorization, SolverError
 
 
 def random_spd(n, seed, shift=None):
@@ -13,38 +12,38 @@ def random_spd(n, seed, shift=None):
     return A
 
 
+def direct_solve(A, b):
+    """SPD solve through the constraint-free factorization."""
+    A = sp.csc_matrix(A)
+    x, lam = SaddleFactorization(A, sp.csc_matrix((0, A.shape[0]))).solve(b)
+    assert lam.size == 0
+    return x
+
+
 def test_spd_identity():
     b = np.array([3.0, -1.0, 2.0])
-    x = spd_solve(sp.eye(3, format="csr"), b)
+    x = direct_solve(sp.eye(3), b)
     assert np.allclose(x, b)
 
 
 def test_spd_two_by_two():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = spd_solve(A, np.array([3.0, 3.0]))
+    x = direct_solve(A, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0])
 
 
 def test_spd_against_dense_oracle():
     A = random_spd(50, seed=0)
     b = np.random.default_rng(1).standard_normal(50)
-    x = spd_solve(sp.csr_matrix(A), b, tol=1e-13)
+    x = direct_solve(A, b)
     assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-10
 
 
 def test_spd_residual_contract():
     A = random_spd(80, seed=5, shift=2.0)
     b = np.random.default_rng(6).standard_normal(80)
-    x = spd_solve(sp.csr_matrix(A), b, tol=1e-12)
+    x = direct_solve(A, b)
     assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
-
-
-def test_spd_cap_failure_reports_residual():
-    A = random_spd(40, seed=2, shift=0.01)   # badly conditioned
-    b = np.ones(40)
-    with pytest.raises(SolverError) as err:
-        spd_solve(sp.csr_matrix(A), b, tol=1e-15, cap=2)
-    assert err.value.residual is not None
 
 
 def test_spd_permutation_equivariance():
@@ -52,39 +51,26 @@ def test_spd_permutation_equivariance():
     A = random_spd(30, seed=8)
     b = np.random.default_rng(9).standard_normal(30)
     perm = np.random.default_rng(10).permutation(30)
-    x = spd_solve(sp.csr_matrix(A), b, tol=1e-13)
-    xp = spd_solve(sp.csr_matrix(A[np.ix_(perm, perm)]), b[perm], tol=1e-13)
+    x = direct_solve(A, b)
+    xp = direct_solve(A[np.ix_(perm, perm)], b[perm])
     assert np.allclose(xp, x[perm], atol=1e-9)
-
-
-def test_sparse_symmetric_roundtrip():
-    A = random_spd(12, seed=3)
-    S = SparseSymmetric.from_csr(sp.csr_matrix(A))
-    x = np.random.default_rng(4).standard_normal(12)
-    assert np.allclose(S.matvec(x), A @ x)
-    assert np.allclose(S.to_csr().toarray(), A)
-    with pytest.raises(ValueError):
-        SparseSymmetric.from_csr(sp.csr_matrix(np.array([[1.0, 2.0],
-                                                         [0.0, 1.0]])))
 
 
 def test_saddle_hand_example():
     # minimize ||x||^2 subject to x1 + x2 = 2, stated with G = I
     # (stationarity x + lam*c = 0 at the optimum, hence lam = -1)
-    S = SaddleSystem(G=sp.eye(2, format="csc"),
-                     C=sp.csc_matrix(np.array([[1.0, 1.0]])),
-                     b=np.zeros(2), d=np.array([2.0]))
-    x, lam = saddle_solve(S)
+    fact = SaddleFactorization(sp.eye(2, format="csc"),
+                               sp.csc_matrix(np.array([[1.0, 1.0]])))
+    x, lam = fact.solve(np.zeros(2), np.array([2.0]))
     assert np.allclose(x, [1.0, 1.0])
     assert np.allclose(lam, [-1.0])
 
 
-def test_saddle_without_constraints_is_spd_solve():
+def test_saddle_without_constraints_is_plain_solve():
     A = random_spd(10, seed=12)
     b = np.random.default_rng(13).standard_normal(10)
-    S = SaddleSystem(G=sp.csc_matrix(A), C=sp.csc_matrix((0, 10)),
-                     b=b, d=np.zeros(0))
-    x, lam = saddle_solve(S)
+    fact = SaddleFactorization(sp.csc_matrix(A), sp.csc_matrix((0, 10)))
+    x, lam = fact.solve(b, np.zeros(0))
     assert lam.size == 0
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
@@ -97,8 +83,8 @@ def test_saddle_against_dense_kkt_oracle():
     d = rng.standard_normal(5)
     kkt = np.block([[G, C.T], [C, np.zeros((5, 5))]])
     z = np.linalg.solve(kkt, np.concatenate([b, d]))
-    x, lam = saddle_solve(SaddleSystem(sp.csc_matrix(G), sp.csc_matrix(C),
-                                       b, d))
+    x, lam = SaddleFactorization(sp.csc_matrix(G),
+                                 sp.csc_matrix(C)).solve(b, d)
     assert np.linalg.norm(x - z[:30]) < 1e-9
     assert np.linalg.norm(lam - z[30:]) < 1e-9
     assert np.linalg.norm(C @ x - d) < 1e-10
@@ -110,4 +96,21 @@ def test_saddle_rank_deficiency_reported():
                                 [2.0, 0.0, 0.0, 0.0],    # duplicate direction
                                 [0.0, 1.0, 0.0, 0.0]]))
     with pytest.raises(SolverError, match="rank deficient"):
-        saddle_solve(SaddleSystem(G, C, np.zeros(4), np.zeros(3)))
+        SaddleFactorization(G, C)
+
+
+def test_singular_block_raises_solver_error():
+    with pytest.raises(SolverError, match="breakdown"):
+        SaddleFactorization(sp.csc_matrix((3, 3)), sp.csc_matrix((0, 3)))
+
+
+def test_non_finite_rhs_raises_solver_error():
+    # above 10,000 entries, where BLAS would split a dot product over threads
+    n = 12_000
+    fact = SaddleFactorization(sp.identity(n, format="csc"),
+                               sp.csc_matrix((0, n)))
+    b = np.ones(n)
+    assert np.array_equal(fact.solve(b)[0], b)
+    b[-1] = np.nan
+    with pytest.raises(SolverError, match="residual"):
+        fact.solve(b)

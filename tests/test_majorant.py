@@ -5,10 +5,8 @@ import pytest
 
 from ddmcert.flux import BrokenFluxField, average_gradient, corrected_flux
 from ddmcert.majorant import (MajorantConstants, alpha_weights, beta_pair,
-                              efficiency_index, evaluate_majorant,
-                              friedrichs_bbox_constant,
-                              global_majorant_baseline, optimize_eps,
-                              poincare_edge_constant)
+                              evaluate_majorant, friedrichs_bbox_constant,
+                              optimize_eps, poincare_edge_constant)
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                              manufactured_lshape_problem)
@@ -191,58 +189,9 @@ def test_optimize_eps_never_increases(cert4):
     assert np.isclose(rep_opt.total_sq, rep_opt.D11**2, rtol=1e-12)
 
 
-def test_efficiency_index():
-    assert efficiency_index(3.0, 1.0) == 3.0
-    assert math.isinf(efficiency_index(3.0, 0.0))
-
-
 def test_guarantee_on_certified_state(cert4):
     rep = cert4.report
     assert rep.guaranteed
     assert rep.energy_err <= rep.total * (1 + 1e-9)
     assert rep.energy_err <= rep.D11 * (1 + 1e-9)
     assert rep.efficiency >= 1.0
-
-
-def test_global_baseline_affine_exact():
-    mesh, decomp, _ = build_rect_grid_decomposition(2, 2, 0.5,
-                                                    dirichlet_boundary=True)
-    affine = EllipticProblem(
-        A=np.eye(2), f=lambda p: np.zeros(p.shape[:-1]),
-        u_g=lambda p: p[..., 0] - p[..., 1],
-        exact_u=lambda p: p[..., 0] - p[..., 1],
-        exact_grad=lambda p: np.broadcast_to(np.array([1.0, -1.0]),
-                                             p.shape[:-1] + (2,)))
-    v = ScalarFieldP1.interpolate(mesh, affine.exact_u)
-    y = average_gradient(v, decomp, affine.A)
-    c = MajorantConstants.default(decomp, affine)
-    g = global_majorant_baseline(y, v, affine, c)
-    assert g.conforming
-    assert g.hypercircle          # div y + f = 0 exactly
-    assert g.total_sq < 1e-26
-
-
-def test_global_baseline_rejects_broken_flux(cert4):
-    g = global_majorant_baseline(cert4.y, cert4.v, cert4.problem,
-                                 cert4.constants)
-    # the corrected flux is broken across the subdomain interfaces
-    assert not g.conforming
-    assert g.worst_edge >= 0
-    assert g.worst_location is not None
-    assert g.total_sq is None
-
-
-def test_global_baseline_two_term_value():
-    # non-equilibrated conforming candidate: y = 0, f = 1 on the unit square
-    mesh, decomp, _ = build_rect_grid_decomposition(1, 1, 1.0,
-                                                    dirichlet_boundary=True)
-    unit_source = EllipticProblem(A=np.eye(2),
-                                  f=lambda p: np.ones(p.shape[:-1]),
-                                  u_g=lambda p: np.zeros(p.shape[:-1]))
-    v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
-    y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
-    c = MajorantConstants.default(decomp, unit_source)
-    g = global_majorant_baseline(y, v, unit_source, c)
-    assert g.conforming and not g.hypercircle
-    # S1 = 0, so the bound collapses to C_F^2 * ||f||^2
-    assert np.isclose(g.total_sq, c.C_F**2, rtol=1e-12)
