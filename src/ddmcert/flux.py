@@ -20,10 +20,12 @@ boundary, so it enters the volume terms only).  On triangle-celled coarse
 meshes (in particular the fine triangulation itself when H = h) every fine
 edge is a degree of freedom.
 
-Internally every cell contributes its triangle(s) to a list of
-"cell-triangles"; a sparse matrix Q maps coefficients to the three local
-outward fluxes (slots) of each cell-triangle, and all volume terms are
-assembled in slot space.
+Internally every cell contributes its triangle(s) to the coarse mesh's
+list of "cell-triangles", each with three slots (its sides) tied to coarse
+edges with an orientation sign.  One vectorized path serves triangle and
+quad cells alike: dofs are numbered edge by edge, a sparse matrix Q maps
+coefficients to the three local outward fluxes (slots) of each
+cell-triangle, and all volume terms are assembled in slot space.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .mesh import (CoarseMesh, DomainDecomposition, MeshError, TriMesh,
-                   DIRICHLET, INTERFACE, INTERIOR, compatibility_check)
+                   INACTIVE, INTERFACE, compatibility_check)
 from .problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                       p1_gradients, quad_rule)
 
@@ -72,11 +74,11 @@ class BrokenFluxField:
                 s = self.space
                 fluxes = (s.Q @ self.coeffs).reshape(-1, 3)      # (CT, 3)
                 sigma = fluxes.sum(axis=1)
-                moment = np.einsum("ci,cid->cd", fluxes, s.ct_verts)
+                moment = np.einsum("ci,cid->cd", fluxes, s.coarse.ct_verts)
                 scale = 1.0 / (2.0 * s.ct_area)
                 a_ct = -moment * scale[:, None]
                 g_ct = sigma * scale
-                ct = s.fine_tri_ct
+                ct = s.coarse.fine_tri_ct
                 self._affine = (a_ct[ct], g_ct[ct])
         return self._affine
 
@@ -194,6 +196,16 @@ def constraint_residuals(y: BrokenFluxField, f, decomp: DomainDecomposition,
 class CorrectorSpace:
     """Assembled RT0 corrector space over a coarse cell mesh.
 
+    Degrees of freedom are numbered edge by edge over the coarse edges: two
+    per interface edge (the omega_k side, then the omega_j side), one per
+    interior or Dirichlet edge (quad diagonals included), none on inactive
+    edges.  A dof is the total flux across its edge along the edge normal.
+    ``dof_edge``/``dof_side``/``dof_cell`` give each dof's coarse edge, its
+    subdomain side (-1 off interfaces) and, for a quad diagonal, its cell
+    (-1 otherwise); ``edge_dof`` is the first dof of every coarse edge (-1
+    on inactive edges).  ``iface_edges[m]`` lists the coarse edges of
+    interface m in the traversal order of its fine edges.
+
     ``Q`` maps the coefficient vector to the three local outward fluxes of
     every cell-triangle; ``C`` holds the admissibility constraint rows (one
     per basic subdomain, then one per interface), each normalized by the
@@ -204,52 +216,22 @@ class CorrectorSpace:
     mesh: TriMesh
     decomp: DomainDecomposition
     coarse: CoarseMesh
-    ct_verts: np.ndarray          # (CT, 3, 2)
     ct_area: np.ndarray           # (CT,)
-    ct_sub: np.ndarray            # (CT,)
-    fine_tri_ct: np.ndarray       # (T,)
     Q: sp.csr_matrix              # (3 CT, n_dofs)
     n_dofs: int
-    dof_edge: np.ndarray          # coarse edge per dof (-1 for cell diagonals)
-    dof_side: np.ndarray          # subdomain side per dof (-1 if single)
-    dof_cell: np.ndarray          # owning cell for diagonal dofs (-1 otherwise)
+    dof_edge: np.ndarray
+    dof_side: np.ndarray
+    dof_cell: np.ndarray
+    edge_dof: np.ndarray
+    iface_edges: list
     C: sp.csr_matrix              # constraints
     M_hat: sp.csr_matrix
     D_hat: sp.csr_matrix
     J_hats: list                  # per interface
-    iface_info: list              # per interface: (edge, dof_k, dof_j, sign, pos)
-
-    @property
-    def dim_per_cell(self) -> int:
-        return self.coarse.dim_per_cell
-
-    @property
-    def n_edge_dofs(self) -> int:
-        """Coefficients attached to coarse-mesh edges (diagonals excluded)."""
-        return int(np.count_nonzero(self.dof_edge >= 0))
 
     @property
     def n_constraints(self) -> int:
         return self.C.shape[0]
-
-    def is_fine(self) -> bool:
-        return (self.coarse.ell == 3
-                and self.coarse.N_cells == self.mesh.n_triangles)
-
-    def dof_table(self) -> list[tuple[int, int, int, int]]:
-        """(dof, coarse edge, side, cell) rows, one per degree of freedom."""
-        return [(i, int(self.dof_edge[i]), int(self.dof_side[i]),
-                 int(self.dof_cell[i])) for i in range(self.n_dofs)]
-
-
-def _outward_sign(ct_verts, loc, normal):
-    """Sign of a cell-triangle's outward normal on local edge ``loc`` against
-    a fixed global edge normal."""
-    a = ct_verts[(loc + 1) % 3]
-    b = ct_verts[(loc + 2) % 3]
-    d = b - a
-    out = np.array([d[1], -d[0]])
-    return 1.0 if float(out @ normal) > 0 else -1.0
 
 
 def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
@@ -269,132 +251,35 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     A_inv = np.linalg.inv(A)
 
     # --- degrees of freedom ------------------------------------------------
-    dof_edge: list[int] = []
-    dof_side: list[int] = []
-    dof_cell: list[int] = []
-    edge_dofs: dict[int, dict[int, int]] = {}
-    for ce, edge in enumerate(coarse.edges):
-        if edge.kind == INTERFACE:
-            g = decomp.interfaces[edge.interface]
-            edge_dofs[ce] = {g.k: len(dof_edge), g.j: len(dof_edge) + 1}
-            dof_edge += [ce, ce]
-            dof_side += [g.k, g.j]
-            dof_cell += [-1, -1]
-        elif edge.kind in (INTERIOR, DIRICHLET):
-            edge_dofs[ce] = {-1: len(dof_edge)}
-            dof_edge.append(ce)
-            dof_side.append(-1)
-            dof_cell.append(-1)
-        # INACTIVE edges carry no coefficient (flux pinned to zero)
-    diag_dofs: dict[int, int] = {}
-    if coarse.ell == 4:
-        # the splitting diagonal of every quadrilateral cell
-        for c in range(len(coarse.cells)):
-            diag_dofs[c] = len(dof_edge)
-            dof_edge.append(-1)
-            dof_side.append(-1)
-            dof_cell.append(c)
-    n_dofs = len(dof_edge)
+    kind = coarse.edge_kind
+    per_edge = np.select([kind == INTERFACE, kind == INACTIVE], [2, 0], 1)
+    n_dofs = int(per_edge.sum())
+    edge_dof = np.where(per_edge > 0, np.cumsum(per_edge) - per_edge, -1)
+    dof_edge = np.repeat(np.arange(len(kind)), per_edge)
+    on_iface = np.flatnonzero(kind == INTERFACE)
+    iface_sides = np.array([(g.k, g.j) for g in decomp.interfaces],
+                           dtype=np.int64).reshape(-1, 2)
+    edge_sides = np.full((len(kind), 2), -1, dtype=np.int64)
+    edge_sides[on_iface] = iface_sides[coarse.edge_iface[on_iface]]
+    dof_side = np.full(n_dofs, -1, dtype=np.int64)
+    dof_side[edge_dof[on_iface]] = edge_sides[on_iface, 0]
+    dof_side[edge_dof[on_iface] + 1] = edge_sides[on_iface, 1]
+    dof_cell = np.where(dof_edge >= coarse.N_f, dof_edge - coarse.N_f, -1)
 
-    def edge_dof(ce: int, subdomain: int):
-        dofs = edge_dofs.get(ce)
-        if dofs is None:
-            return None
-        if -1 in dofs:
-            return dofs[-1]
-        return dofs[subdomain]
-
-    # --- cell-triangles and the slot map Q ----------------------------------
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    ct_verts: list[np.ndarray] = []
-    ct_sub: list[int] = []
-    cell_cts: list[tuple[int, ...]] = []
-
-    if coarse.ell == 3:
-        # Cells are triangles; every cell edge is a coefficient-carrying
-        # coarse edge of its own.
-        fine2coarse = np.full(mesh.n_edges, -1, dtype=np.int64)
-        for ce, edge in enumerate(coarse.edges):
-            fine2coarse[edge.fine_edges[0]] = ce
-        for c, cell in enumerate(coarse.cells):
-            t = int(cell.fine_tris[0])
-            ct = len(ct_verts)
-            ct_verts.append(cell.verts)
-            ct_sub.append(cell.subdomain)
-            cell_cts.append((ct,))
-            for loc in range(3):
-                ce = int(fine2coarse[mesh.tri_edges[t, loc]])
-                dof = edge_dof(ce, cell.subdomain)
-                if dof is None:
-                    continue
-                sign = _outward_sign(cell.verts, loc, coarse.edges[ce].normal)
-                rows.append(3 * ct + loc)
-                cols.append(dof)
-                vals.append(sign)
-    else:
-        # Quadrilateral cells split into a lower (ll, lr, ur) and an upper
-        # (ll, ur, ul) triangle.  Each of the six slots is a single
-        # coefficient: the four sides via the cell adjacency sign, the
-        # diagonal via its fixed normal pointing into the upper half.
-        cell_sides: list[dict] = [dict() for _ in coarse.cells]
-        for ce, edge in enumerate(coarse.edges):
-            for c, sign in edge.cells:
-                cell = coarse.cells[c]
-                cx, cy = cell.verts.mean(axis=0)
-                if abs(edge.normal[1]) > 0.5:      # horizontal edge
-                    name = "b" if edge.p0[1] < cy else "t"
-                else:
-                    name = "l" if edge.p0[0] < cx else "r"
-                cell_sides[c][name] = (ce, sign)
-        for c, cell in enumerate(coarse.cells):
-            ll, lr, ur, ul = cell.verts
-            lower = len(ct_verts)
-            ct_verts.append(np.array([ll, lr, ur]))
-            ct_sub.append(cell.subdomain)
-            upper = len(ct_verts)
-            ct_verts.append(np.array([ll, ur, ul]))
-            ct_sub.append(cell.subdomain)
-            cell_cts.append((lower, upper))
-
-            def put(slot, dof, weight):
-                if dof is not None:
-                    rows.append(slot)
-                    cols.append(dof)
-                    vals.append(weight)
-
-            for name, slot in (("r", 3 * lower), ("b", 3 * lower + 2),
-                               ("t", 3 * upper), ("l", 3 * upper + 1)):
-                ce, sign = cell_sides[c][name]
-                # adjacency stores sign = cell-outward normal . edge normal
-                put(slot, edge_dof(ce, cell.subdomain), sign)
-            # diagonal dof measures flux along the up-left normal, which is
-            # outward for the lower triangle, inward for the upper
-            put(3 * lower + 1, diag_dofs[c], 1.0)
-            put(3 * upper + 2, diag_dofs[c], -1.0)
-
-    ct_verts = np.asarray(ct_verts)
-    ct_sub = np.asarray(ct_sub, dtype=np.int64)
+    # --- the slot map Q -----------------------------------------------------
+    # A slot takes its edge's dof, the omega_j one on the omega_j side.
+    ct_verts = coarse.ct_verts
     n_ct = len(ct_verts)
+    ct_sub = np.repeat(coarse.cell_sub, coarse.ell - 2)
+    slot_edge = coarse.ct_edge.ravel()
+    slot_dof = edge_dof[slot_edge] + (edge_sides[slot_edge, 1]
+                                      == np.repeat(ct_sub, 3))
+    live = np.flatnonzero(edge_dof[slot_edge] >= 0)
+    Q = sp.coo_matrix((coarse.ct_sign.ravel()[live], (live, slot_dof[live])),
+                      shape=(3 * n_ct, n_dofs)).tocsr()
     e1 = ct_verts[:, 1] - ct_verts[:, 0]
     e2 = ct_verts[:, 2] - ct_verts[:, 0]
     ct_area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    Q = sp.coo_matrix((vals, (rows, cols)), shape=(3 * n_ct, n_dofs)).tocsr()
-
-    # fine triangle -> containing cell-triangle
-    if coarse.ell == 3:
-        fine_tri_ct = np.empty(mesh.n_triangles, dtype=np.int64)
-        for c, cts in enumerate(cell_cts):
-            fine_tri_ct[coarse.cells[c].fine_tris] = cts[0]
-    else:
-        cent = mesh.centroids()
-        cells = coarse.tri_cell
-        x0 = np.array([coarse.cells[c].verts[0] for c in cells])
-        lower_half = (cent[:, 0] - x0[:, 0]) > (cent[:, 1] - x0[:, 1])
-        fine_tri_ct = np.array(
-            [cell_cts[c][0 if low else 1]
-             for c, low in zip(cells, lower_half)], dtype=np.int64)
 
     # --- static quadratic-form pieces ---------------------------------------
     mids = 0.5 * (ct_verts[:, [1, 2, 0]] + ct_verts[:, [2, 0, 1]])  # (CT,3,2)
@@ -413,53 +298,37 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     M_hat = (Q.T @ M_blk @ Q).tocsr()
     D_hat = (Q.T @ D_blk @ Q).tocsr()
 
-    # --- interface jump pieces ----------------------------------------------
-    iface_info: list[list] = [[] for _ in decomp.interfaces]
-    J_hats = []
-    edge_pos = []
-    for g in decomp.interfaces:
-        edge_pos.append({int(e): i for i, e in enumerate(g.edges)})
-    for m, g in enumerate(decomp.interfaces):
-        jr, jc, jv = [], [], []
-        for ce, edge in enumerate(coarse.edges):
-            if edge.kind != INTERFACE or edge.interface != m:
-                continue
-            dk = edge_dofs[ce][g.k]
-            dj = edge_dofs[ce][g.j]
-            sign = 1.0 if float(edge.normal @ g.normal) > 0 else -1.0
-            pos = np.array([edge_pos[m][int(e)] for e in edge.fine_edges])
-            iface_info[m].append((ce, dk, dj, sign, pos))
-            w = 1.0 / edge.length
-            jr += [dk, dk, dj, dj]
-            jc += [dk, dj, dk, dj]
-            jv += [w, -w, -w, w]
-        J_hats.append(sp.coo_matrix((jv, (jr, jc)),
-                                    shape=(n_dofs, n_dofs)).tocsr())
-
-    # --- constraint rows -----------------------------------------------------
+    # --- constraint rows and interface jump pieces ---------------------------
     n_basic = decomp.n_basic
     r1 = sp.coo_matrix(
         (np.ones(3 * n_ct),
          (np.repeat(ct_sub, 3), np.arange(3 * n_ct))),
         shape=(n_basic, 3 * n_ct)).tocsr()
     areas_k = np.array([sub.area for sub in decomp.basic])
-    C1 = sp.diags(1.0 / areas_k) @ (r1 @ Q)
-    c2r, c2c, c2v = [], [], []
+    C_rows = [sp.diags(1.0 / areas_k) @ (r1 @ Q)]
+    J_hats, iface_edges = [], []
     for m, g in enumerate(decomp.interfaces):
-        for (_, dk, dj, sign, _) in iface_info[m]:
-            c2r += [m, m]
-            c2c += [dk, dj]
-            c2v += [sign / g.length, -sign / g.length]
-    C2 = sp.coo_matrix((c2v, (c2r, c2c)),
-                       shape=(len(decomp.interfaces), n_dofs)).tocsr()
-    C = sp.vstack([C1, C2]).tocsr()
+        ce = np.flatnonzero(coarse.edge_iface == m)
+        ce = ce[np.lexsort((coarse.edge_mid[ce, 1], coarse.edge_mid[ce, 0]))]
+        iface_edges.append(ce)
+        dk = edge_dof[ce]
+        dj = dk + 1
+        w = 1.0 / coarse.edge_length[ce]
+        J_hats.append(sp.coo_matrix(
+            (np.concatenate([w, -w, -w, w]),
+             (np.concatenate([dk, dk, dj, dj]),
+              np.concatenate([dk, dj, dk, dj]))),
+            shape=(n_dofs, n_dofs)).tocsr())
+        sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
+        C_rows.append(sp.coo_matrix(
+            (np.concatenate([sign / g.length, -sign / g.length]),
+             (np.zeros(2 * len(ce), dtype=np.int64), np.concatenate([dk, dj]))),
+            shape=(1, n_dofs)))
+    C = sp.vstack(C_rows).tocsr()
 
-    return CorrectorSpace(mesh, decomp, coarse, ct_verts, ct_area, ct_sub,
-                          fine_tri_ct, Q, n_dofs,
-                          np.asarray(dof_edge, dtype=np.int64),
-                          np.asarray(dof_side, dtype=np.int64),
-                          np.asarray(dof_cell, dtype=np.int64),
-                          C, M_hat, D_hat, J_hats, iface_info)
+    return CorrectorSpace(mesh, decomp, coarse, ct_area, Q, n_dofs, dof_edge,
+                          dof_side, dof_cell, edge_dof, iface_edges, C, M_hat,
+                          D_hat, J_hats)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +357,7 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
     """
     mesh = space.mesh
     decomp = space.decomp
+    coarse = space.coarse
     if f_tri is None:
         f_tri = f_cell_integrals(mesh, problem.f)[0]
     a1, a2, a3 = alphas
@@ -501,8 +371,8 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
     r = yt - gv[:, None, :]
     ra = np.einsum("de,tqe->tqd", A_inv, r)
 
-    ct = space.fine_tri_ct
-    verts_ct = space.ct_verts[ct]                                # (T, 3, 2)
+    ct = coarse.fine_tri_ct
+    verts_ct = coarse.ct_verts[ct]                               # (T, 3, 2)
     s_ct = space.ct_area[ct]
     diff = pts[:, :, None, :] - verts_ct[:, None, :, :]          # (T, m, i, 2)
     term1 = np.einsum("tmd,tmid->ti", ra, diff)
@@ -530,11 +400,14 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
     for m, g in enumerate(decomp.interfaces):
         ev = ytilde.jump_endpoint_values(m)
         fine_int = edge_len[g.edges] * ev.mean(axis=1)           # trapezoid
-        for (ce, dk, dj, sign, pos) in space.iface_info[m]:
-            ie = float(fine_int[pos].sum())
-            w = a3 * betas[m] ** 2 * sign * ie / space.coarse.edges[ce].length
-            c[dk] += w
-            c[dj] -= w
+        # every coarse edge covers an equal run of consecutive fine edges
+        ce = space.iface_edges[m]
+        ie = fine_int.reshape(len(ce), -1).sum(axis=1)
+        sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
+        w = a3 * betas[m] ** 2 * sign * ie / coarse.edge_length[ce]
+        dk = space.edge_dof[ce]
+        c[dk] += w
+        c[dk + 1] -= w
         d[n_basic + m] = -float(fine_int.sum()) / g.length
     return -c, d
 

@@ -8,6 +8,15 @@ downstream — subdomain solves, flux correctors, the error majorant — leans o
 the bookkeeping assembled here: edge adjacency, interface orientation, and
 Dirichlet-boundary grouping.
 
+Geometry is stored as arrays, never as one object per element.  A
+``TriMesh`` numbers its edges by first occurrence in the triangle list.  A
+``CoarseMesh`` keeps per-edge arrays (kind, normal, length, midpoint,
+interface), per-cell arrays (vertices, subdomain) and one cell-triangle
+incidence: every cell is split into ``ell - 2`` cell-triangles, numbered
+cell by cell, and slot ``i`` of a cell-triangle is its side opposite local
+vertex ``i``, with the coarse edge it lies on (``ct_edge``) and the sign of
+its outward normal against that edge's normal (``ct_sign``).
+
 All objects are treated as immutable once built; nothing in the package
 mutates a mesh after construction, so concurrent reads are safe.
 """
@@ -18,14 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Coarse-edge (and fine-edge) classification labels.  INACTIVE marks boundary
-# edges outside the Dirichlet part; they carry no flux degree of freedom.
-INTERIOR = "interior"
-INTERFACE = "interface"
-DIRICHLET = "dirichlet"
-INACTIVE = "inactive"
-
-_GEOM_TOL = 1e-12
+# Coarse-edge classification codes (values of ``CoarseMesh.edge_kind``).
+# INACTIVE marks boundary edges outside the Dirichlet part; they carry no
+# flux degree of freedom.
+INTERIOR, INTERFACE, DIRICHLET, INACTIVE = 0, 1, 2, 3
 
 
 class MeshError(ValueError):
@@ -122,31 +127,37 @@ class TriMesh:
 
     @classmethod
     def from_arrays(cls, vertices, triangles, mesh_size_h: float) -> "TriMesh":
-        """Build a mesh (edges, adjacency) from vertex and triangle arrays."""
+        """Build a mesh (edges, adjacency) from vertex and triangle arrays.
+
+        Edges are numbered by first occurrence, scanning triangle by
+        triangle and local vertex by local vertex (edge ``loc`` is opposite
+        vertex ``loc``); ``edge_tris`` lists the adjacent triangles in the
+        same scan order.
+        """
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
-        edge_index: dict[tuple[int, int], int] = {}
-        edge_list: list[tuple[int, int]] = []
-        adjacency: list[list[int]] = []
-        tri_edges = np.empty_like(triangles)
-        for t, tri in enumerate(triangles):
-            for loc in range(3):
-                a, b = tri[(loc + 1) % 3], tri[(loc + 2) % 3]
-                key = (min(a, b), max(a, b))
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edge_list)
-                    edge_index[key] = e
-                    edge_list.append(key)
-                    adjacency.append([])
-                adjacency[e].append(t)
-                tri_edges[t, loc] = e
-        edges = np.asarray(edge_list, dtype=np.int64)
+        a = triangles[:, [1, 2, 0]].ravel()
+        b = triangles[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, slot_key, counts = np.unique(
+            lo * len(vertices) + hi, return_index=True, return_inverse=True,
+            return_counts=True)
+        if np.any(counts > 2):
+            e = int(np.argmax(counts))
+            raise MeshError(f"edge ({lo[first[e]]}, {hi[first[e]]}) adjacent "
+                            f"to {counts[e]} triangles")
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        slot_edge = rank[slot_key.ravel()]
+        tri_edges = slot_edge.reshape(-1, 3)
+        edges = np.stack([lo, hi], axis=1)[first[by_first]]
         edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-        for e, tris in enumerate(adjacency):
-            if len(tris) > 2:
-                raise MeshError(f"edge {e} adjacent to {len(tris)} triangles")
-            edge_tris[e, : len(tris)] = tris
+        slot_tri = np.arange(len(slot_edge)) // 3
+        is_first = np.zeros(len(slot_edge), dtype=bool)
+        is_first[first] = True
+        edge_tris[slot_edge[is_first], 0] = slot_tri[is_first]
+        edge_tris[slot_edge[~is_first], 1] = slot_tri[~is_first]
         boundary = edge_tris[:, 1] < 0
         return cls(vertices, triangles, edges, edge_tris, boundary, tri_edges,
                    float(mesh_size_h))
@@ -252,32 +263,31 @@ class DomainDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _criss_cross(cells: list[tuple[int, int]], h: float):
-    """Triangulate a set of lattice squares; return mesh arrays + cell map.
+def _one_diagonal_grid(cells: np.ndarray, h: float):
+    """Triangulate a set of lattice squares; return vertex and triangle arrays.
 
-    Cells are (i, j) lattice squares [i, i+1] x [j, j+1] scaled by h.  Each
-    square is split by the diagonal from its lower-left to its upper-right
-    corner: triangle 2*c is (ll, lr, ur), triangle 2*c + 1 is (ll, ur, ul).
+    ``cells`` is an (N, 2) integer array of (i, j) lattice squares
+    [i, i+1] x [j, j+1], scaled by h.  Vertices are numbered row by row
+    (by j, then i).  Each square is split by the diagonal from its
+    lower-left to its upper-right corner: triangle 2*c is (ll, lr, ur),
+    triangle 2*c + 1 is (ll, ur, ul).
     """
-    vert_ids: dict[tuple[int, int], int] = {}
-    corners = set()
-    for (i, j) in cells:
-        corners.update({(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)})
-    for key in sorted(corners, key=lambda c: (c[1], c[0])):
-        vert_ids[key] = len(vert_ids)
-    vertices = np.array(
-        [[i * h, j * h] for (i, j) in sorted(corners, key=lambda c: (c[1], c[0]))],
-        dtype=float,
-    )
-    triangles = []
-    for (i, j) in cells:
-        ll = vert_ids[(i, j)]
-        lr = vert_ids[(i + 1, j)]
-        ur = vert_ids[(i + 1, j + 1)]
-        ul = vert_ids[(i, j + 1)]
-        triangles.append((ll, lr, ur))
-        triangles.append((ll, ur, ul))
-    return vertices, np.asarray(triangles, dtype=np.int64)
+    i, j = cells[:, 0], cells[:, 1]
+    width = int(i.max()) + 2
+    corners = np.stack([i, i + 1, i + 1, i], axis=1) \
+        + width * np.stack([j, j, j + 1, j + 1], axis=1)   # ll, lr, ur, ul
+    keys, corner_id = np.unique(corners.ravel(), return_inverse=True)
+    vertices = np.stack([(keys % width) * h, (keys // width) * h], axis=1)
+    ll, lr, ur, ul = corner_id.reshape(-1, 4).T
+    triangles = np.stack([np.stack([ll, lr, ur], axis=1),
+                          np.stack([ll, ur, ul], axis=1)], axis=1)
+    return vertices, triangles.reshape(-1, 3)
+
+
+def _lattice_cells(m: int, n: int) -> np.ndarray:
+    """(i, j) of every square of an m x n lattice, row by row."""
+    j, i = np.divmod(np.arange(m * n), m)
+    return np.stack([i, j], axis=1)
 
 
 def _basic_subdomain(mesh: TriMesh, index: int, tris: np.ndarray) -> BasicSubdomain:
@@ -296,28 +306,24 @@ def _build_interfaces(mesh: TriMesh, tri_subdomain: np.ndarray) -> list[Interfac
     t1 = np.where(interior, mesh.edge_tris[:, 1], mesh.edge_tris[:, 0])
     s0 = tri_subdomain[t0]
     s1 = tri_subdomain[t1]
-    split = interior & (s0 != s1)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for e in np.nonzero(split)[0]:
-        key = (min(s0[e], s1[e]), max(s0[e], s1[e]))
-        groups.setdefault(key, []).append(e)
+    split = np.flatnonzero(interior & (s0 != s1))
+    lo = np.minimum(s0, s1)[split]
+    hi = np.maximum(s0, s1)[split]
 
     interfaces = []
     centroids = mesh.centroids()
-    for (k, j), edge_ids in sorted(groups.items()):
-        edge_ids = np.asarray(edge_ids)
+    lengths = mesh.edge_lengths()
+    for k, j in np.unique(np.stack([lo, hi], axis=1), axis=0):
+        edge_ids = split[(lo == k) & (hi == j)]
         mids = 0.5 * (mesh.vertices[mesh.edges[edge_ids, 0]]
                       + mesh.vertices[mesh.edges[edge_ids, 1]])
         order = np.lexsort((mids[:, 1], mids[:, 0]))
         edge_ids = edge_ids[order]
 
-        side_tris = np.empty((len(edge_ids), 2), dtype=np.int64)
-        for row, e in enumerate(edge_ids):
-            a, b = mesh.edge_tris[e]
-            if tri_subdomain[a] == k:
-                side_tris[row] = (a, b)
-            else:
-                side_tris[row] = (b, a)
+        a, b = mesh.edge_tris[edge_ids].T
+        a_on_k = tri_subdomain[a] == k
+        side_tris = np.stack([np.where(a_on_k, a, b),
+                              np.where(a_on_k, b, a)], axis=1)
 
         # The normal (shared by all edges on a straight rectilinear
         # interface) points from the omega_k-side triangle toward omega_j.
@@ -329,17 +335,14 @@ def _build_interfaces(mesh: TriMesh, tri_subdomain: np.ndarray) -> list[Interfac
         if np.dot(normal, toward_j) < 0:
             normal = -normal
 
-        endpoints = np.empty((len(edge_ids), 2), dtype=np.int64)
-        for row, e in enumerate(edge_ids):
-            a, b = mesh.edges[e]
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            if (pb - pa) @ tangent < 0:
-                a, b = b, a
-            endpoints[row] = (a, b)
+        va, vb = mesh.edges[edge_ids].T
+        forward = (mesh.vertices[vb] - mesh.vertices[va]) @ tangent >= 0
+        endpoints = np.stack([np.where(forward, va, vb),
+                              np.where(forward, vb, va)], axis=1)
 
-        lengths = mesh.edge_lengths()[edge_ids]
         interfaces.append(Interface(int(k), int(j), edge_ids, normal,
-                                    float(lengths.sum()), side_tris, endpoints))
+                                    float(lengths[edge_ids].sum()), side_tris,
+                                    endpoints))
     return interfaces
 
 
@@ -379,23 +382,28 @@ def build_lshape_mesh(h: float) -> tuple[TriMesh, DomainDecomposition]:
         Grid spacing; 1/h must be a positive integer.
     """
     n = _as_int_reciprocal(h)
-    cells = [(i, j) for j in range(2 * n) for i in range(2 * n)
-             if i < n or j < n]
-    vertices, triangles = _criss_cross(cells, h)
+    cells = _lattice_cells(2 * n, 2 * n)
+    i, j = cells[:, 0], cells[:, 1]
+    keep = (i < n) | (j < n)
+    vertices, triangles = _one_diagonal_grid(cells[keep], h)
     mesh = TriMesh.from_arrays(vertices, triangles, h)
     mesh.validate()
-
-    tri_subdomain = np.empty(mesh.n_triangles, dtype=np.int64)
-    for c, (i, j) in enumerate(cells):
-        if j >= n:
-            k = 0          # omega_1: upper-left square
-        elif i < n:
-            k = 1          # omega_2: lower-left square
-        else:
-            k = 2          # omega_3: lower-right square
-        tri_subdomain[2 * c] = k
-        tri_subdomain[2 * c + 1] = k
+    # omega_1 upper-left, omega_2 lower-left, omega_3 lower-right
+    cell_subdomain = np.where(j >= n, 0, np.where(i < n, 1, 2))[keep]
+    tri_subdomain = np.repeat(cell_subdomain, 2)
     return mesh, _decomposition(mesh, tri_subdomain, [[0, 1], [1, 2]])
+
+
+def _rect_grid(m: int, n: int, h: float) -> tuple[TriMesh, DomainDecomposition]:
+    """One-diagonal mesh of (0, m*h) x (0, n*h) with the trivial
+    decomposition (one basic subdomain, one overlapping subdomain)."""
+    if m < 1 or n < 1:
+        raise MeshError(f"grid must be at least 1x1, got {m}x{n}")
+    vertices, triangles = _one_diagonal_grid(_lattice_cells(m, n), h)
+    mesh = TriMesh.from_arrays(vertices, triangles, h)
+    mesh.validate()
+    tri_subdomain = np.zeros(mesh.n_triangles, dtype=np.int64)
+    return mesh, _decomposition(mesh, tri_subdomain, [[0]])
 
 
 def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
@@ -413,16 +421,9 @@ def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
 
     Returns (TriMesh, DomainDecomposition, CoarseMesh).
     """
-    if m < 1 or n < 1:
-        raise MeshError(f"grid must be at least 1x1, got {m}x{n}")
     if cell_type not in ("triangle", "quad"):
         raise MeshError(f"unknown cell_type {cell_type!r}")
-    cells = [(i, j) for j in range(n) for i in range(m)]
-    vertices, triangles = _criss_cross(cells, h)
-    mesh = TriMesh.from_arrays(vertices, triangles, h)
-    mesh.validate()
-    tri_subdomain = np.zeros(mesh.n_triangles, dtype=np.int64)
-    decomp = _decomposition(mesh, tri_subdomain, [[0]])
+    mesh, decomp = _rect_grid(m, n, h)
     kind = "tri" if cell_type == "triangle" else "quad"
     coarse = build_coarse_mesh(mesh, decomp, h, cells=kind,
                                dirichlet_boundary=dirichlet_boundary)
@@ -435,27 +436,6 @@ def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
 
 
 @dataclass
-class CoarseCell:
-    kind: str                 # 'tri' or 'quad'
-    verts: np.ndarray         # (3, 2) or (4, 2): quad order ll, lr, ur, ul
-    subdomain: int
-    fine_tris: np.ndarray
-    area: float
-
-
-@dataclass
-class CoarseEdge:
-    kind: str                 # INTERIOR / INTERFACE / DIRICHLET
-    p0: np.ndarray
-    p1: np.ndarray
-    normal: np.ndarray        # fixed global normal of the edge
-    length: float
-    cells: list[tuple[int, float]]   # (cell index, outward sign wrt normal)
-    fine_edges: np.ndarray    # fine edges along this edge (interfaces only)
-    interface: int = -1       # index into decomp.interfaces, if any
-
-
-@dataclass
 class CoarseMesh:
     """Cell mesh of nominal size H carrying the flux-corrector space.
 
@@ -464,34 +444,52 @@ class CoarseMesh:
     solvability condition is phrased in.  The assembled space is smaller
     because shared edges are identified; that count lives with the corrector
     space, not here.
+
+    Array layout (absent on a counts-only mesh):
+
+    - edges ``e``: ``edge_kind`` (INTERIOR / INTERFACE / DIRICHLET /
+      INACTIVE), ``edge_normal`` (fixed unit normal), ``edge_length``,
+      ``edge_mid`` and ``edge_iface`` (index into ``decomp.interfaces``, -1
+      off interfaces).  The first ``N_f`` edges are the cell sides; a quad
+      mesh appends the splitting diagonal of cell ``c`` as edge
+      ``N_f + c``, an interior edge with normal (-1, 1)/sqrt(2);
+    - cells ``c``: ``cell_verts`` ((N_cells, ell, 2); quads in the order
+      ll, lr, ur, ul), ``cell_sub`` (basic subdomain); ``tri_cell`` gives
+      the containing cell of every fine triangle;
+    - cell-triangles (``ell - 2`` per cell, numbered cell by cell; a quad
+      gives its lower (ll, lr, ur) then its upper (ll, ur, ul) triangle):
+      ``ct_verts`` (CT, 3, 2), and per slot ``i`` (the side opposite
+      vertex ``i``) the edge ``ct_edge`` and the sign ``ct_sign`` of the
+      outward normal against ``edge_normal``; ``fine_tri_ct`` gives the
+      containing cell-triangle of every fine triangle.
     """
 
     H: float
-    cells: list[CoarseCell]
-    edges: list[CoarseEdge]
-    tri_cell: np.ndarray | None       # (T,) containing cell per fine triangle
     N_cells: int
     N_v: int
     N_f: int
     N_fD: int
     ell: int | None
     dim_per_cell: int
+    edge_kind: np.ndarray | None = None
+    edge_normal: np.ndarray | None = None
+    edge_length: np.ndarray | None = None
+    edge_mid: np.ndarray | None = None
+    edge_iface: np.ndarray | None = None
+    cell_verts: np.ndarray | None = None
+    cell_sub: np.ndarray | None = None
+    tri_cell: np.ndarray | None = None
+    ct_verts: np.ndarray | None = None
+    ct_edge: np.ndarray | None = None
+    ct_sign: np.ndarray | None = None
+    fine_tri_ct: np.ndarray | None = None
 
     @classmethod
     def from_counts(cls, n_cells: int, n_v: int, n_f: int, n_fd: int,
                     ell: int) -> "CoarseMesh":
         """Counts-only coarse mesh for solvability bookkeeping."""
-        return cls(H=float("nan"), cells=[], edges=[], tri_cell=None,
-                   N_cells=n_cells, N_v=n_v, N_f=n_f, N_fD=n_fd, ell=ell,
-                   dim_per_cell=n_cells * ell)
-
-    def validate(self) -> None:
-        if self.cells:
-            if self.tri_cell is not None and np.any(self.tri_cell < 0):
-                raise MeshError("fine triangle not assigned to a coarse cell")
-            n_fd = sum(1 for e in self.edges if e.kind == DIRICHLET)
-            if n_fd != self.N_fD:
-                raise MeshError("inconsistent Dirichlet edge count")
+        return cls(H=float("nan"), N_cells=n_cells, N_v=n_v, N_f=n_f,
+                   N_fD=n_fd, ell=ell, dim_per_cell=n_cells * ell)
 
 
 def compatibility_check(coarse: CoarseMesh) -> tuple[bool, int]:
@@ -507,52 +505,45 @@ def compatibility_check(coarse: CoarseMesh) -> tuple[bool, int]:
     return slack >= 0, int(slack)
 
 
-def _interface_edge_map(decomp: DomainDecomposition) -> dict[int, int]:
-    """fine edge id -> interface index."""
-    out: dict[int, int] = {}
-    for m, g in enumerate(decomp.interfaces):
-        for e in g.edges:
-            out[int(e)] = m
-    return out
+def _coarse_mesh(H: float, ell: int, n_v: int, n_f: int,
+                 **arrays) -> CoarseMesh:
+    """Assemble a coarse mesh from its arrays; the slot signs follow from
+    the cell-triangle geometry and the edge normals."""
+    ct_verts = arrays["ct_verts"]
+    side = ct_verts[:, [2, 0, 1]] - ct_verts[:, [1, 2, 0]]
+    outward = np.stack([side[..., 1], -side[..., 0]], axis=-1)
+    normal = arrays["edge_normal"][arrays["ct_edge"]]
+    arrays["ct_sign"] = np.where(
+        np.einsum("csd,csd->cs", outward, normal) > 0, 1.0, -1.0)
+    n_cells = len(arrays["cell_verts"])
+    n_fd = int(np.count_nonzero(arrays["edge_kind"] == DIRICHLET))
+    return CoarseMesh(H=H, N_cells=n_cells, N_v=n_v, N_f=n_f, N_fD=n_fd,
+                      ell=ell, dim_per_cell=ell * n_cells, **arrays)
 
 
 def _coarse_from_fine_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
                                     dirichlet_boundary: bool) -> CoarseMesh:
     """Coarse mesh whose cells are the fine triangles themselves (H = h)."""
-    iface_of = _interface_edge_map(decomp)
-    cells = [CoarseCell("tri", mesh.vertices[mesh.triangles[t]],
-                        int(decomp.tri_subdomain[t]), np.array([t]),
-                        float(mesh.areas[t]))
-             for t in range(mesh.n_triangles)]
-    centroids = mesh.centroids()
-    edges = []
+    edge_iface = np.full(mesh.n_edges, -1, dtype=np.int64)
+    for m, g in enumerate(decomp.interfaces):
+        edge_iface[g.edges] = m
+    kind = np.where(mesh.boundary_edge_flags,
+                    DIRICHLET if dirichlet_boundary else INACTIVE,
+                    np.where(edge_iface >= 0, INTERFACE, INTERIOR))
+    pa = mesh.vertices[mesh.edges[:, 0]]
+    pb = mesh.vertices[mesh.edges[:, 1]]
     lengths = mesh.edge_lengths()
-    for e in range(mesh.n_edges):
-        a, b = mesh.edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        tangent = (pb - pa) / lengths[e]
-        normal = np.array([tangent[1], -tangent[0]])
-        adj = []
-        for t in mesh.edge_tris[e]:
-            if t < 0:
-                continue
-            mid = 0.5 * (pa + pb)
-            sign = 1.0 if np.dot(mid - centroids[t], normal) > 0 else -1.0
-            adj.append((int(t), sign))
-        if mesh.boundary_edge_flags[e]:
-            kind = DIRICHLET if dirichlet_boundary else INACTIVE
-        elif e in iface_of:
-            kind = INTERFACE
-        else:
-            kind = INTERIOR
-        edges.append(CoarseEdge(kind, pa, pb, normal, float(lengths[e]), adj,
-                                np.array([e]), iface_of.get(e, -1)))
-    n_fd = sum(1 for e in edges if e.kind == DIRICHLET)
-    coarse = CoarseMesh(mesh.mesh_size_h, cells, edges,
-                        np.arange(mesh.n_triangles), len(cells),
-                        mesh.n_vertices, mesh.n_edges, n_fd, 3, 3 * len(cells))
-    coarse.validate()
-    return coarse
+    tangent = (pb - pa) / lengths[:, None]
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    cell_verts = mesh.vertices[mesh.triangles]
+    every_tri = np.arange(mesh.n_triangles)
+    return _coarse_mesh(
+        mesh.mesh_size_h, 3, mesh.n_vertices, mesh.n_edges,
+        edge_kind=kind, edge_normal=normal, edge_length=lengths,
+        edge_mid=0.5 * (pa + pb), edge_iface=edge_iface,
+        cell_verts=cell_verts, cell_sub=decomp.tri_subdomain,
+        tri_cell=every_tri, ct_verts=cell_verts, ct_edge=mesh.tri_edges,
+        fine_tri_ct=every_tri)
 
 
 def _coarse_quads(mesh: TriMesh, decomp: DomainDecomposition, H: float,
@@ -569,93 +560,94 @@ def _coarse_quads(mesh: TriMesh, decomp: DomainDecomposition, H: float,
             raise MeshError(f"subdomain corner {x} not on the H={H} lattice")
         return i
 
-    cell_ids: dict[tuple[int, int], int] = {}
-    cells: list[CoarseCell] = []
-    cell_sub: list[int] = []
+    # cells (I, J) = [I H, (I+1) H] x [J H, (J+1) H], subdomain by
+    # subdomain and row by row
+    blocks = []
     for sub in decomp.basic:
         (x0, y0), (x1, y1) = sub.bbox
-        for J in range(lat(y0), lat(y1)):
-            for I in range(lat(x0), lat(x1)):
-                cell_ids[(I, J)] = len(cells)
-                verts = np.array([[I * H, J * H], [(I + 1) * H, J * H],
-                                  [(I + 1) * H, (J + 1) * H], [I * H, (J + 1) * H]])
-                cells.append(CoarseCell("quad", verts, sub.index, None, H * H))
-                cell_sub.append(sub.index)
+        J, I = np.mgrid[lat(y0):lat(y1), lat(x0):lat(x1)]
+        blocks.append((I.ravel(), J.ravel(), np.full(I.size, sub.index)))
+    I, J, cell_sub = (np.concatenate(col) for col in zip(*blocks))
+    n_cells = len(I)
+    cell_verts = np.stack([np.stack([I * H, J * H], axis=1),
+                           np.stack([(I + 1) * H, J * H], axis=1),
+                           np.stack([(I + 1) * H, (J + 1) * H], axis=1),
+                           np.stack([I * H, (J + 1) * H], axis=1)], axis=1)
 
+    n_i, n_j = int(I.max()) + 1, int(J.max()) + 1
+    cell_at = np.full((n_i + 2, n_j + 2), -1, dtype=np.int64)
+    cell_at[I + 1, J + 1] = np.arange(n_cells)
     cent = mesh.centroids()
-    bin_i = np.floor(cent[:, 0] / H + 1e-12).astype(int)
-    bin_j = np.floor(cent[:, 1] / H + 1e-12).astype(int)
-    tri_cell = np.full(mesh.n_triangles, -1, dtype=np.int64)
-    per_cell: list[list[int]] = [[] for _ in cells]
-    for t in range(mesh.n_triangles):
-        c = cell_ids.get((bin_i[t], bin_j[t]))
-        if c is None:
-            raise MeshError("fine triangle outside every coarse cell")
-        tri_cell[t] = c
-        per_cell[c].append(t)
-    for c, cell in enumerate(cells):
-        cell.fine_tris = np.asarray(per_cell[c], dtype=np.int64)
-        if len(cell.fine_tris) != 2 * int(round(ratio)) ** 2:
-            raise MeshError("coarse cell does not tile into fine triangles")
+    bin_i = np.floor(cent[:, 0] / H + 1e-12).astype(np.int64)
+    bin_j = np.floor(cent[:, 1] / H + 1e-12).astype(np.int64)
+    tri_cell = cell_at[np.clip(bin_i + 1, 0, n_i + 1),
+                       np.clip(bin_j + 1, 0, n_j + 1)]
+    if np.any(tri_cell < 0):
+        raise MeshError("fine triangle outside every coarse cell")
+    fine_per_cell = 2 * int(round(ratio)) ** 2
+    if np.any(np.bincount(tri_cell, minlength=n_cells) != fine_per_cell):
+        raise MeshError("coarse cell does not tile into fine triangles")
 
-    # Coarse edges keyed on the lattice; horizontal normals point +y,
-    # vertical normals +x.  The outward sign of an adjacent cell is the dot
-    # product of its outward normal on that side with the edge normal.
-    edge_entries: dict[tuple, list[tuple[int, float]]] = {}
-    for (I, J), c in cell_ids.items():
-        edge_entries.setdefault(("h", I, J), []).append((c, -1.0))      # bottom
-        edge_entries.setdefault(("h", I, J + 1), []).append((c, 1.0))   # top
-        edge_entries.setdefault(("v", I, J), []).append((c, -1.0))      # left
-        edge_entries.setdefault(("v", I + 1, J), []).append((c, 1.0))   # right
+    # Cell sides keyed on the lattice: horizontal edges (normal +y) first,
+    # then vertical ones (normal +x), each sorted by (J, I).
+    width = n_i + 1
+    n_keys = width * (n_j + 1)
+    corner = J * width + I
+    side_key = np.stack([corner, corner + width,               # bottom, top
+                         n_keys + corner, n_keys + corner + 1],  # left, right
+                        axis=1)
+    keys, side_edge, adjacent = np.unique(side_key.ravel(), return_inverse=True,
+                                          return_counts=True)
+    side_edge = side_edge.reshape(-1, 4)
+    n_f = len(keys)
+    vertical = keys >= n_keys
+    e_j, e_i = np.divmod(keys % n_keys, width)
+    p0 = np.stack([e_i * H, e_j * H], axis=1)
+    p1 = np.stack([np.where(vertical, e_i, e_i + 1) * H,
+                   np.where(vertical, e_j + 1, e_j) * H], axis=1)
 
-    iface_lookup = {(g.k, g.j): m for m, g in enumerate(decomp.interfaces)}
-    edge_mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
-                       + mesh.vertices[mesh.edges[:, 1]])
+    n_basic = decomp.n_basic
+    sub_lo = np.full(n_f, n_basic, dtype=np.int64)
+    sub_hi = np.full(n_f, -1, dtype=np.int64)
+    np.minimum.at(sub_lo, side_edge.ravel(), np.repeat(cell_sub, 4))
+    np.maximum.at(sub_hi, side_edge.ravel(), np.repeat(cell_sub, 4))
+    iface_of_pair = np.full((n_basic, n_basic), -1, dtype=np.int64)
+    for m, g in enumerate(decomp.interfaces):
+        iface_of_pair[g.k, g.j] = m
+    crossing = (adjacent == 2) & (sub_lo != sub_hi)
+    edge_iface = np.where(crossing, iface_of_pair[sub_lo, np.maximum(sub_hi, 0)],
+                          -1)
+    if np.any(crossing & (edge_iface < 0)):
+        raise MeshError("coarse edge between subdomains without an interface")
+    kind = np.where(adjacent == 1,
+                    DIRICHLET if dirichlet_boundary else INACTIVE,
+                    np.where(crossing, INTERFACE, INTERIOR))
+    normal = np.where(vertical[:, None], [1.0, 0.0], [0.0, 1.0])
+    n_v = len(np.unique(np.concatenate([corner, corner + 1, corner + width,
+                                        corner + width + 1])))
 
-    edges: list[CoarseEdge] = []
-    for key in sorted(edge_entries, key=lambda k: (k[0], k[2], k[1])):
-        orient, I, J = key
-        adj = edge_entries[key]
-        if orient == "h":
-            p0 = np.array([I * H, J * H])
-            p1 = np.array([(I + 1) * H, J * H])
-            normal = np.array([0.0, 1.0])
-        else:
-            p0 = np.array([I * H, J * H])
-            p1 = np.array([I * H, (J + 1) * H])
-            normal = np.array([1.0, 0.0])
-        fine_edges = np.array([], dtype=np.int64)
-        iface = -1
-        if len(adj) == 2:
-            ka, kb = cell_sub[adj[0][0]], cell_sub[adj[1][0]]
-            if ka == kb:
-                kind = INTERIOR
-            else:
-                kind = INTERFACE
-                iface = iface_lookup[(min(ka, kb), max(ka, kb))]
-        else:
-            # single adjacent cell: the edge lies on the outer boundary
-            kind = DIRICHLET if dirichlet_boundary else INACTIVE
-        if kind == INTERFACE:
-            g = decomp.interfaces[iface]
-            mids = edge_mids[g.edges]
-            axis = 0 if orient == "h" else 1
-            lo, hi = p0[axis], p1[axis]
-            on_this = (mids[:, axis] > lo - 1e-12) & (mids[:, axis] < hi + 1e-12)
-            perp = 1 - axis
-            on_this &= np.abs(mids[:, perp] - p0[perp]) < 1e-9
-            fine_edges = g.edges[on_this]
-        edges.append(CoarseEdge(kind, p0, p1, normal, H, adj, fine_edges, iface))
-
-    corners = set()
-    for cell in cells:
-        for v in cell.verts:
-            corners.add((round(v[0] / H), round(v[1] / H)))
-    n_fd = sum(1 for e in edges if e.kind == DIRICHLET)
-    coarse = CoarseMesh(H, cells, edges, tri_cell, len(cells), len(corners),
-                        len(edges), n_fd, 4, 4 * len(cells))
-    coarse.validate()
-    return coarse
+    # the splitting diagonals follow as edges n_f + c
+    diag = n_f + np.arange(n_cells)
+    ll, ur = cell_verts[:, 0], cell_verts[:, 2]
+    bottom, top, left, right = side_edge.T
+    x0 = ll[tri_cell]
+    upper = (cent[:, 0] - x0[:, 0]) <= (cent[:, 1] - x0[:, 1])
+    return _coarse_mesh(
+        H, 4, n_v, n_f,
+        edge_kind=np.concatenate([kind, np.full(n_cells, INTERIOR)]),
+        edge_normal=np.concatenate(
+            [normal, np.tile([-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
+                             (n_cells, 1))]),
+        edge_length=np.concatenate([np.full(n_f, H),
+                                    np.full(n_cells, np.hypot(H, H))]),
+        edge_mid=np.concatenate([0.5 * (p0 + p1), 0.5 * (ll + ur)]),
+        edge_iface=np.concatenate([edge_iface, np.full(n_cells, -1)]),
+        cell_verts=cell_verts, cell_sub=cell_sub, tri_cell=tri_cell,
+        ct_verts=cell_verts[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2),
+        ct_edge=np.stack([np.stack([right, diag, bottom], axis=1),
+                          np.stack([top, left, diag], axis=1)],
+                         axis=1).reshape(-1, 3),
+        fine_tri_ct=2 * tri_cell + upper)
 
 
 def build_coarse_mesh(mesh: TriMesh, decomp: DomainDecomposition, H: float,

@@ -28,7 +28,7 @@ from .flux import (BrokenFluxField, CorrectorSolver, CorrectorSpace,
 from .linalg import SolverError
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
                        evaluate_majorant, optimize_eps)
-from .mesh import (DomainDecomposition, MeshError, TriMesh,
+from .mesh import (DomainDecomposition, TriMesh, _rect_grid,
                    build_coarse_mesh, build_lshape_mesh,
                    build_rect_grid_decomposition, compatibility_check,
                    CoarseMesh)
@@ -74,6 +74,9 @@ class RunConfig:
         _check_reciprocal(H, "H")
         if H < self.h - 1e-12:
             raise ConfigError(f"H={H} must not be finer than h={self.h}")
+        if abs(H / self.h - round(H / self.h)) > 1e-9:
+            raise ConfigError(f"H={H} is not an integer multiple of "
+                              f"h={self.h}")
         if int(self.sweeps) != self.sweeps or self.sweeps < 1:
             raise ConfigError("sweeps must be a positive integer")
         if self.mode not in ("multiplicative", "additive"):
@@ -124,8 +127,7 @@ def build_preset(config: RunConfig):
         mesh, decomp = build_lshape_mesh(config.h)
     else:
         k = int(round(1.0 / config.h))
-        mesh, decomp, _ = build_rect_grid_decomposition(
-            k, k, config.h, dirichlet_boundary=True)
+        mesh, decomp = _rect_grid(k, k, config.h)
     problem = manufactured_lshape_problem()
     return mesh, decomp, problem
 

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from ddmcert.flux import (CorrectorSolver, average_gradient,
-                          build_corrector_space, corrected_flux)
-from ddmcert.majorant import (MajorantConstants, alpha_weights,
-                              evaluate_majorant)
+from ddmcert.flux import (BrokenFluxField, CorrectorSolver,
+                          build_corrector_space)
+from ddmcert.majorant import MajorantConstants, alpha_weights
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
+from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import f_cell_integrals, manufactured_lshape_problem
 from ddmcert.schwarz import SchwarzConfig, run_schwarz
 
@@ -37,12 +37,10 @@ def cert4(lshape4, problem):
     solver = CorrectorSolver(space, problem,
                              alpha_weights((1.0, 1.0, 1.0), constants),
                              constants.beta, f_tri)
-    yt = average_gradient(state.v, decomp, problem.A)
-    q, lam = solver.solve(yt, state.v)
-    y = corrected_flux(yt, q, space)
-    report = evaluate_majorant(y, state.v, problem, constants,
-                               f_tri=f_tri, f_sq_tri=f_sq)
+    y, report = certify_iterate(state.v, solver, constants, "fixed",
+                                f_tri, f_sq)
+    yt = BrokenFluxField(mesh, decomp, y.p1_part)
     return SimpleNamespace(mesh=mesh, decomp=decomp, problem=problem,
-                           constants=constants, coarse=coarse, space=space,
-                           solver=solver, v=state.v, yt=yt, q=q, lam=lam,
-                           y=y, report=report, f_tri=f_tri, f_sq=f_sq)
+                           constants=constants, space=space, v=state.v,
+                           yt=yt, q=y.coeffs, y=y, report=report,
+                           f_tri=f_tri, f_sq=f_sq)

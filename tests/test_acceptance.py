@@ -454,11 +454,13 @@ class _DenseOracle:
         """Resolve every cell-triangle slot to (dof, sign) from geometry and
         the published dof meanings (total flux along each edge's normal,
         diagonals along the up-left normal)."""
-        table = space.dof_table()
+        table = list(zip(range(space.n_dofs), space.dof_edge,
+                         space.dof_side, space.dof_cell))
         diag_normal = np.array([-1.0, 1.0]) / math.sqrt(2.0)
         self.slots = []          # per cell-triangle: (verts, [(dof, sign)*3])
-        for c, cell in enumerate(coarse.cells):
-            ll, lr, ur, ul = cell.verts
+        for c, (verts, subdomain) in enumerate(zip(coarse.cell_verts,
+                                                   coarse.cell_sub)):
+            ll, lr, ur, ul = verts
             for tri in (np.array([ll, lr, ur]), np.array([ll, ur, ul])):
                 entries = []
                 for loc in range(3):
@@ -472,13 +474,12 @@ class _DenseOracle:
                         sign = 1.0 if out @ diag_normal > 0 else -1.0
                     else:
                         ce = next(
-                            i for i, e in enumerate(coarse.edges)
-                            if np.allclose(0.5 * (e.p0 + e.p1), mid,
-                                           atol=1e-12))
+                            i for i, e_mid in enumerate(coarse.edge_mid)
+                            if np.allclose(e_mid, mid, atol=1e-12))
                         dof = next(
                             i for i, de, side, _ in table
-                            if de == ce and side in (-1, cell.subdomain))
-                        nrm = coarse.edges[ce].normal
+                            if de == ce and side in (-1, subdomain))
+                        nrm = coarse.edge_normal[ce]
                         sign = 1.0 if out @ nrm > 0 else -1.0
                     entries.append((dof, sign))
                 self.slots.append((tri, entries))

@@ -236,6 +236,30 @@ def test_exit_config_on_bad_inputs(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_coarse_size_not_a_multiple_of_h_exits_config(capsys):
+    assert main(["run", "--h", "1/4", "--H", "1/3"]) == 1
+    assert main(["run", "--h", "1/6", "--H", "1/4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2
+    assert "not an integer multiple" in err
+
+
+@pytest.mark.parametrize("H", [None, "1/4"])
+def test_rect_preset_certifies(tmp_path, capsys, H):
+    # one basic subdomain: no interfaces, so no jump term
+    out = tmp_path / "rect"
+    args = ["run", "--preset", "rect", "--h", "1/8", "--sweeps", "3",
+            "--out", str(out)]
+    assert main(args + (["--H", H] if H else [])) == 0
+    capsys.readouterr()
+    lines = (out / "history.csv").read_bytes().decode().strip().split("\r\n")
+    assert len(lines) == 4
+    for line in lines[1:]:
+        sweep, m1, m2, m3, m, err, ieff = line.split(",")
+        assert float(m3) == 0.0
+        assert float(ieff) >= 1.0
+
+
 def test_non_admissible_certificate_exits_solver(monkeypatch, capsys):
     exact_rhs = flux.corrector_rhs
 

@@ -8,7 +8,9 @@ from ddmcert.flux import (BrokenFluxField, CorrectorSolver, average_gradient,
 from ddmcert.majorant import MajorantConstants, alpha_weights
 from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
-from ddmcert.problem import EllipticProblem, ScalarFieldP1
+from ddmcert.pipeline import certify_iterate
+from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
+from ddmcert.schwarz import SchwarzConfig, run_schwarz
 
 BARY = np.array([[2 / 3, 1 / 6, 1 / 6],
                  [1 / 6, 2 / 3, 1 / 6],
@@ -87,10 +89,10 @@ def test_space_counts_lshape_H1():
     space = build_corrector_space(coarse, decomp)
     # 8 Dirichlet edges + 2 interface edges x 2 sides, plus one diagonal
     # DOF per square cell
-    assert space.n_edge_dofs == 12
+    assert np.count_nonzero(space.dof_cell < 0) == 12
     assert space.n_dofs == 15
     assert space.n_constraints == 5        # 3 subdomains + 2 interfaces
-    assert space.dim_per_cell == 12        # 3 cells x 4 edges
+    assert coarse.dim_per_cell == 12       # 3 cells x 4 edges
 
 
 def test_space_fine_mesh_every_edge_is_a_dof():
@@ -100,7 +102,7 @@ def test_space_fine_mesh_every_edge_is_a_dof():
     space = build_corrector_space(coarse, decomp)
     # no interfaces: one DOF per fine edge, no duplication
     assert space.n_dofs == mesh.n_edges
-    assert space.is_fine()
+    assert coarse.ell == 3 and coarse.N_cells == mesh.n_triangles
     assert coarse.dim_per_cell == 3 * mesh.n_triangles
 
 
@@ -109,19 +111,45 @@ def test_single_cell_represents_constants():
         1, 1, 1.0, cell_type="quad", dirichlet_boundary=True)
     space = build_corrector_space(coarse, decomp)
     target = np.array([1.0, 0.0])
-    coeffs = np.zeros(space.n_dofs)
-    for dof, edge, side, cell in space.dof_table():
-        if edge >= 0:
-            e = coarse.edges[edge]
-            coeffs[dof] = e.length * float(e.normal @ target)
-        else:
-            # diagonal from (0,0) to (1,1): length sqrt2, normal (-1,1)/sqrt2
-            coeffs[dof] = -1.0
+    # each dof is the total flux across its edge along the edge normal;
+    # the diagonal from (0,0) to (1,1) has length sqrt2, normal (-1,1)/sqrt2
+    edge = space.dof_edge
+    diagonal = space.dof_cell >= 0
+    assert np.allclose(coarse.edge_mid[edge[diagonal]], [[0.5, 0.5]])
+    coeffs = coarse.edge_length[edge] * (coarse.edge_normal[edge] @ target)
+    assert np.allclose(coeffs[diagonal], -1.0)
     zero = np.zeros((mesh.n_triangles, 3, 2))
     y = BrokenFluxField(mesh, decomp, zero, space, coeffs)
     vals = y.values(BARY)
     assert np.allclose(vals, target, atol=1e-13)
     assert np.allclose(y.divergence(), 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("eps_policy", ["fixed", "opt"])
+@pytest.mark.parametrize("h", [1 / 4, 1 / 8])
+def test_tri_and_quad_cells_agree_at_H_equal_h(h, eps_policy, problem):
+    # at H = h a quad cell is one fine square split by the fine diagonal,
+    # so both cell kinds span the same RT0 space on the fine triangulation
+    mesh, decomp = build_lshape_mesh(h)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=4),
+                        track_discrete=False)
+    constants = MajorantConstants.default(decomp, problem)
+    f_tri, f_sq = f_cell_integrals(mesh, problem.f)
+    reports, n_dofs = [], []
+    for cells in ("tri", "quad"):
+        coarse = build_coarse_mesh(mesh, decomp, h, cells=cells)
+        space = build_corrector_space(coarse, decomp, problem.A)
+        solver = CorrectorSolver(space, problem,
+                                 alpha_weights((1.0, 1.0, 1.0), constants),
+                                 constants.beta, f_tri)
+        reports.append(certify_iterate(state.v, solver, constants,
+                                       eps_policy, f_tri, f_sq)[1])
+        n_dofs.append(space.n_dofs)
+    assert n_dofs[0] == n_dofs[1]
+    tri, quad = reports
+    for name in ("total_sq", "M1_sq", "M2_sq", "M3_sq"):
+        a, b = getattr(tri, name), getattr(quad, name)
+        assert abs(a - b) <= 1e-12 * abs(a), name
 
 
 def test_incompatible_coarse_mesh_rejected():
@@ -173,12 +201,8 @@ def test_single_cell_divergence_balance():
     # the constraint forces  int div q = -1  over the cell
     mesh, decomp, coarse = build_rect_grid_decomposition(
         1, 1, 1.0, cell_type="quad", dirichlet_boundary=True)
-    kept_one = False
-    for e in coarse.edges:
-        if e.kind == DIRICHLET:
-            if kept_one:
-                e.kind = INACTIVE
-            kept_one = True
+    dirichlet = np.flatnonzero(coarse.edge_kind == DIRICHLET)
+    coarse.edge_kind[dirichlet[1:]] = INACTIVE
     coarse.N_fD = 1
     space = build_corrector_space(coarse, decomp)
     assert space.n_dofs == 2 and space.n_constraints == 1

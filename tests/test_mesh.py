@@ -48,6 +48,27 @@ def test_edge_adjacency_counts():
     assert (mesh.edge_tris[:, 0] >= 0).all()
 
 
+def test_edges_numbered_by_first_occurrence():
+    # reference: scan triangle by triangle, local edge by local edge
+    mesh, _ = build_lshape_mesh(0.25)
+    index, edges, adjacent = {}, [], []
+    tri_edges = np.empty_like(mesh.triangles)
+    for t, tri in enumerate(mesh.triangles):
+        for loc in range(3):
+            a, b = tri[(loc + 1) % 3], tri[(loc + 2) % 3]
+            key = (min(a, b), max(a, b))
+            if key not in index:
+                index[key] = len(edges)
+                edges.append(key)
+                adjacent.append([])
+            adjacent[index[key]].append(t)
+            tri_edges[t, loc] = index[key]
+    edge_tris = np.array([tris + [-1] * (2 - len(tris)) for tris in adjacent])
+    assert np.array_equal(mesh.edges, np.array(edges))
+    assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert np.array_equal(mesh.edge_tris, edge_tris)
+
+
 def test_decomposition_partition():
     mesh, decomp = build_lshape_mesh(0.25)
     assert decomp.n_basic == 3
@@ -124,13 +145,13 @@ def test_compatibility_closed_form(mn, cell_type):
 def test_coarse_quad_mesh_tiles_domain():
     mesh, decomp = build_lshape_mesh(1 / 8)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
-    areas = mesh.areas
-    total = sum(areas[c.fine_tris].sum() for c in coarse.cells)
-    assert np.isclose(total, 3.0)      # |Omega| = 3
-    for c in coarse.cells:
-        assert np.isclose(c.area, 0.0625)
-        # each cell lives in exactly one basic subdomain
-        assert len(set(decomp.tri_subdomain[c.fine_tris])) == 1
+    cell_area = np.bincount(coarse.tri_cell, mesh.areas)
+    assert np.isclose(cell_area.sum(), 3.0)      # |Omega| = 3
+    assert np.allclose(cell_area, 0.0625)
+    side = coarse.cell_verts[:, 2] - coarse.cell_verts[:, 0]
+    assert np.allclose(side, 0.25)
+    # each cell lives in exactly one basic subdomain
+    assert (decomp.tri_subdomain == coarse.cell_sub[coarse.tri_cell]).all()
     assert (coarse.tri_cell >= 0).all()
 
 
