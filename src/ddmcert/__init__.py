@@ -25,7 +25,6 @@ from .schwarz import (
     SchwarzConfig,
     SchwarzState,
     run_schwarz,
-    contraction_estimate,
 )
 from .flux import (
     BrokenFluxField,
@@ -41,7 +40,6 @@ from .majorant import (
     MajorantReport,
     poincare_edge_constant,
     beta_pair,
-    friedrichs_bbox_constant,
     alpha_weights,
     evaluate_majorant,
     optimize_eps,

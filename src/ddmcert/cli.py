@@ -184,7 +184,9 @@ def cmd_run(args) -> int:
 def cmd_table1(args) -> int:
     finest = args.h if args.h is not None else TABLE1_H[-1]
     hs = [h for h in TABLE1_H if h >= finest - 1e-12]
-    sweeps = args.sweeps or 16
+    if not hs:
+        raise ConfigError(f"no mesh sizes >= h={finest} available")
+    sweeps = args.sweeps if args.sweeps is not None else 16
     rows = table1_rows(hs=hs, sweeps=sweeps)
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -203,7 +205,7 @@ def cmd_table2(args) -> int:
     coarse = [H for H in TABLE2_COARSE if H >= h - 1e-12]
     if not coarse:
         raise ConfigError(f"no coarse sizes >= h={h} available")
-    sweeps = args.sweeps or 16
+    sweeps = args.sweeps if args.sweeps is not None else 16
     rows = table2_rows(h=h, coarse_sizes=coarse, sweeps=sweeps)
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -219,7 +221,7 @@ def cmd_table2(args) -> int:
 
 def _table34_run(args) -> RunResult:
     h = args.h if args.h is not None else 1 / 64
-    sweeps = args.sweeps or 8
+    sweeps = args.sweeps if args.sweeps is not None else 8
     return table34_result(h=h, sweeps=sweeps)
 
 
@@ -286,23 +288,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", metavar="FILE",
-                     help="flat key=value config file")
-    sub.add_argument("--preset", choices=("lshape", "rect"))
-    sub.add_argument("--h", type=_ratio, metavar="R",
-                     help="fine mesh size (e.g. 0.25 or 1/4)")
-    sub.add_argument("--H", type=_ratio, metavar="R",
-                     help="corrector mesh size (default: h)")
-    sub.add_argument("--sweeps", type=int, metavar="N")
-    sub.add_argument("--mode", choices=("multiplicative", "additive"))
-    sub.add_argument("--eps", choices=("fixed", "opt"),
-                     help="weight policy for the majorant")
-    sub.add_argument("--out", metavar="DIR",
-                     help="artifact directory (history.csv, table.md)")
-    sub.add_argument("--emit-fields", dest="emit_fields",
-                     action="store_true", default=False,
-                     help="write per-sweep VTK field dumps")
+_FLAGS = {
+    "--config": dict(metavar="FILE", help="flat key=value config file"),
+    "--preset": dict(choices=("lshape", "rect")),
+    "--h": dict(type=_ratio, metavar="R",
+                help="fine mesh size (e.g. 0.25 or 1/4)"),
+    "--H": dict(type=_ratio, metavar="R",
+                help="corrector mesh size (default: h)"),
+    "--sweeps": dict(type=int, metavar="N"),
+    "--mode": dict(choices=("multiplicative", "additive")),
+    "--eps": dict(choices=("fixed", "opt"),
+                  help="weight policy for the majorant"),
+    "--out": dict(metavar="DIR",
+                  help="artifact directory (history.csv, table.md)"),
+    "--emit-fields": dict(dest="emit_fields", action="store_true",
+                          default=False,
+                          help="write per-sweep VTK field dumps"),
+}
+_TABLE_FLAGS = ("--h", "--sweeps", "--out")
+# Each subcommand takes only the flags its handler reads.
+_SUBCOMMAND_FLAGS = {"run": tuple(_FLAGS), "table1": _TABLE_FLAGS,
+                     "table2": _TABLE_FLAGS, "table3": _TABLE_FLAGS,
+                     "table4": _TABLE_FLAGS, "check": ("--h",)}
 
 
 def build_parser() -> _Parser:
@@ -324,7 +331,8 @@ def build_parser() -> _Parser:
     }
     for name, handler in handlers.items():
         sub = subs.add_parser(name, help=descriptions[name])
-        _add_common(sub)
+        for flag in _SUBCOMMAND_FLAGS[name]:
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser
 

@@ -120,10 +120,6 @@ class BrokenFluxField:
                 out[:, pos] += sgn * (vals @ n + corr)
         return out
 
-    def with_corrector(self, space, coeffs) -> "BrokenFluxField":
-        return BrokenFluxField(self.mesh, self.decomp, self.p1_part,
-                               space, coeffs)
-
 
 def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition,
                      A=None) -> BrokenFluxField:
@@ -152,12 +148,10 @@ def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition,
 
 
 def corrected_flux(ytilde: BrokenFluxField, q: np.ndarray,
-                   space: Optional["CorrectorSpace"] = None) -> BrokenFluxField:
+                   space: "CorrectorSpace") -> BrokenFluxField:
     """The admissible candidate y = ytilde + q."""
-    space = space if space is not None else ytilde.space
-    if space is None:
-        raise ValueError("no corrector space attached or given")
-    return ytilde.with_corrector(space, np.asarray(q, dtype=float))
+    return BrokenFluxField(ytilde.mesh, ytilde.decomp, ytilde.p1_part,
+                           space, np.asarray(q, dtype=float))
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .problem import (EllipticProblem, ScalarFieldP1, energy_error,
 
 EPS_MIN = 1e-8
 EPS_MAX = 1e8
+ADMISSIBILITY_TOL = 1e-8
 
 
 def poincare_edge_constant(h2: float) -> float:
@@ -54,13 +55,6 @@ def beta_pair(c_k: float, c_j: float) -> float:
     return math.sqrt(0.5 * (c_k * c_k + c_j * c_j))
 
 
-def friedrichs_bbox_constant(extents) -> float:
-    """Friedrichs constant of the enclosing axis-aligned box (a x b):
-    1 / (pi sqrt(1/a^2 + 1/b^2))."""
-    a, b = float(extents[0]), float(extents[1])
-    return 1.0 / (math.pi * math.sqrt(1.0 / a ** 2 + 1.0 / b ** 2))
-
-
 @dataclass
 class MajorantConstants:
     """Geometry- and operator-dependent constants entering the weights."""
@@ -69,7 +63,6 @@ class MajorantConstants:
     C_P: np.ndarray          # per basic subdomain
     beta: np.ndarray         # per interface
     E_max: float
-    C_F: float               # Friedrichs constant of the bounding box
 
     @property
     def C_P_max(self) -> float:
@@ -101,10 +94,7 @@ class MajorantConstants:
             counts[g.k] += 1
             counts[g.j] += 1
         E_max = float(counts.max()) if decomp.interfaces else 1.0
-        lo = decomp.mesh.vertices.min(axis=0)
-        hi = decomp.mesh.vertices.max(axis=0)
-        return cls(C_min=C_min, C_P=C_P, beta=beta, E_max=E_max,
-                   C_F=friedrichs_bbox_constant(hi - lo))
+        return cls(C_min=C_min, C_P=C_P, beta=beta, E_max=E_max)
 
 
 def alpha_weights(eps, constants: MajorantConstants) -> tuple[float, float, float]:
@@ -140,9 +130,6 @@ class MajorantReport:
     @property
     def total(self) -> float:
         return math.sqrt(self.total_sq)
-
-    def parts(self) -> tuple[float, float, float]:
-        return self.M1_sq, self.M2_sq, self.M3_sq
 
 
 def _term_sums(S1, S2, S3, beta, constants):
@@ -180,16 +167,14 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
                       constants: MajorantConstants,
                       eps=(1.0, 1.0, 1.0),
                       f_tri: np.ndarray | None = None,
-                      f_sq_tri: np.ndarray | None = None,
-                      with_error: bool = True,
-                      admissibility_tol: float = 1e-8) -> MajorantReport:
+                      f_sq_tri: np.ndarray | None = None) -> MajorantReport:
     """Evaluate the majorant of the energy error of v for flux candidate y.
 
     The first term integrates exactly (midpoint rule on the fine triangles);
     the equilibration term expands (div y + f)^2 with degree-5 quadrature
     for the integrals of f and f^2; jump terms are exact on each fine edge.
-    If the admissibility means exceed ``admissibility_tol`` the report is
-    flagged not guaranteed.
+    If the admissibility means exceed ``ADMISSIBILITY_TOL`` times
+    1 + max_t |int_t f| / min_t |t|, the report is flagged not guaranteed.
     """
     mesh = y.mesh
     decomp = y.decomp
@@ -231,12 +216,12 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     res = constraint_residuals(y, problem.f, decomp, f_tri)
     scale = 1.0 + float(np.abs(f_tri).max() / mesh.areas.min())
     guaranteed = bool(
-        np.all(np.abs(res.subdomain) <= admissibility_tol * scale)
+        np.all(np.abs(res.subdomain) <= ADMISSIBILITY_TOL * scale)
         and (len(res.interface) == 0
-             or np.all(np.abs(res.interface) <= admissibility_tol * scale)))
+             or np.all(np.abs(res.interface) <= ADMISSIBILITY_TOL * scale)))
 
     err = eff = None
-    if with_error and problem.exact_grad is not None:
+    if problem.exact_grad is not None:
         err = energy_error(v, problem)
         total = math.sqrt(M1_sq + M2_sq + M3_sq)
         eff = total / err if err > 0 else math.inf

@@ -182,7 +182,6 @@ class BasicSubdomain:
 
     index: int
     tris: np.ndarray          # fine triangle indices
-    vertices: np.ndarray      # fine vertex indices occurring in omega_k
     area: float
     bbox: np.ndarray          # (2, 2): [[xmin, ymin], [xmax, ymax]]
 
@@ -220,7 +219,6 @@ class DomainDecomposition:
     basic: list[BasicSubdomain]
     overlaps: list[np.ndarray]          # per Omega_j: basic subdomain indices
     interfaces: list[Interface]
-    dirichlet_edges: dict[int, np.ndarray]   # basic index -> boundary edges
     tri_subdomain: np.ndarray           # (T,) basic index per fine triangle
 
     @property
@@ -291,10 +289,9 @@ def _lattice_cells(m: int, n: int) -> np.ndarray:
 
 
 def _basic_subdomain(mesh: TriMesh, index: int, tris: np.ndarray) -> BasicSubdomain:
-    verts = np.unique(mesh.triangles[tris])
-    coords = mesh.vertices[verts]
+    coords = mesh.vertices[np.unique(mesh.triangles[tris])]
     bbox = np.vstack([coords.min(axis=0), coords.max(axis=0)])
-    return BasicSubdomain(index, np.asarray(tris), verts,
+    return BasicSubdomain(index, np.asarray(tris),
                           float(mesh.areas[tris].sum()), bbox)
 
 
@@ -352,14 +349,9 @@ def _decomposition(mesh: TriMesh, tri_subdomain: np.ndarray,
     basic = [_basic_subdomain(mesh, k, np.nonzero(tri_subdomain == k)[0])
              for k in range(n_basic)]
     interfaces = _build_interfaces(mesh, tri_subdomain)
-    dirichlet: dict[int, np.ndarray] = {}
-    bdry = np.nonzero(mesh.boundary_edge_flags)[0]
-    owner = tri_subdomain[mesh.edge_tris[bdry, 0]]
-    for k in range(n_basic):
-        dirichlet[k] = bdry[owner == k]
     decomp = DomainDecomposition(
         mesh, basic, [np.asarray(o, dtype=np.int64) for o in overlaps],
-        interfaces, dirichlet, tri_subdomain)
+        interfaces, tri_subdomain)
     decomp.validate()
     return decomp
 

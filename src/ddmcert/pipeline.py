@@ -3,8 +3,10 @@
 A run builds the preset geometry, iterates the alternating method, and at
 selected sweeps reconstructs an admissible broken flux (averaged gradient
 plus corrector) and evaluates the majorant.  The corrector saddle system is
-factorized once per weight set and reused across sweeps; the optional
-eps-optimization re-solves with the closed-form weights.
+factorized once per corrector space for the fixed weights and reused across
+sweeps; ``--eps opt`` re-solves ``OPT_ROUNDS`` times per sweep with the
+closed-form weights.  A run returns its geometry, its problem and one
+``SweepRow`` per certified sweep, which is all the CLI writes.
 
 Every certified sweep is checked twice.  A flux that misses the
 admissibility constraints gives no guarantee, so ``certify_iterate`` raises
@@ -16,28 +18,28 @@ a property of the method.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .flux import (BrokenFluxField, CorrectorSolver, CorrectorSpace,
-                   average_gradient, build_corrector_space, corrected_flux)
+from .flux import (CorrectorSolver, average_gradient, build_corrector_space,
+                   corrected_flux)
 from .linalg import SolverError
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
                        evaluate_majorant, optimize_eps)
-from .mesh import (DomainDecomposition, TriMesh, _rect_grid,
+from .mesh import (CoarseMesh, DomainDecomposition, TriMesh, _rect_grid,
                    build_coarse_mesh, build_lshape_mesh,
-                   build_rect_grid_decomposition, compatibility_check,
-                   CoarseMesh)
+                   build_rect_grid_decomposition, compatibility_check)
 from .problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                       manufactured_lshape_problem)
 from .schwarz import SchwarzConfig, SchwarzState, run_schwarz
 from . import vtkio
 
 GUARANTEE_RTOL = 1e-9
+# Rounds of the eps fixed point under ``--eps opt``; two reach it in practice.
+OPT_ROUNDS = 2
 
 PRESETS = ("lshape", "rect")
 EPS_POLICIES = ("fixed", "opt")
@@ -102,16 +104,10 @@ class SweepRow:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     mesh: TriMesh
     decomp: DomainDecomposition
     problem: EllipticProblem
-    constants: MajorantConstants
-    coarse: CoarseMesh
-    space: CorrectorSpace
-    state: SchwarzState
     rows: list = field(default_factory=list)
-    files: list = field(default_factory=list)
 
     @property
     def violation(self) -> bool:
@@ -134,12 +130,12 @@ def build_preset(config: RunConfig):
 
 def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
                     constants: MajorantConstants, eps_policy: str = "fixed",
-                    f_tri=None, f_sq=None, opt_rounds: int = 2):
+                    f_tri=None, f_sq=None):
     """Admissible flux + majorant report for one iterate.
 
     With ``eps_policy='opt'`` the corrector is re-solved under the
-    closed-form optimal weights (two rounds are enough for the fixed point
-    in practice); the report always carries the eps its weights used.
+    closed-form optimal weights, ``OPT_ROUNDS`` times; the report always
+    carries the eps its weights used.
     Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
@@ -150,7 +146,7 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     eps = (1.0, 1.0, 1.0)
     rep = evaluate_majorant(y, v, problem, constants, eps, f_tri, f_sq)
     if eps_policy == "opt":
-        for _ in range(opt_rounds):
+        for _ in range(OPT_ROUNDS):
             eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
             opt_solver = CorrectorSolver(space, problem,
                                          alpha_weights(eps, constants),
@@ -172,7 +168,7 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
 def _emit_fields(out: Path, sweep: int, mesh, v, y, problem, decomp):
     center = np.array([[1.0, 1.0, 1.0]]) / 3.0
     yc = y.values(center)[:, 0, :]
-    path = vtkio.write_vtk(
+    vtkio.write_vtk(
         out / f"fields_sweep{sweep}.vtk", mesh,
         point_scalars={"v": v.values,
                        "u_exact": problem.exact_u(mesh.vertices)},
@@ -180,13 +176,10 @@ def _emit_fields(out: Path, sweep: int, mesh, v, y, problem, decomp):
                       "subdomain": decomp.tri_subdomain.astype(float)},
         cell_vectors={"flux_y": yc},
         title=f"sweep {sweep}")
-    return path
 
 
 def run_case(config: RunConfig,
-             majorant_sweeps: Optional[Iterable[int]] = None,
-             on_row: Optional[Callable] = None,
-             track_discrete: bool = False) -> RunResult:
+             majorant_sweeps: Optional[Iterable[int]] = None) -> RunResult:
     """Run the full pipeline; certify the sweeps in ``majorant_sweeps``
     (default: every sweep)."""
     config = config.validated()
@@ -205,8 +198,7 @@ def run_case(config: RunConfig,
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
 
-    result = RunResult(config, mesh, decomp, problem, constants, coarse,
-                       space, state=None)
+    result = RunResult(mesh, decomp, problem)
 
     def on_sweep(state: SchwarzState, record) -> None:
         if record.sweep not in wanted:
@@ -215,21 +207,13 @@ def run_case(config: RunConfig,
         y, rep = certify_iterate(v, solver, constants, config.eps_policy,
                                  f_tri, f_sq)
         err = rep.energy_err
-        record.energy_error = err
-        record.majorant = rep.total_sq
         slack = min(rep.total, rep.D11) - err
-        row = SweepRow(record.sweep, rep, err, slack)
-        result.rows.append(row)
+        result.rows.append(SweepRow(record.sweep, rep, err, slack))
         if out is not None and config.emit_fields:
-            result.files.append(
-                _emit_fields(out, record.sweep, mesh, v, y, problem, decomp))
-        if on_row is not None:
-            on_row(row)
+            _emit_fields(out, record.sweep, mesh, v, y, problem, decomp)
 
     schwarz_cfg = SchwarzConfig(mode=config.mode, sweeps=config.sweeps)
-    result.state = run_schwarz(mesh, decomp, problem, schwarz_cfg,
-                               on_sweep=on_sweep,
-                               track_discrete=track_discrete)
+    run_schwarz(mesh, decomp, problem, schwarz_cfg, on_sweep=on_sweep)
     return result
 
 
@@ -243,25 +227,23 @@ TABLE3_SWEEPS = (2, 4, 6, 8)
 TABLE4_SWEEPS = (2, 3, 4, 7, 8)
 
 
-def table1_rows(hs=TABLE1_H, sweeps: int = 16, eps_policy: str = "fixed"):
+def table1_rows(hs=TABLE1_H, sweeps: int = 16):
     """One certified row per mesh size, corrector on the fine mesh."""
     rows = []
     for h in hs:
-        cfg = RunConfig(h=h, H=h, sweeps=sweeps, eps_policy=eps_policy)
+        cfg = RunConfig(h=h, H=h, sweeps=sweeps)
         res = run_case(cfg, majorant_sweeps=[sweeps])
         rows.append((h, res.final_row(), res))
     return rows
 
 
 def table2_rows(h: float = 1 / 64, coarse_sizes=TABLE2_COARSE,
-                sweeps: int = 16, eps_policy: str = "fixed"):
+                sweeps: int = 16):
     """One Schwarz run; correctors on a family of coarse meshes."""
-    cfg = RunConfig(h=h, H=h, sweeps=sweeps,
-                    eps_policy=eps_policy).validated()
+    cfg = RunConfig(h=h, H=h, sweeps=sweeps).validated()
     mesh, decomp, problem = build_preset(cfg)
     constants = MajorantConstants.default(decomp, problem)
-    state = run_schwarz(mesh, decomp, problem,
-                        SchwarzConfig(sweeps=sweeps), track_discrete=False)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=sweeps))
     v = state.v
     f_tri, f_sq = f_cell_integrals(mesh, problem.f)
     rows = []
@@ -271,7 +253,7 @@ def table2_rows(h: float = 1 / 64, coarse_sizes=TABLE2_COARSE,
         solver = CorrectorSolver(space, problem,
                                  alpha_weights((1.0, 1.0, 1.0), constants),
                                  constants.beta, f_tri)
-        _, rep = certify_iterate(v, solver, constants, cfg.eps_policy,
+        _, rep = certify_iterate(v, solver, constants, "fixed",
                                  f_tri, f_sq)
         slack = min(rep.total, rep.D11) - rep.energy_err
         rows.append((H, SweepRow(sweeps, rep, rep.energy_err, slack)))
@@ -279,10 +261,10 @@ def table2_rows(h: float = 1 / 64, coarse_sizes=TABLE2_COARSE,
 
 
 def table34_result(h: float = 1 / 64, sweeps: int = 8,
-                   record=tuple(sorted(set(TABLE3_SWEEPS + TABLE4_SWEEPS))),
-                   eps_policy: str = "fixed") -> RunResult:
+                   record=tuple(sorted(set(TABLE3_SWEEPS + TABLE4_SWEEPS)))
+                   ) -> RunResult:
     """The shared fixed-mesh run behind the per-sweep tables."""
-    cfg = RunConfig(h=h, H=h, sweeps=sweeps, eps_policy=eps_policy)
+    cfg = RunConfig(h=h, H=h, sweeps=sweeps)
     return run_case(cfg, majorant_sweeps=record)
 
 
@@ -326,9 +308,9 @@ def run_checks(h: float = 0.25):
         abs(opt.final_row().report.total - opt.final_row().report.D11)
         <= 1e-6 * opt.final_row().report.D11)
 
-    from .mesh import CoarseMesh as CM
-    ok_a0, _ = compatibility_check(CM.from_counts(6, 8, 13, 0, 3))
-    ok_a1, slack_a1 = compatibility_check(CM.from_counts(6, 8, 13, 1, 3))
+    ok_a0, _ = compatibility_check(CoarseMesh.from_counts(6, 8, 13, 0, 3))
+    ok_a1, slack_a1 = compatibility_check(
+        CoarseMesh.from_counts(6, 8, 13, 1, 3))
     add("compatibility verdicts (triangulated hexagon)",
         (not ok_a0) and ok_a1 and slack_a1 == 0)
     _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)

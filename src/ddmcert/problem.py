@@ -156,12 +156,11 @@ def manufactured_lshape_problem() -> EllipticProblem:
 
 @dataclass
 class LinearSystem:
-    """Sparse symmetric system with optional Dirichlet constraints."""
+    """Sparse symmetric system on a mesh; ``solve_dirichlet`` imposes the
+    boundary values."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dirichlet_nodes: Optional[np.ndarray] = None
-    dirichlet_values: Optional[np.ndarray] = None
     mesh: Optional[TriMesh] = None
 
 

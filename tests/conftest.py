@@ -28,8 +28,7 @@ def lshape4():
 def cert4(lshape4, problem):
     """h=H=1/4 pipeline state after 16 sweeps, certified once."""
     mesh, decomp = lshape4
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16),
-                        track_discrete=False)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16))
     constants = MajorantConstants.default(decomp, problem)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp, problem.A)

@@ -25,6 +25,8 @@ from ddmcert.problem import (assemble_load, assemble_stiffness,
                              manufactured_lshape_problem)
 from ddmcert.schwarz import SchwarzConfig, run_schwarz
 
+from _discrete import contraction, run_to_discrete
+
 PI = math.pi
 
 
@@ -140,8 +142,7 @@ def _boundary_strip(h: float):
     """
     problem = manufactured_lshape_problem()
     mesh, decomp = build_lshape_mesh(h)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16),
-                        track_discrete=False)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16))
     c = average_gradient(state.v, decomp, problem.A).divergence()
     f_tri, f_sq = f_cell_integrals(mesh, problem.f)
     resid = c * c * mesh.areas + 2.0 * c * f_tri + f_sq
@@ -277,7 +278,7 @@ def test_criterion_06_admissibility(matrix_runs, table34_data):
 
 def test_criterion_07_eps_optimizer_oracle():
     unit = MajorantConstants(C_min=1.0, C_P=np.array([1.0]),
-                             beta=np.array([1.0]), E_max=1.0, C_F=1.0)
+                             beta=np.array([1.0]), E_max=1.0)
 
     def objective(e1, e2, e3, T):
         return ((1 + e1 + e2) * T[0] + (1 + 1 / e1 + e3) * T[1]
@@ -334,11 +335,11 @@ def test_criterion_09_schwarz_convergence():
     monotone = True
     for h in (1 / 8, 1 / 16):
         mesh, decomp = build_lshape_mesh(h)
-        state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16))
-        dists = state.discrete_errors()
+        run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=16))
+        dists = run.errors
         monotone = monotone and all(
             b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
-        rhos.append(state.contraction().rho_hat)
+        rhos.append(contraction(run).rho_hat)
     ok = all(r < 1.0 for r in rhos) and monotone
     verdict(9, ok, "contraction rho_hat "
                    + "/".join(f"{r:.4f}" for r in rhos)
@@ -632,8 +633,7 @@ def test_criterion_10_dense_oracle():
     F_orc = oracle.load()
     d_load = float(np.abs(F_pkg - F_orc).max())
 
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=3),
-                        track_discrete=False)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=3))
     v_orc = oracle.schwarz(K_orc, F_orc, sweeps=3)
     d_sweep = float(np.abs(state.v.values - v_orc).max())
 
@@ -656,7 +656,7 @@ def test_criterion_10_dense_oracle():
     a1, a2, a3 = oracle.alphas
     parts_orc = (a1 * S1.sum(), a2 * S2.sum(),
                  a3 * oracle.beta_sq * S3.sum())
-    parts_pkg = rep.parts()
+    parts_pkg = (rep.M1_sq, rep.M2_sq, rep.M3_sq)
     d_maj = max(abs(a - b) / max(abs(a), 1e-14)
                 for a, b in zip(parts_pkg, parts_orc))
     d_maj = max(d_maj,

@@ -236,6 +236,38 @@ def test_exit_config_on_bad_inputs(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--eps", "opt"],
+    ["table1", "--preset", "rect"],
+    ["table1", "--mode", "additive"],
+    ["table1", "--H", "1/2"],
+    ["table2", "--preset", "rect"],
+    ["table3", "--config", "f"],
+    ["table4", "--emit-fields"],
+    ["check", "--out", "d"],
+    ["check", "--sweeps", "2"],
+])
+def test_table_commands_reject_flags_they_ignore(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--sweeps", "0"],
+    ["table2", "--sweeps", "0"],
+    ["table3", "--sweeps", "0"],
+    ["table4", "--sweeps", "0"],
+    ["table1", "--h", "1/2"],
+    ["table1", "--h", "0.3"],
+    ["table2", "--h", "1/2"],
+])
+def test_bad_table_inputs_exit_config(argv, capsys):
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_coarse_size_not_a_multiple_of_h_exits_config(capsys):
     assert main(["run", "--h", "1/4", "--H", "1/3"]) == 1
     assert main(["run", "--h", "1/6", "--H", "1/4"]) == 1

@@ -131,8 +131,7 @@ def test_tri_and_quad_cells_agree_at_H_equal_h(h, eps_policy, problem):
     # at H = h a quad cell is one fine square split by the fine diagonal,
     # so both cell kinds span the same RT0 space on the fine triangulation
     mesh, decomp = build_lshape_mesh(h)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=4),
-                        track_discrete=False)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=4))
     constants = MajorantConstants.default(decomp, problem)
     f_tri, f_sq = f_cell_integrals(mesh, problem.f)
     reports, n_dofs = [], []
@@ -213,8 +212,7 @@ def test_single_cell_divergence_balance():
     zero_v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     yt = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
     constants = MajorantConstants(C_min=1.0, C_P=np.array([np.sqrt(2) / np.pi]),
-                                  beta=np.zeros(0), E_max=2.0,
-                                  C_F=np.sqrt(2) / np.pi)
+                                  beta=np.zeros(0), E_max=2.0)
     q, _ = CorrectorSolver(space, unit_source,
                            alpha_weights((1, 1, 1), constants),
                            np.zeros(0)).solve(yt, zero_v)

@@ -5,8 +5,8 @@ import pytest
 
 from ddmcert.flux import BrokenFluxField, average_gradient, corrected_flux
 from ddmcert.majorant import (MajorantConstants, alpha_weights, beta_pair,
-                              evaluate_majorant, friedrichs_bbox_constant,
-                              optimize_eps, poincare_edge_constant)
+                              evaluate_majorant, optimize_eps,
+                              poincare_edge_constant)
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                              manufactured_lshape_problem)
@@ -16,8 +16,7 @@ PI = math.pi
 # constants for a single unit-square subdomain carrying the L-shape presets
 SQUARE_CONSTANTS = MajorantConstants(C_min=1.0,
                                      C_P=np.array([math.sqrt(2) / PI]),
-                                     beta=np.zeros(0), E_max=2.0,
-                                     C_F=math.sqrt(2) / PI)
+                                     beta=np.zeros(0), E_max=2.0)
 
 
 def test_poincare_edge_values():
@@ -52,9 +51,6 @@ def test_lshape_constants():
     assert np.isclose(c.C_P_max, math.sqrt(2) / PI)
     assert np.allclose(c.beta, 1 / math.sqrt(PI * math.tanh(PI)))
     assert c.E_max == 2.0
-    assert np.isclose(c.C_F, math.sqrt(2) / PI)   # enclosing (0,2)^2 box
-    assert np.isclose(friedrichs_bbox_constant((2.0, 2.0)), 0.450158,
-                      atol=1e-6)
 
 
 def test_alpha_weights():
@@ -96,8 +92,7 @@ def test_unit_square_hand_value():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
-    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS,
-                            admissibility_tol=10.0)
+    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS)
     assert np.isclose(rep.M1_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M3_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M2_sq, 6 / PI**2, rtol=1e-12)
@@ -154,8 +149,7 @@ def test_majorant_terms_obey_parallelogram_identity(cert4):
 
     def terms(yt, q, v, prob):
         rep = evaluate_majorant(corrected_flux(yt, q, space), v, prob,
-                                cert4.constants, with_error=False,
-                                admissibility_tol=np.inf)
+                                cert4.constants)
         return np.array([rep.S1.sum(), rep.S2.sum(), rep.S3.sum()])
 
     sa = terms(cert4.yt, qa, cert4.v, cert4.problem)
@@ -168,7 +162,7 @@ def test_majorant_terms_obey_parallelogram_identity(cert4):
 def test_optimize_eps_algebra():
     # one interface with unit constants makes T_i == S_i
     ones = MajorantConstants(C_min=1.0, C_P=np.array([1.0]),
-                             beta=np.array([1.0]), E_max=1.0, C_F=1.0)
+                             beta=np.array([1.0]), E_max=1.0)
     assert np.allclose(optimize_eps(1.0, 1.0, 1.0, ones), (1.0, 1.0, 1.0))
     eps = optimize_eps(1.0, 4.0, 9.0, ones)
     assert np.allclose(eps, (2.0, 3.0, 1.5))

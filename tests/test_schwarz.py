@@ -6,8 +6,9 @@ from ddmcert.linalg import SaddleFactorization
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
 from ddmcert.problem import (assemble_load, assemble_stiffness, energy_error,
                              manufactured_lshape_problem, solve_dirichlet)
-from ddmcert.schwarz import (SchwarzConfig, contraction_estimate,
-                             interior_nodes, run_schwarz)
+from ddmcert.schwarz import SchwarzConfig, interior_nodes, run_schwarz
+
+from _discrete import contraction, contraction_estimate, run_to_discrete
 
 
 @pytest.fixture(scope="module")
@@ -18,20 +19,21 @@ def problem():
 def test_single_subdomain_is_direct_solve(problem):
     mesh, decomp, _ = build_rect_grid_decomposition(4, 4, 0.25,
                                                     dirichlet_boundary=True)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=2))
+    run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=2))
+    state = run.state
     system = assemble_stiffness(mesh, problem.A)
     system.rhs[:] = assemble_load(mesh, problem.f)
     bdry = mesh.boundary_vertices
     vh = solve_dirichlet(system, bdry, problem.u_g(mesh.vertices[bdry]))
     assert np.allclose(state.v.values, vh.values, atol=1e-9)
     # idempotent: the second sweep changed nothing
-    assert state.history[1].error_to_discrete <= 1e-10
+    assert run.errors[1] <= 1e-10
 
 
 def test_multiplicative_monotone_distance(problem):
     mesh, decomp = build_lshape_mesh(0.25)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16))
-    dists = state.discrete_errors()
+    dists = run_to_discrete(mesh, decomp, problem,
+                            SchwarzConfig(sweeps=16)).errors
     assert len(dists) == 16
     for a, b in zip(dists, dists[1:]):
         assert b <= a * (1 + 1e-12)
@@ -47,16 +49,14 @@ def test_energy_error_decreases_along_iteration(problem):
         if record.sweep in (2, 4, 6, 8):
             errs[record.sweep] = energy_error(state.v, problem)
 
-    run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=8), on_sweep=cb,
-                track_discrete=False)
+    run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=8), on_sweep=cb)
     seq = [errs[n] for n in (2, 4, 6, 8)]
     assert all(b <= a for a, b in zip(seq, seq[1:]))
 
 
 def test_conformity_and_boundary_data(problem):
     mesh, decomp = build_lshape_mesh(1 / 8)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=3),
-                        track_discrete=False)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=3))
     bdry = mesh.boundary_vertices
     assert np.allclose(state.v.values[bdry], problem.u_g(mesh.vertices[bdry]))
 
@@ -64,10 +64,8 @@ def test_conformity_and_boundary_data(problem):
 def test_sweep_is_one_subdomain_solve(problem):
     # replay sweep 2 by hand: solve on Omega_2 with trace data from sweep 1
     mesh, decomp = build_lshape_mesh(0.25)
-    s1 = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=1),
-                     track_discrete=False)
-    s2 = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=2),
-                     track_discrete=False)
+    s1 = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=1))
+    s2 = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=2))
     assert s1.history[0].solved == (0,)
     assert s2.history[1].solved == (1,)
 
@@ -97,11 +95,9 @@ def test_fine_subdomain_block_solve_does_not_stall(problem):
 
 def test_subdomain_order_is_respected(problem):
     mesh, decomp = build_lshape_mesh(0.25)
-    fwd = run_schwarz(mesh, decomp, problem,
-                      SchwarzConfig(sweeps=1), track_discrete=False)
+    fwd = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=1))
     rev = run_schwarz(mesh, decomp, problem,
-                      SchwarzConfig(sweeps=1, order=(1, 0)),
-                      track_discrete=False)
+                      SchwarzConfig(sweeps=1, order=(1, 0)))
     assert rev.history[0].solved == (1,)
     assert not np.allclose(fwd.v.values, rev.v.values)
 
@@ -109,11 +105,23 @@ def test_subdomain_order_is_respected(problem):
 def test_additive_mode_runs_and_is_deterministic(problem):
     mesh, decomp = build_lshape_mesh(0.25)
     cfg = SchwarzConfig(mode="additive", sweeps=6)
-    a = run_schwarz(mesh, decomp, problem, cfg)
+    a = run_to_discrete(mesh, decomp, problem, cfg)
     b = run_schwarz(mesh, decomp, problem, cfg)
-    assert np.array_equal(a.v.values, b.v.values)
-    dists = a.discrete_errors()
+    assert np.array_equal(a.state.v.values, b.v.values)
+    dists = a.errors
     assert dists[-1] < 1e-3 * dists[0]
+
+
+def test_run_does_not_solve_the_global_system(problem, monkeypatch):
+    import ddmcert.problem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_schwarz solved the global system")
+
+    monkeypatch.setattr(ddmcert.problem, "solve_dirichlet", refuse)
+    mesh, decomp = build_lshape_mesh(0.25)
+    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=2))
+    assert state.sweep == 2 and len(state.history) == 2
 
 
 def test_config_validation():
@@ -143,11 +151,11 @@ def test_contraction_floor_flag():
                                      (1 / 16, 0.25, 0.30)])
 def test_contraction_regression(problem, h, lo, hi):
     mesh, decomp = build_lshape_mesh(h)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=10))
-    est = state.contraction()
+    run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=10))
+    est = contraction(run)
     assert est.rho_hat < 1.0
     assert lo < est.rho_hat < hi
     # endpoint identity of the geometric-mean estimate
-    dists = state.discrete_errors()
+    dists = run.errors
     n = len(dists) - 1
     assert np.isclose(dists[-1], dists[0] * est.rho_hat ** n, rtol=1e-9)
