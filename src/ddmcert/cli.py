@@ -183,9 +183,10 @@ def cmd_run(args) -> int:
 
 def cmd_table1(args) -> int:
     finest = args.h if args.h is not None else TABLE1_H[-1]
+    if not any(abs(finest - h) <= 1e-12 for h in TABLE1_H):
+        raise ConfigError(f"h={finest} is not one of the table's mesh sizes "
+                          f"{', '.join(frac(h) for h in TABLE1_H)}")
     hs = [h for h in TABLE1_H if h >= finest - 1e-12]
-    if not hs:
-        raise ConfigError(f"no mesh sizes >= h={finest} available")
     sweeps = args.sweeps if args.sweeps is not None else 16
     rows = table1_rows(hs=hs, sweeps=sweeps)
     out = Path(args.out) if args.out else None

@@ -26,11 +26,19 @@ edges with an orientation sign.  One vectorized path serves triangle and
 quad cells alike: dofs are numbered edge by edge, a sparse matrix Q maps
 coefficients to the three local outward fluxes (slots) of each
 cell-triangle, and all volume terms are assembled in slot space.
+
+Certification reads its sweep-invariant tables from their owners and
+never recomputes them: the P1 gradients, edge lengths and side midpoints
+from the ``TriMesh``, and the cell integrals of f and f^2 and the exact
+gradient at the degree-5 points from the ``CorrectorSolver``, which keeps
+them for every iterate it certifies.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,8 +47,11 @@ import scipy.sparse as sp
 from . import linalg
 from .mesh import (CoarseMesh, DomainDecomposition, MeshError, TriMesh,
                    INACTIVE, INTERFACE, compatibility_check)
-from .problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
-                      p1_gradients, quad_rule)
+from .problem import (EllipticProblem, ScalarFieldP1, exact_grad_table,
+                      f_cell_integrals, quad_rule)
+# Unused here since the mesh keeps the gradients, but perfbench/probes.py
+# counts p1_gradients calls at this lookup site as well.
+from .problem import p1_gradients  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +93,15 @@ class BrokenFluxField:
                 self._affine = (a_ct[ct], g_ct[ct])
         return self._affine
 
-    def values(self, bary: np.ndarray) -> np.ndarray:
-        """Field values (T, Q, 2) at barycentric evaluation points."""
-        corners = self.mesh.vertices[self.mesh.triangles]
-        pts = np.einsum("qi,tid->tqd", bary, corners)
+    def values(self, bary: Optional[np.ndarray] = None) -> np.ndarray:
+        """Field values (T, Q, 2) at barycentric evaluation points; by
+        default at the side midpoints, the points of the degree-2 rule."""
+        if bary is None:
+            bary, _ = quad_rule(2)
+            pts = self.mesh.side_midpoints
+        else:
+            corners = self.mesh.vertices[self.mesh.triangles]
+            pts = np.einsum("qi,tid->tqd", bary, corners)
         out = np.einsum("qi,tid->tqd", bary, self.p1_part)
         a, g = self.corrector_affine()
         out += a[:, None, :] + g[:, None, None] * pts
@@ -93,8 +109,7 @@ class BrokenFluxField:
 
     def divergence(self) -> np.ndarray:
         """Per-triangle (constant) divergence."""
-        grads = p1_gradients(self.mesh)
-        div = np.einsum("tid,tid->t", self.p1_part, grads)
+        div = np.einsum("tid,tid->t", self.p1_part, self.mesh.p1_grads)
         _, g = self.corrector_affine()
         return div + 2.0 * g
 
@@ -176,7 +191,7 @@ def constraint_residuals(y: BrokenFluxField, f, decomp: DomainDecomposition,
     s = np.zeros(len(decomp.interfaces))
     for m, g in enumerate(decomp.interfaces):
         ev = y.jump_endpoint_values(m)
-        lens = mesh.edge_lengths()[g.edges]
+        lens = mesh.edge_lengths[g.edges]
         s[m] = float((lens * ev.mean(axis=1)).sum() / g.length)
     return ConstraintResiduals(r, s)
 
@@ -340,26 +355,24 @@ def corrector_matrix(space: CorrectorSpace, alphas, betas) -> sp.csc_matrix:
 
 def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
                   v: ScalarFieldP1, problem: EllipticProblem, alphas, betas,
-                  f_tri: np.ndarray | None = None):
+                  f_tri: np.ndarray):
     """Linear term b and constraint right-hand side d for the saddle system.
 
     The minimized functional is
         a1 ||ytilde + q - A grad v||^2_{A^{-1}}  +  a2 ||div(ytilde+q) + f||^2
         + a3 sum beta^2 ||jump(ytilde+q)||^2,
     so b collects minus the cross terms against the corrector basis and d the
-    negated means of the uncorrected residuals.
+    negated means of the uncorrected residuals.  ``f_tri`` holds the cell
+    integrals of f.
     """
     mesh = space.mesh
     decomp = space.decomp
     coarse = space.coarse
-    if f_tri is None:
-        f_tri = f_cell_integrals(mesh, problem.f)[0]
     a1, a2, a3 = alphas
     A_inv = problem.A_inv
 
     bary, _ = quad_rule(2)
-    corners = mesh.vertices[mesh.triangles]
-    pts = np.einsum("qi,tid->tqd", bary, corners)               # (T, 3, 2)
+    pts = mesh.side_midpoints                                    # (T, 3, 2)
     yt = np.einsum("qi,tid->tqd", bary, ytilde.p1_part)
     gv = v.gradient() @ problem.A.T
     r = yt - gv[:, None, :]
@@ -390,7 +403,7 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
     np.add.at(per_sub, decomp.tri_subdomain, cell_resid)
     d[:n_basic] = -per_sub / np.array([s.area for s in decomp.basic])
 
-    edge_len = mesh.edge_lengths()
+    edge_len = mesh.edge_lengths
     for m, g in enumerate(decomp.interfaces):
         ev = ytilde.jump_endpoint_values(m)
         fine_int = edge_len[g.edges] * ev.mean(axis=1)           # trapezoid
@@ -407,18 +420,42 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
 
 
 class CorrectorSolver:
-    """Factorized corrector saddle system, reusable across iterates."""
+    """Factorized corrector saddle system, reusable across iterates.
+
+    The solver also owns the run's tables of the problem on the fine mesh:
+    the cell integrals ``f_tri``/``f_sq`` of f and f^2 and ``exact_grad``,
+    the exact gradient at the degree-5 points, filled on first use.
+    ``reweighted`` shares them.
+    """
 
     def __init__(self, space: CorrectorSpace, problem: EllipticProblem,
-                 alphas, betas, f_tri: np.ndarray | None = None):
+                 alphas, betas):
         self.space = space
         self.problem = problem
-        self.alphas = tuple(alphas)
         self.betas = np.asarray(betas, dtype=float)
-        self.f_tri = (f_cell_integrals(space.mesh, problem.f)[0]
-                      if f_tri is None else f_tri)
-        G = corrector_matrix(space, self.alphas, self.betas)
-        self.fact = linalg.SaddleFactorization(G, space.C)
+        self.f_tri, self.f_sq = f_cell_integrals(space.mesh, problem.f)
+        self._factorize(alphas)
+
+    def _factorize(self, alphas) -> None:
+        self.alphas = tuple(alphas)
+        G = corrector_matrix(self.space, self.alphas, self.betas)
+        self.fact = linalg.SaddleFactorization(G, self.space.C)
+
+    def reweighted(self, alphas) -> "CorrectorSolver":
+        """The same system factorized for new weights, sharing the tables."""
+        other = copy.copy(self)
+        other._factorize(alphas)
+        return other
+
+    @cached_property
+    def exact_grad(self) -> np.ndarray | None:
+        """``exact_grad_table`` on the fine mesh (T, 7, 2), or None when the
+        problem has no exact solution."""
+        if self.problem.exact_grad is None:
+            return None
+        out = exact_grad_table(self.space.mesh, self.problem)
+        out.flags.writeable = False
+        return out
 
     def solve(self, ytilde: BrokenFluxField, v: ScalarFieldP1):
         b, d = corrector_rhs(self.space, ytilde, v, self.problem,

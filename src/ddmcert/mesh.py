@@ -18,12 +18,16 @@ vertex ``i``, with the coarse edge it lies on (``ct_edge``) and the sign of
 its outward normal against that edge's normal (``ct_sign``).
 
 All objects are treated as immutable once built; nothing in the package
-mutates a mesh after construction, so concurrent reads are safe.
+mutates a mesh after construction, so concurrent reads are safe.  That lets
+a ``TriMesh`` own its derived geometry: the P1 basis gradients, the edge
+lengths and the side midpoints (the points of the degree-2 rule) are each
+computed on first use, kept on the mesh and handed out read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +39,12 @@ INTERIOR, INTERFACE, DIRICHLET, INACTIVE = 0, 1, 2, 3
 
 class MeshError(ValueError):
     """Raised for invalid mesh parameters or inconsistent mesh data."""
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with writes disabled, for tables shared by every reader."""
+    a.flags.writeable = False
+    return a
 
 
 def _as_int_reciprocal(h: float, name: str = "h") -> int:
@@ -69,6 +79,9 @@ class TriMesh:
         Global edge index opposite each local vertex.
     mesh_size_h : float
         Nominal grid spacing of the structured mesh.
+
+    The derived tables ``p1_grads``, ``edge_lengths`` and ``side_midpoints``
+    are filled on first use and are read-only.
     """
 
     vertices: np.ndarray
@@ -121,9 +134,26 @@ class TriMesh:
             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
         )
 
+    @cached_property
     def edge_lengths(self) -> np.ndarray:
+        """Length of every edge, (E,)."""
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
+        return _read_only(np.hypot(d[:, 0], d[:, 1]))
+
+    @cached_property
+    def p1_grads(self) -> np.ndarray:
+        """Gradients (T, 3, 2) of the three nodal basis functions per
+        triangle, as ``problem.p1_gradients`` computes them."""
+        from .problem import p1_gradients   # problem builds on this module
+        return _read_only(p1_gradients(self))
+
+    @cached_property
+    def side_midpoints(self) -> np.ndarray:
+        """Midpoint of the side opposite each local vertex, (T, 3, 2): the
+        points of the degree-2 rule, as ``problem.tri_quad_points`` places
+        them."""
+        from .problem import tri_quad_points
+        return _read_only(tri_quad_points(self, degree=2)[0])
 
     @classmethod
     def from_arrays(cls, vertices, triangles, mesh_size_h: float) -> "TriMesh":
@@ -309,7 +339,7 @@ def _build_interfaces(mesh: TriMesh, tri_subdomain: np.ndarray) -> list[Interfac
 
     interfaces = []
     centroids = mesh.centroids()
-    lengths = mesh.edge_lengths()
+    lengths = mesh.edge_lengths
     for k, j in np.unique(np.stack([lo, hi], axis=1), axis=0):
         edge_ids = split[(lo == k) & (hi == j)]
         mids = 0.5 * (mesh.vertices[mesh.edges[edge_ids, 0]]
@@ -524,7 +554,7 @@ def _coarse_from_fine_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
                     np.where(edge_iface >= 0, INTERFACE, INTERIOR))
     pa = mesh.vertices[mesh.edges[:, 0]]
     pb = mesh.vertices[mesh.edges[:, 1]]
-    lengths = mesh.edge_lengths()
+    lengths = mesh.edge_lengths
     tangent = (pb - pa) / lengths[:, None]
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
     cell_verts = mesh.vertices[mesh.triangles]

@@ -4,6 +4,13 @@ The model problem is  div p + f = 0,  p = A grad u  in Omega,  u = u_g on the
 boundary, with a constant symmetric positive-definite coefficient A.  Scalar
 callables (f, u_g, exact solution) receive point arrays of shape (..., 2) and
 return values of shape (...); gradient callables return shape (..., 2).
+
+The functions here compute; they keep nothing.  Tables that stay the same
+for a whole run are kept by their owners: the P1 gradients of
+``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and the cell
+integrals of f and f^2 and the exact gradient at the degree-5 points
+(``exact_grad_table``) on the ``flux.CorrectorSolver`` of a run.
+``energy_error`` takes that exact-gradient table when the caller has it.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class ScalarFieldP1:
 
     def gradient(self) -> np.ndarray:
         """Piecewise-constant gradient, one row per triangle."""
-        g = p1_gradients(self.mesh)
+        g = self.mesh.p1_grads
         vals = self.values[self.mesh.triangles]        # (T, 3)
         return np.einsum("ti,tid->td", vals, g)
 
@@ -227,15 +234,27 @@ def solve_dirichlet(system: LinearSystem, boundary_nodes,
     return ScalarFieldP1(system.mesh, x)
 
 
-def energy_error(v: ScalarFieldP1, problem: EllipticProblem,
-                 degree: int = 5) -> float:
-    """Energy norm ||grad(u - v)||_A of the error against the exact solution."""
+def exact_grad_table(mesh: TriMesh, problem: EllipticProblem) -> np.ndarray:
+    """The exact gradient at the degree-5 points of every triangle, (T, 7, 2)."""
+    pts, _ = tri_quad_points(mesh, degree=5)
+    return problem.exact_grad(pts)
+
+
+def energy_error(v: ScalarFieldP1, problem: EllipticProblem, *,
+                 grad_u: Optional[np.ndarray] = None) -> float:
+    """Energy norm ||grad(u - v)||_A of the error against the exact solution.
+
+    ``grad_u`` is ``exact_grad_table(v.mesh, problem)`` if the caller keeps
+    it; otherwise it is computed here.
+    """
     if problem.exact_grad is None:
         raise ValueError("problem has no exact gradient to compare against")
     mesh = v.mesh
-    pts, w = tri_quad_points(mesh, degree=degree)
-    gu = problem.exact_grad(pts)                        # (T, Q, 2)
-    d = gu - v.gradient()[:, None, :]
+    if grad_u is None:
+        grad_u = exact_grad_table(mesh, problem)
+    _, w = quad_rule(5)
+    w = mesh.areas[:, None] * w[None, :]
+    d = grad_u - v.gradient()[:, None, :]
     ad = np.einsum("de,tqe->tqd", problem.A, d)
     val = np.einsum("tq,tqd,tqd->", w, d, ad)
     return float(np.sqrt(max(val, 0.0)))

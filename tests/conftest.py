@@ -9,7 +9,7 @@ from ddmcert.flux import (BrokenFluxField, CorrectorSolver,
 from ddmcert.majorant import MajorantConstants, alpha_weights
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import certify_iterate
-from ddmcert.problem import f_cell_integrals, manufactured_lshape_problem
+from ddmcert.problem import manufactured_lshape_problem
 from ddmcert.schwarz import SchwarzConfig, run_schwarz
 
 
@@ -32,14 +32,12 @@ def cert4(lshape4, problem):
     constants = MajorantConstants.default(decomp, problem)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp, problem.A)
-    f_tri, f_sq = f_cell_integrals(mesh, problem.f)
     solver = CorrectorSolver(space, problem,
                              alpha_weights((1.0, 1.0, 1.0), constants),
-                             constants.beta, f_tri)
-    y, report = certify_iterate(state.v, solver, constants, "fixed",
-                                f_tri, f_sq)
+                             constants.beta)
+    y, report = certify_iterate(state.v, solver, constants, "fixed")
     yt = BrokenFluxField(mesh, decomp, y.p1_part)
     return SimpleNamespace(mesh=mesh, decomp=decomp, problem=problem,
                            constants=constants, space=space, v=state.v,
                            yt=yt, q=y.coeffs, y=y, report=report,
-                           f_tri=f_tri, f_sq=f_sq)
+                           f_tri=solver.f_tri, f_sq=solver.f_sq)

@@ -643,7 +643,7 @@ def test_criterion_10_dense_oracle():
 
     solver = CorrectorSolver(space, problem,
                              alpha_weights((1.0, 1.0, 1.0), constants),
-                             constants.beta, f_tri)
+                             constants.beta)
     q, _ = solver.solve(yt, state.v)
     x_orc = oracle.solve_corrector(v_orc, yt_orc)
     d_corr = float(np.abs(q - x_orc).max())

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ddmcert.cli import (CSV_HEADER, _ratio, build_config, fmt_ieff, frac,
                          main, markdown_table, parse_config_file, sci3)
 from ddmcert.pipeline import ConfigError
 
+DATA = Path(__file__).parent / "data"
 
 def make_args(**kw):
     ns = argparse.Namespace(config=None)
@@ -262,6 +265,9 @@ def test_table_commands_reject_flags_they_ignore(argv, capsys):
     ["table1", "--h", "1/2"],
     ["table1", "--h", "0.3"],
     ["table2", "--h", "1/2"],
+    ["table1", "--h", "0.2"],
+    ["table1", "--h", "1/6"],
+    ["table2", "--h", "1/6"],
 ])
 def test_bad_table_inputs_exit_config(argv, capsys):
     assert main(argv) == 1
@@ -304,3 +310,34 @@ def test_non_admissible_certificate_exits_solver(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "not admissible" in err
     assert "subdomain mean residual" in err
+
+
+# history.csv of these runs as the code wrote them before the per-run
+# certification tables; every certified number must still match
+PINNED_RUNS = [
+    ("history_h16_opt.csv",
+     ["run", "--h", "1/16", "--sweeps", "4", "--eps", "opt"]),
+    ("history_h16_H4_additive_opt.csv",
+     ["run", "--h", "1/16", "--H", "1/4", "--sweeps", "4", "--mode",
+      "additive", "--eps", "opt"]),
+]
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("name, argv", PINNED_RUNS)
+def test_certified_numbers_match_pinned_history(name, argv, tmp_path,
+                                                capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = _read_csv(tmp_path / "history.csv")
+    want = _read_csv(DATA / name)
+    assert got[0] == want[0] == CSV_HEADER
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for field, a, b in zip(CSV_HEADER[1:], got_row[1:], want_row[1:]):
+            assert abs(float(a) - float(b)) <= 1e-12 * abs(float(b)), \
+                (want_row[0], field, a, b)

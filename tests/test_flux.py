@@ -9,7 +9,7 @@ from ddmcert.majorant import MajorantConstants, alpha_weights
 from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
 from ddmcert.pipeline import certify_iterate
-from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
+from ddmcert.problem import EllipticProblem, ScalarFieldP1
 from ddmcert.schwarz import SchwarzConfig, run_schwarz
 
 BARY = np.array([[2 / 3, 1 / 6, 1 / 6],
@@ -133,16 +133,15 @@ def test_tri_and_quad_cells_agree_at_H_equal_h(h, eps_policy, problem):
     mesh, decomp = build_lshape_mesh(h)
     state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=4))
     constants = MajorantConstants.default(decomp, problem)
-    f_tri, f_sq = f_cell_integrals(mesh, problem.f)
     reports, n_dofs = [], []
     for cells in ("tri", "quad"):
         coarse = build_coarse_mesh(mesh, decomp, h, cells=cells)
         space = build_corrector_space(coarse, decomp, problem.A)
         solver = CorrectorSolver(space, problem,
                                  alpha_weights((1.0, 1.0, 1.0), constants),
-                                 constants.beta, f_tri)
+                                 constants.beta)
         reports.append(certify_iterate(state.v, solver, constants,
-                                       eps_policy, f_tri, f_sq)[1])
+                                       eps_policy)[1])
         n_dofs.append(space.n_dofs)
     assert n_dofs[0] == n_dofs[1]
     tri, quad = reports
