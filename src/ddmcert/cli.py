@@ -157,8 +157,23 @@ def write_history_csv(path: Path, rows, label: str | None = None) -> None:
 def _emit(out: Path | None, name: str, text: str) -> None:
     print(text, end="" if text.endswith("\n") else "\n")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text)
+
+
+def _write_artifacts(out_dir: str | None, rows, label: str | None, headers,
+                     body, violation: bool) -> int:
+    """Write a subcommand's artifacts and return its exit code.
+
+    ``history.csv`` (only with an output directory) gets ``rows`` as
+    ``write_history_csv`` takes them; ``table.md`` is ``body`` under
+    ``headers``, and is printed either way.
+    """
+    out = Path(out_dir) if out_dir else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        write_history_csv(out / "history.csv", rows, label=label)
+    _emit(out, "table.md", markdown_table(headers, body))
+    return EXIT_GUARANTEE if violation else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +184,11 @@ def _emit(out: Path | None, name: str, text: str) -> None:
 def cmd_run(args) -> int:
     cfg = build_config(args)
     res = run_case(cfg)
-    out = Path(cfg.out) if cfg.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_history_csv(out / "history.csv",
-                          [(None, r) for r in res.rows])
     headers = ["n", "M1^2", "M2^2", "M3^2", "M^2", "I_eff", "error"]
     body = [[str(r.sweep)] + _std_cells(r) + [sci3(r.error)]
             for r in res.rows]
-    _emit(out, "table.md", markdown_table(headers, body))
-    return EXIT_GUARANTEE if res.violation else EXIT_OK
+    return _write_artifacts(cfg.out, [(None, r) for r in res.rows], None,
+                            headers, body, res.violation)
 
 
 def cmd_table1(args) -> int:
@@ -188,17 +198,11 @@ def cmd_table1(args) -> int:
                           f"{', '.join(frac(h) for h in TABLE1_H)}")
     hs = [h for h in TABLE1_H if h >= finest - 1e-12]
     sweeps = args.sweeps if args.sweeps is not None else 16
-    rows = table1_rows(hs=hs, sweeps=sweeps)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_history_csv(out / "history.csv",
-                          [(frac(h), row) for h, row, _ in rows], label="h")
+    rows = [(frac(h), row) for h, row, _ in table1_rows(hs=hs, sweeps=sweeps)]
     headers = ["h", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
-    body = [[frac(h)] + _std_cells(row) for h, row, _ in rows]
-    _emit(out, "table.md", markdown_table(headers, body))
-    return EXIT_GUARANTEE if any(
-        row.violates_guarantee() for _, row, _ in rows) else EXIT_OK
+    body = [[h] + _std_cells(row) for h, row in rows]
+    return _write_artifacts(args.out, rows, "h", headers, body, any(
+        row.violates_guarantee() for _, row in rows))
 
 
 def cmd_table2(args) -> int:
@@ -207,45 +211,35 @@ def cmd_table2(args) -> int:
     if not coarse:
         raise ConfigError(f"no coarse sizes >= h={h} available")
     sweeps = args.sweeps if args.sweeps is not None else 16
-    rows = table2_rows(h=h, coarse_sizes=coarse, sweeps=sweeps)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_history_csv(out / "history.csv",
-                          [(frac(H), row) for H, row in rows], label="H")
+    rows = [(frac(H), row)
+            for H, row in table2_rows(h=h, coarse_sizes=coarse, sweeps=sweeps)]
     headers = ["H", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
-    body = [[frac(H)] + _std_cells(row) for H, row in rows]
-    _emit(out, "table.md", markdown_table(headers, body))
-    return EXIT_GUARANTEE if any(
-        row.violates_guarantee() for _, row in rows) else EXIT_OK
+    body = [[H] + _std_cells(row) for H, row in rows]
+    return _write_artifacts(args.out, rows, "H", headers, body, any(
+        row.violates_guarantee() for _, row in rows))
 
 
-def _table34_run(args) -> RunResult:
+def _table34_run(args, table_sweeps) -> tuple[RunResult, list]:
+    """The shared run and the rows of the table listing ``table_sweeps``."""
     h = args.h if args.h is not None else 1 / 64
     sweeps = args.sweeps if args.sweeps is not None else 8
-    return table34_result(h=h, sweeps=sweeps)
+    if sweeps < table_sweeps[0]:
+        raise ConfigError(f"sweeps={sweeps} leaves the table empty: its "
+                          f"first row is sweep {table_sweeps[0]}")
+    res = table34_result(h=h, sweeps=sweeps)
+    return res, [r for r in res.rows if r.sweep in table_sweeps]
 
 
 def cmd_table3(args) -> int:
-    res = _table34_run(args)
-    wanted = [r for r in res.rows if r.sweep in TABLE3_SWEEPS]
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_history_csv(out / "history.csv", [(None, r) for r in wanted])
+    res, wanted = _table34_run(args, TABLE3_SWEEPS)
     headers = ["n", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[str(r.sweep)] + _std_cells(r) for r in wanted]
-    _emit(out, "table.md", markdown_table(headers, body))
-    return EXIT_GUARANTEE if res.violation else EXIT_OK
+    return _write_artifacts(args.out, [(None, r) for r in wanted], None,
+                            headers, body, res.violation)
 
 
 def cmd_table4(args) -> int:
-    res = _table34_run(args)
-    wanted = [r for r in res.rows if r.sweep in TABLE4_SWEEPS]
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_history_csv(out / "history.csv", [(None, r) for r in wanted])
+    res, wanted = _table34_run(args, TABLE4_SWEEPS)
     n_sub = len(res.decomp.basic)
     headers = (["n"] + [f"M1^2 w{k + 1}" for k in range(n_sub)]
                + [f"M2^2 w{k + 1}" for k in range(n_sub)])
@@ -255,8 +249,8 @@ def cmd_table4(args) -> int:
         parts = ([sci3(rep.alphas[0] * s) for s in rep.S1]
                  + [sci3(rep.alphas[1] * s) for s in rep.S2])
         body.append([str(r.sweep)] + parts)
-    _emit(out, "table.md", markdown_table(headers, body))
-    return EXIT_GUARANTEE if res.violation else EXIT_OK
+    return _write_artifacts(args.out, [(None, r) for r in wanted], None,
+                            headers, body, res.violation)
 
 
 def cmd_check(args) -> int:

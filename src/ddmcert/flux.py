@@ -31,7 +31,9 @@ Certification reads its sweep-invariant tables from their owners and
 never recomputes them: the P1 gradients, edge lengths and side midpoints
 from the ``TriMesh``, and the cell integrals of f and f^2 and the exact
 gradient at the degree-5 points from the ``CorrectorSolver``, which keeps
-them for every iterate it certifies.
+them for every iterate it certifies.  A flux's residual integrals and
+their means c1/c2 are formed in one place, ``constraint_residuals``; the
+corrector's right-hand side and the majorant read them from there.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ from .mesh import (CoarseMesh, DomainDecomposition, MeshError, TriMesh,
                    INACTIVE, INTERFACE, compatibility_check)
 from .problem import (EllipticProblem, ScalarFieldP1, exact_grad_table,
                       f_cell_integrals, quad_rule)
-# Unused here since the mesh keeps the gradients, but perfbench/probes.py
-# counts p1_gradients calls at this lookup site as well.
-from .problem import p1_gradients  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +176,35 @@ class ConstraintResiduals:
     interface: np.ndarray      # (E1,) mean normal jump over gamma_kj
 
 
-def constraint_residuals(y: BrokenFluxField, f, decomp: DomainDecomposition,
-                         f_tri: np.ndarray | None = None) -> ConstraintResiduals:
-    """Evaluate the admissibility means c1/c2 for a broken flux field."""
+@dataclass
+class FluxResiduals:
+    """Residual integrals of a flux field and their means c1/c2."""
+
+    cell: np.ndarray           # (T,) integral of div y + f per fine triangle
+    jumps: list                # per interface: jump_endpoint_values
+    edge_int: list             # per interface: jump integral per fine edge
+    means: ConstraintResiduals
+
+
+def constraint_residuals(y: BrokenFluxField, f_tri: np.ndarray) -> FluxResiduals:
+    """The residual integrals of y and the admissibility means c1/c2;
+    ``f_tri`` holds the cell integrals of f."""
     mesh = y.mesh
-    if f_tri is None:
-        f_tri = f_cell_integrals(mesh, f)[0]
+    decomp = y.decomp
     cell = y.divergence() * mesh.areas + f_tri
     r = np.zeros(decomp.n_basic)
     np.add.at(r, decomp.tri_subdomain, cell)
     r /= np.array([sub.area for sub in decomp.basic])
 
+    jumps, edge_int = [], []
     s = np.zeros(len(decomp.interfaces))
     for m, g in enumerate(decomp.interfaces):
         ev = y.jump_endpoint_values(m)
-        lens = mesh.edge_lengths[g.edges]
-        s[m] = float((lens * ev.mean(axis=1)).sum() / g.length)
-    return ConstraintResiduals(r, s)
+        fine_int = mesh.edge_lengths[g.edges] * ev.mean(axis=1)   # trapezoid
+        jumps.append(ev)
+        edge_int.append(fine_int)
+        s[m] = float(fine_int.sum() / g.length)
+    return FluxResiduals(cell, jumps, edge_int, ConstraintResiduals(r, s))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +377,6 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
     integrals of f.
     """
     mesh = space.mesh
-    decomp = space.decomp
     coarse = space.coarse
     a1, a2, a3 = alphas
     A_inv = problem.A_inv
@@ -389,60 +399,54 @@ def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
     slot_ids = (3 * ct)[:, None] + np.arange(3)[None, :]
     np.add.at(slot_c, slot_ids.ravel(), (a1 * term1).ravel())
 
-    div_yt = ytilde.divergence()
-    cell_resid = div_yt * mesh.areas + f_tri                     # per fine tri
+    res = constraint_residuals(ytilde, f_tri)
     per_ct = np.zeros(len(space.ct_area))
-    np.add.at(per_ct, ct, cell_resid)
+    np.add.at(per_ct, ct, res.cell)
     slot_c += np.repeat(a2 * per_ct / space.ct_area, 3)
 
     c = space.Q.T @ slot_c
-
-    n_basic = decomp.n_basic
-    d = np.zeros(space.n_constraints)
-    per_sub = np.zeros(n_basic)
-    np.add.at(per_sub, decomp.tri_subdomain, cell_resid)
-    d[:n_basic] = -per_sub / np.array([s.area for s in decomp.basic])
-
-    edge_len = mesh.edge_lengths
-    for m, g in enumerate(decomp.interfaces):
-        ev = ytilde.jump_endpoint_values(m)
-        fine_int = edge_len[g.edges] * ev.mean(axis=1)           # trapezoid
+    for m, g in enumerate(space.decomp.interfaces):
         # every coarse edge covers an equal run of consecutive fine edges
         ce = space.iface_edges[m]
-        ie = fine_int.reshape(len(ce), -1).sum(axis=1)
+        ie = res.edge_int[m].reshape(len(ce), -1).sum(axis=1)
         sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
         w = a3 * betas[m] ** 2 * sign * ie / coarse.edge_length[ce]
         dk = space.edge_dof[ce]
         c[dk] += w
         c[dk + 1] -= w
-        d[n_basic + m] = -float(fine_int.sum()) / g.length
+    d = -np.concatenate([res.means.subdomain, res.means.interface])
     return -c, d
 
 
 class CorrectorSolver:
     """Factorized corrector saddle system, reusable across iterates.
 
-    The solver also owns the run's tables of the problem on the fine mesh:
-    the cell integrals ``f_tri``/``f_sq`` of f and f^2 and ``exact_grad``,
-    the exact gradient at the degree-5 points, filled on first use.
-    ``reweighted`` shares them.
+    The weights come from the majorant ``constants``: ``constants.beta``
+    and those of eps = (1, 1, 1).  The solver also owns the run's tables of
+    the problem on the fine mesh: the cell integrals ``f_tri``/``f_sq`` of f
+    and f^2 and ``exact_grad``, the exact gradient at the degree-5 points,
+    filled on first use.  ``reweighted`` shares them.
     """
 
     def __init__(self, space: CorrectorSpace, problem: EllipticProblem,
-                 alphas, betas):
+                 constants: "MajorantConstants"):
+        from .majorant import alpha_weights     # majorant imports this module
         self.space = space
         self.problem = problem
-        self.betas = np.asarray(betas, dtype=float)
+        self.constants = constants
         self.f_tri, self.f_sq = f_cell_integrals(space.mesh, problem.f)
-        self._factorize(alphas)
+        self._factorize(alpha_weights((1.0, 1.0, 1.0), constants))
 
     def _factorize(self, alphas) -> None:
         self.alphas = tuple(alphas)
-        G = corrector_matrix(self.space, self.alphas, self.betas)
+        G = corrector_matrix(self.space, self.alphas, self.constants.beta)
         self.fact = linalg.SaddleFactorization(G, self.space.C)
 
     def reweighted(self, alphas) -> "CorrectorSolver":
-        """The same system factorized for new weights, sharing the tables."""
+        """The same system factorized for new weights, sharing the tables;
+        the solver itself when the weights are its own."""
+        if tuple(alphas) == self.alphas:
+            return self
         other = copy.copy(self)
         other._factorize(alphas)
         return other
@@ -459,5 +463,5 @@ class CorrectorSolver:
 
     def solve(self, ytilde: BrokenFluxField, v: ScalarFieldP1):
         b, d = corrector_rhs(self.space, ytilde, v, self.problem,
-                             self.alphas, self.betas, self.f_tri)
+                             self.alphas, self.constants.beta, self.f_tri)
         return self.fact.solve(b, d)

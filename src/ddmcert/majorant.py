@@ -21,6 +21,11 @@ interface multiplicity E_max.  Minimizing over eps in closed form yields
 
 the structural lower bound ``D11`` reported alongside every evaluation
 (T1/T2/T3 are the three sums with their eps-independent factors).
+
+``evaluate_majorant`` takes the cell integrals of f and f^2 from its
+caller (a run's ``CorrectorSolver`` keeps them) and reads the jump term
+and the admissibility means from one ``constraint_residuals`` evaluation
+of the flux.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ import numpy as np
 
 from .flux import BrokenFluxField, ConstraintResiduals, constraint_residuals
 from .mesh import DomainDecomposition
-from .problem import (EllipticProblem, ScalarFieldP1, energy_error,
-                      f_cell_integrals, quad_rule)
+from .problem import EllipticProblem, ScalarFieldP1, energy_error, quad_rule
 
 EPS_MIN = 1e-8
 EPS_MAX = 1e8
@@ -165,17 +169,17 @@ def optimize_eps(S1, S2, S3, constants: MajorantConstants):
 def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
                       problem: EllipticProblem,
                       constants: MajorantConstants,
+                      f_tri: np.ndarray, f_sq_tri: np.ndarray,
                       eps=(1.0, 1.0, 1.0),
-                      f_tri: np.ndarray | None = None,
-                      f_sq_tri: np.ndarray | None = None,
                       energy_err: float | None = None) -> MajorantReport:
     """Evaluate the majorant of the energy error of v for flux candidate y.
 
-    The first term integrates exactly (midpoint rule on the fine triangles);
-    the equilibration term expands (div y + f)^2 with degree-5 quadrature
-    for the integrals of f and f^2; jump terms are exact on each fine edge.
-    If the admissibility means exceed ``ADMISSIBILITY_TOL`` times
-    1 + max_t |int_t f| / min_t |t|, the report is flagged not guaranteed.
+    ``f_tri``/``f_sq_tri`` hold the cell integrals of f and f^2.  The first
+    term integrates exactly (midpoint rule on the fine triangles); the
+    equilibration term expands (div y + f)^2 with those degree-5 integrals;
+    jump terms are exact on each fine edge.  If the admissibility means
+    exceed ``ADMISSIBILITY_TOL`` times 1 + max_t |int_t f| / min_t |t|, the
+    report is flagged not guaranteed.
 
     With an exact solution the report carries the energy error of v: the
     ``energy_err`` a caller already computed for this v, or else one
@@ -183,8 +187,6 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     """
     mesh = y.mesh
     decomp = y.decomp
-    if f_tri is None or f_sq_tri is None:
-        f_tri, f_sq_tri = f_cell_integrals(mesh, problem.f)
     alphas = alpha_weights(eps, constants)
 
     # S1: || y - A grad v ||^2 with weight A^{-1}, per subdomain
@@ -205,11 +207,11 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     np.add.at(S2, decomp.tri_subdomain, per_tri_2)
 
     # S3: squared jump norms per interface; affine jumps integrate exactly
+    res = constraint_residuals(y, f_tri)
     S3 = np.zeros(len(decomp.interfaces))
     lens = mesh.edge_lengths
     for m, g in enumerate(decomp.interfaces):
-        ev = y.jump_endpoint_values(m)
-        a, b = ev[:, 0], ev[:, 1]
+        a, b = res.jumps[m][:, 0], res.jumps[m][:, 1]
         S3[m] = float(np.sum(lens[g.edges] * (a * a + a * b + b * b) / 3.0))
 
     M1_sq = alphas[0] * float(S1.sum())
@@ -218,12 +220,11 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     t1, t2, t3 = _term_sums(S1, S2, S3, constants.beta, constants)
     D11 = math.sqrt(t1) + math.sqrt(t2) + math.sqrt(t3)
 
-    res = constraint_residuals(y, problem.f, decomp, f_tri)
-    scale = 1.0 + float(np.abs(f_tri).max() / mesh.areas.min())
-    guaranteed = bool(
-        np.all(np.abs(res.subdomain) <= ADMISSIBILITY_TOL * scale)
-        and (len(res.interface) == 0
-             or np.all(np.abs(res.interface) <= ADMISSIBILITY_TOL * scale)))
+    means = res.means
+    tol = ADMISSIBILITY_TOL * (1.0 + float(np.abs(f_tri).max()
+                                           / mesh.areas.min()))
+    guaranteed = bool(np.all(np.abs(means.subdomain) <= tol)
+                      and np.all(np.abs(means.interface) <= tol))
 
     err = eff = None
     if problem.exact_grad is not None:
@@ -233,4 +234,4 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
 
     return MajorantReport(M1_sq + M2_sq + M3_sq, M1_sq, M2_sq, M3_sq,
                           S1, S2, S3, tuple(float(e) for e in eps),
-                          alphas, D11, res, guaranteed, err, eff)
+                          alphas, D11, means, guaranteed, err, eff)

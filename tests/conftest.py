@@ -6,7 +6,7 @@ import pytest
 
 from ddmcert.flux import (BrokenFluxField, CorrectorSolver,
                           build_corrector_space)
-from ddmcert.majorant import MajorantConstants, alpha_weights
+from ddmcert.majorant import MajorantConstants
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import manufactured_lshape_problem
@@ -32,10 +32,8 @@ def cert4(lshape4, problem):
     constants = MajorantConstants.default(decomp, problem)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp, problem.A)
-    solver = CorrectorSolver(space, problem,
-                             alpha_weights((1.0, 1.0, 1.0), constants),
-                             constants.beta)
-    y, report = certify_iterate(state.v, solver, constants, "fixed")
+    solver = CorrectorSolver(space, problem, constants)
+    y, report = certify_iterate(state.v, solver, "fixed")
     yt = BrokenFluxField(mesh, decomp, y.p1_part)
     return SimpleNamespace(mesh=mesh, decomp=decomp, problem=problem,
                            constants=constants, space=space, v=state.v,

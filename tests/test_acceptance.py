@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from ddmcert.flux import CorrectorSolver, average_gradient, corrected_flux
-from ddmcert.majorant import (MajorantConstants, alpha_weights,
-                              evaluate_majorant, optimize_eps,
-                              poincare_edge_constant)
+from ddmcert.majorant import (MajorantConstants, evaluate_majorant,
+                              optimize_eps, poincare_edge_constant)
 from ddmcert.mesh import (CoarseMesh, build_coarse_mesh, build_lshape_mesh,
                           build_rect_grid_decomposition, compatibility_check)
 from ddmcert.pipeline import (RunConfig, run_case, table1_rows, table2_rows,
@@ -641,9 +640,7 @@ def test_criterion_10_dense_oracle():
     yt_orc = oracle.averaged_flux(v_orc)
     d_avg = float(np.abs(yt.p1_part - yt_orc).max())
 
-    solver = CorrectorSolver(space, problem,
-                             alpha_weights((1.0, 1.0, 1.0), constants),
-                             constants.beta)
+    solver = CorrectorSolver(space, problem, constants)
     q, _ = solver.solve(yt, state.v)
     x_orc = oracle.solve_corrector(v_orc, yt_orc)
     d_corr = float(np.abs(q - x_orc).max())

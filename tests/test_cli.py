@@ -166,6 +166,11 @@ def test_run_emit_fields(tmp_path):
     assert "POINT_DATA" in (out / "fields_sweep1.vtk").read_text()
 
 
+def test_emit_fields_without_out_exits_config(capsys):
+    assert main(RUN_ARGS[:3] + ["--sweeps", "2", "--emit-fields"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_config_file_end_to_end(tmp_path):
     cfg = tmp_path / "case.cfg"
     out = tmp_path / "art"
@@ -268,6 +273,8 @@ def test_table_commands_reject_flags_they_ignore(argv, capsys):
     ["table1", "--h", "0.2"],
     ["table1", "--h", "1/6"],
     ["table2", "--h", "1/6"],
+    ["table3", "--h", "1/4", "--sweeps", "1"],
+    ["table4", "--h", "1/4", "--sweeps", "1"],
 ])
 def test_bad_table_inputs_exit_config(argv, capsys):
     assert main(argv) == 1
@@ -312,14 +319,15 @@ def test_non_admissible_certificate_exits_solver(monkeypatch, capsys):
     assert "subdomain mean residual" in err
 
 
-# history.csv of these runs as the code wrote them before the per-run
-# certification tables; every certified number must still match
+# history.csv of these runs as an earlier version of the code wrote them;
+# every certified number must still match
 PINNED_RUNS = [
     ("history_h16_opt.csv",
      ["run", "--h", "1/16", "--sweeps", "4", "--eps", "opt"]),
     ("history_h16_H4_additive_opt.csv",
      ["run", "--h", "1/16", "--H", "1/4", "--sweeps", "4", "--mode",
       "additive", "--eps", "opt"]),
+    ("history_table2_h16.csv", ["table2", "--h", "1/16", "--sweeps", "4"]),
 ]
 
 
@@ -335,9 +343,12 @@ def test_certified_numbers_match_pinned_history(name, argv, tmp_path,
     capsys.readouterr()
     got = _read_csv(tmp_path / "history.csv")
     want = _read_csv(DATA / name)
-    assert got[0] == want[0] == CSV_HEADER
-    assert [row[0] for row in got] == [row[0] for row in want]
+    assert got[0] == want[0]
+    assert want[0] in (CSV_HEADER, ["H"] + CSV_HEADER)   # table2 labels H
+    keys = len(want[0]) - len(CSV_HEADER) + 1            # label and sweep
+    assert [row[:keys] for row in got] == [row[:keys] for row in want]
     for got_row, want_row in zip(got[1:], want[1:]):
-        for field, a, b in zip(CSV_HEADER[1:], got_row[1:], want_row[1:]):
+        for field, a, b in zip(CSV_HEADER[1:], got_row[keys:],
+                               want_row[keys:]):
             assert abs(float(a) - float(b)) <= 1e-12 * abs(float(b)), \
                 (want_row[0], field, a, b)

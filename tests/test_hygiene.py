@@ -1,0 +1,34 @@
+"""Source hygiene: every module-level import of the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ddmcert"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module body's imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_is_found():
+    source = "import os\nfrom math import pi, tau\n\nprint(os.sep, tau)\n"
+    assert unused_imports(source) == ["pi"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []

@@ -77,7 +77,8 @@ def test_exact_flux_gives_zero_majorant():
     v = ScalarFieldP1.interpolate(mesh, affine.exact_u)
     y = average_gradient(v, decomp, affine.A)
     c = MajorantConstants.default(decomp, affine)
-    rep = evaluate_majorant(y, v, affine, c)
+    rep = evaluate_majorant(y, v, affine, c,
+                            *f_cell_integrals(mesh, affine.f))
     assert rep.total_sq < 1e-26
     assert rep.guaranteed
 
@@ -92,7 +93,8 @@ def test_unit_square_hand_value():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
-    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS)
+    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS,
+                            *f_cell_integrals(mesh, unit_source.f))
     assert np.isclose(rep.M1_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M3_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M2_sq, 6 / PI**2, rtol=1e-12)
@@ -107,7 +109,8 @@ def test_inadmissible_candidate_is_flagged():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
-    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS)
+    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS,
+                            *f_cell_integrals(mesh, unit_source.f))
     assert not rep.guaranteed       # mean residual is 1, way above tolerance
 
 
@@ -149,7 +152,8 @@ def test_majorant_terms_obey_parallelogram_identity(cert4):
 
     def terms(yt, q, v, prob):
         rep = evaluate_majorant(corrected_flux(yt, q, space), v, prob,
-                                cert4.constants)
+                                cert4.constants,
+                                *f_cell_integrals(cert4.mesh, prob.f))
         return np.array([rep.S1.sum(), rep.S2.sum(), rep.S3.sum()])
 
     sa = terms(cert4.yt, qa, cert4.v, cert4.problem)

@@ -5,9 +5,8 @@ from collections import Counter
 
 import pytest
 
-from ddmcert import flux, linalg, majorant, pipeline, problem
+from ddmcert import linalg, majorant, pipeline, problem
 from ddmcert.flux import CorrectorSolver
-from ddmcert.majorant import alpha_weights
 from ddmcert.pipeline import OPT_ROUNDS, RunConfig, certify_iterate, run_case
 
 
@@ -22,9 +21,8 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (problem, flux):
-        monkeypatch.setattr(module, "p1_gradients",
-                            counted("p1_gradients", module.p1_gradients))
+    monkeypatch.setattr(problem, "p1_gradients",
+                        counted("p1_gradients", problem.p1_gradients))
     monkeypatch.setattr(majorant, "energy_error",
                         counted("energy_error", majorant.energy_error))
     make_problem = pipeline.manufactured_lshape_problem
@@ -64,10 +62,8 @@ def test_eps_opt_rounds_keep_one_other_factorization(cert4, monkeypatch):
 
     monkeypatch.setattr(linalg.SaddleFactorization, "__init__",
                         recording_init)
-    solver = CorrectorSolver(cert4.space, cert4.problem,
-                             alpha_weights((1.0, 1.0, 1.0), cert4.constants),
-                             cert4.constants.beta)
-    certify_iterate(cert4.v, solver, cert4.constants, "opt")
+    solver = CorrectorSolver(cert4.space, cert4.problem, cert4.constants)
+    certify_iterate(cert4.v, solver, "opt")
     # the fixed-weight factorization, then one per eps round
     assert len(others_alive) == 1 + OPT_ROUNDS
     # each round factorizes next to the fixed-weight factor only
