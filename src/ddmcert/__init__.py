@@ -34,6 +34,7 @@ from .flux import (
     build_corrector_space,
     constraint_residuals,
     corrected_flux,
+    rhs_table,
 )
 from .majorant import (
     MajorantConstants,

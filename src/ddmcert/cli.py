@@ -38,11 +38,14 @@ _BOOL = {"true": True, "yes": True, "1": True, "on": True,
 
 
 def _ratio(text: str) -> float:
-    """Grid spacings as plain floats or 'p/q' fractions."""
+    """Grid spacings as plain floats or 'p/q' fractions; ValueError on
+    text that is neither, or on a zero denominator."""
     s = text.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(s)
 
 

@@ -34,6 +34,12 @@ gradient at the degree-5 points from the ``CorrectorSolver``, which keeps
 them for every iterate it certifies.  A flux's residual integrals and
 their means c1/c2 are formed in one place, ``constraint_residuals``; the
 corrector's right-hand side and the majorant read them from there.
+
+What depends on the iterate but not on the weights is formed once per
+iterate: ``rhs_table`` holds the weight-free terms of the corrector's
+right-hand side, and every eps round only weights them in
+``corrector_rhs``.  The P1 layer at the side midpoints is kept by the
+averaged flux and shared with every corrected flux built from it.
 """
 
 from __future__ import annotations
@@ -68,6 +74,16 @@ class BrokenFluxField:
     space: Optional["CorrectorSpace"] = None
     coeffs: Optional[np.ndarray] = None
     _affine: tuple = field(default=None, repr=False)
+    _p1_mid: np.ndarray = field(default=None, repr=False)
+
+    def p1_midpoint_values(self) -> np.ndarray:
+        """The P1 layer at the side midpoints (T, 3, 2), read-only; filled
+        on first use and shared by ``corrected_flux``."""
+        if self._p1_mid is None:
+            bary, _ = quad_rule(2)
+            self._p1_mid = np.einsum("qi,tid->tqd", bary, self.p1_part)
+            self._p1_mid.flags.writeable = False
+        return self._p1_mid
 
     def corrector_affine(self):
         """Per fine triangle, the corrector as value a_t + g_t * x.
@@ -96,15 +112,14 @@ class BrokenFluxField:
         """Field values (T, Q, 2) at barycentric evaluation points; by
         default at the side midpoints, the points of the degree-2 rule."""
         if bary is None:
-            bary, _ = quad_rule(2)
+            p1 = self.p1_midpoint_values()
             pts = self.mesh.side_midpoints
         else:
+            p1 = np.einsum("qi,tid->tqd", bary, self.p1_part)
             corners = self.mesh.vertices[self.mesh.triangles]
             pts = np.einsum("qi,tid->tqd", bary, corners)
-        out = np.einsum("qi,tid->tqd", bary, self.p1_part)
         a, g = self.corrector_affine()
-        out += a[:, None, :] + g[:, None, None] * pts
-        return out
+        return p1 + (a[:, None, :] + g[:, None, None] * pts)
 
     def divergence(self) -> np.ndarray:
         """Per-triangle (constant) divergence."""
@@ -163,9 +178,11 @@ def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition,
 
 def corrected_flux(ytilde: BrokenFluxField, q: np.ndarray,
                    space: "CorrectorSpace") -> BrokenFluxField:
-    """The admissible candidate y = ytilde + q."""
+    """The admissible candidate y = ytilde + q; it shares ytilde's P1
+    layer and its midpoint values."""
     return BrokenFluxField(ytilde.mesh, ytilde.decomp, ytilde.p1_part,
-                           space, np.asarray(q, dtype=float))
+                           space, np.asarray(q, dtype=float),
+                           _p1_mid=ytilde.p1_midpoint_values())
 
 
 @dataclass
@@ -364,46 +381,74 @@ def corrector_matrix(space: CorrectorSpace, alphas, betas) -> sp.csc_matrix:
     return G.tocsc()
 
 
-def corrector_rhs(space: CorrectorSpace, ytilde: BrokenFluxField,
-                  v: ScalarFieldP1, problem: EllipticProblem, alphas, betas,
-                  f_tri: np.ndarray):
+@dataclass(frozen=True)
+class RhsTable:
+    """Weight-free terms of one iterate's corrector right-hand side.
+
+    ``cross`` (T, 3) is, per fine triangle, the cross term of ytilde -
+    A grad v against the three corrector basis fluxes of its
+    cell-triangle; ``per_ct`` (CT,) the integral of div ytilde + f per
+    cell-triangle; ``residuals`` the residual integrals of ytilde.  All
+    arrays are read-only.
+    """
+
+    cross: np.ndarray
+    per_ct: np.ndarray
+    residuals: FluxResiduals
+
+
+def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
+              v: ScalarFieldP1, problem: EllipticProblem,
+              f_tri: np.ndarray) -> RhsTable:
+    """The weight-free terms of the corrector right-hand side for the
+    averaged flux ``ytilde`` of v; ``f_tri`` holds the cell integrals of f.
+    """
+    mesh = space.mesh
+    coarse = space.coarse
+
+    pts = mesh.side_midpoints                                    # (T, 3, 2)
+    gv = v.gradient() @ problem.A.T
+    r = ytilde.p1_midpoint_values() - gv[:, None, :]
+    ra = np.einsum("de,tqe->tqd", problem.A_inv, r)
+
+    ct = coarse.fine_tri_ct
+    verts_ct = coarse.ct_verts[ct]                               # (T, 3, 2)
+    s_ct = space.ct_area[ct]
+    diff = pts[:, :, None, :] - verts_ct[:, None, :, :]          # (T, m, i, 2)
+    cross = np.einsum("tmd,tmid->ti", ra, diff)
+    cross *= (mesh.areas / (6.0 * s_ct))[:, None]                # w/(2 S_ct)
+
+    res = constraint_residuals(ytilde, f_tri)
+    per_ct = np.zeros(len(space.ct_area))
+    np.add.at(per_ct, ct, res.cell)
+    for a in (cross, per_ct, res.cell, res.means.subdomain,
+              res.means.interface, *res.jumps, *res.edge_int):
+        a.flags.writeable = False
+    return RhsTable(cross, per_ct, res)
+
+
+def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
     """Linear term b and constraint right-hand side d for the saddle system.
 
     The minimized functional is
         a1 ||ytilde + q - A grad v||^2_{A^{-1}}  +  a2 ||div(ytilde+q) + f||^2
         + a3 sum beta^2 ||jump(ytilde+q)||^2,
     so b collects minus the cross terms against the corrector basis and d the
-    negated means of the uncorrected residuals.  ``f_tri`` holds the cell
-    integrals of f.
+    negated means of the uncorrected residuals.  Both come from ``table``,
+    weighted here by the round's ``alphas`` and ``betas``.
     """
-    mesh = space.mesh
     coarse = space.coarse
     a1, a2, a3 = alphas
-    A_inv = problem.A_inv
-
-    bary, _ = quad_rule(2)
-    pts = mesh.side_midpoints                                    # (T, 3, 2)
-    yt = np.einsum("qi,tid->tqd", bary, ytilde.p1_part)
-    gv = v.gradient() @ problem.A.T
-    r = yt - gv[:, None, :]
-    ra = np.einsum("de,tqe->tqd", A_inv, r)
 
     ct = coarse.fine_tri_ct
-    verts_ct = coarse.ct_verts[ct]                               # (T, 3, 2)
-    s_ct = space.ct_area[ct]
-    diff = pts[:, :, None, :] - verts_ct[:, None, :, :]          # (T, m, i, 2)
-    term1 = np.einsum("tmd,tmid->ti", ra, diff)
-    term1 *= (mesh.areas / (6.0 * s_ct))[:, None]                # w/(2 S_ct)
-
     slot_c = np.zeros(3 * len(space.ct_area))
     slot_ids = (3 * ct)[:, None] + np.arange(3)[None, :]
-    np.add.at(slot_c, slot_ids.ravel(), (a1 * term1).ravel())
+    # weighted before the slot sums, which keeps the certified values'
+    # rounding; summing once per iterate and scaling by a1 would change it
+    np.add.at(slot_c, slot_ids.ravel(), (a1 * table.cross).ravel())
+    slot_c += np.repeat(a2 * table.per_ct / space.ct_area, 3)
 
-    res = constraint_residuals(ytilde, f_tri)
-    per_ct = np.zeros(len(space.ct_area))
-    np.add.at(per_ct, ct, res.cell)
-    slot_c += np.repeat(a2 * per_ct / space.ct_area, 3)
-
+    res = table.residuals
     c = space.Q.T @ slot_c
     for m, g in enumerate(space.decomp.interfaces):
         # every coarse edge covers an equal run of consecutive fine edges
@@ -425,7 +470,8 @@ class CorrectorSolver:
     and those of eps = (1, 1, 1).  The solver also owns the run's tables of
     the problem on the fine mesh: the cell integrals ``f_tri``/``f_sq`` of f
     and f^2 and ``exact_grad``, the exact gradient at the degree-5 points,
-    filled on first use.  ``reweighted`` shares them.
+    filled on first use.  ``reweighted`` shares them.  ``solve`` takes an
+    iterate's ``rhs_table`` and weights it with the solver's weights.
     """
 
     def __init__(self, space: CorrectorSpace, problem: EllipticProblem,
@@ -461,7 +507,9 @@ class CorrectorSolver:
         out.flags.writeable = False
         return out
 
-    def solve(self, ytilde: BrokenFluxField, v: ScalarFieldP1):
-        b, d = corrector_rhs(self.space, ytilde, v, self.problem,
-                             self.alphas, self.constants.beta, self.f_tri)
+    def solve(self, table: RhsTable):
+        """(q, lam) for the iterate whose weight-free terms are ``table``,
+        under this solver's weights."""
+        b, d = corrector_rhs(self.space, table, self.alphas,
+                             self.constants.beta)
         return self.fact.solve(b, d)

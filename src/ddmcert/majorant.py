@@ -25,7 +25,8 @@ the structural lower bound ``D11`` reported alongside every evaluation
 ``evaluate_majorant`` takes the cell integrals of f and f^2 from its
 caller (a run's ``CorrectorSolver`` keeps them) and reads the jump term
 and the admissibility means from one ``constraint_residuals`` evaluation
-of the flux.
+of the flux.  The flux's P1 layer at the side midpoints is the one its
+averaged flux keeps, shared by every eps round of an iterate.
 """
 
 from __future__ import annotations

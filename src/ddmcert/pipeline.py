@@ -13,8 +13,10 @@ certified sweep, which reads its error from its report.
 What does not change from sweep to sweep is computed once per run: the
 mesh keeps its P1 gradients, edge lengths and side midpoints, and the
 run's ``CorrectorSolver`` keeps the cell integrals of f and f^2 and the
-exact gradient at the degree-5 points.  The energy error of an iterate is
-evaluated once, however many eps rounds certify it.
+exact gradient at the degree-5 points.  What depends on the iterate but
+not on the eps weights is computed once per iterate, however many eps
+rounds certify it: the energy error, and then the ``rhs_table`` of the
+corrector's right-hand side, which each round only weights.
 
 Every certified sweep is checked twice.  A flux that misses the
 admissibility constraints gives no guarantee, so ``certify_iterate`` raises
@@ -26,6 +28,7 @@ a property of the method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -33,7 +36,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .flux import (CorrectorSolver, average_gradient, build_corrector_space,
-                   corrected_flux)
+                   corrected_flux, rhs_table)
 from .linalg import SolverError
 from . import majorant
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
@@ -59,7 +62,8 @@ class ConfigError(ValueError):
 
 
 def _check_reciprocal(value: float, name: str) -> None:
-    if value <= 0 or abs(1.0 / value - round(1.0 / value)) > 1e-9:
+    if (not math.isfinite(value) or value <= 0
+            or abs(1.0 / value - round(1.0 / value)) > 1e-9):
         raise ConfigError(f"{name}={value!r} must be the reciprocal "
                           "of a positive integer")
 
@@ -154,24 +158,26 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     ``eps_policy='opt'`` ``OPT_ROUNDS`` more re-solve under the closed-form
     optimal weights of the round before.  The report carries the eps its
     weights used.  The constants and tables come from ``solver``; the energy
-    error of v is evaluated once.
+    error of v and the weight-free ``rhs_table`` are formed once.
     Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
     problem = solver.problem
     constants = solver.constants
     yt = average_gradient(v, space.decomp, problem.A)
-    eps, rep, err = (1.0, 1.0, 1.0), None, None
+    err = None
+    if problem.exact_grad is not None:
+        # before the table, which keeps h = 1/128's peak RSS lower; through
+        # the module, so that a probe wrapping it there sees it
+        err = majorant.energy_error(v, problem, grad_u=solver.exact_grad)
+    table = rhs_table(space, yt, v, problem, solver.f_tri)
+    eps, rep = (1.0, 1.0, 1.0), None
     for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
         if rep is not None:
             eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
         # a temporary: no round's factorization outlives its solve
-        q, _ = solver.reweighted(alpha_weights(eps, constants)).solve(yt, v)
+        q, _ = solver.reweighted(alpha_weights(eps, constants)).solve(table)
         y = corrected_flux(yt, q, space)
-        if rep is None and problem.exact_grad is not None:
-            # after the first solve, which keeps h = 1/128's peak RSS lower;
-            # through the module, so that a probe wrapping it there sees it
-            err = majorant.energy_error(v, problem, grad_u=solver.exact_grad)
         rep = evaluate_majorant(y, v, problem, constants, solver.f_tri,
                                 solver.f_sq, eps, energy_err=err)
     if not rep.guaranteed:

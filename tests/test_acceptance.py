@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ddmcert.flux import CorrectorSolver, average_gradient, corrected_flux
+from ddmcert.flux import (CorrectorSolver, average_gradient, corrected_flux,
+                          rhs_table)
 from ddmcert.majorant import (MajorantConstants, evaluate_majorant,
                               optimize_eps, poincare_edge_constant)
 from ddmcert.mesh import (CoarseMesh, build_coarse_mesh, build_lshape_mesh,
@@ -641,7 +642,7 @@ def test_criterion_10_dense_oracle():
     d_avg = float(np.abs(yt.p1_part - yt_orc).max())
 
     solver = CorrectorSolver(space, problem, constants)
-    q, _ = solver.solve(yt, state.v)
+    q, _ = solver.solve(rhs_table(space, yt, state.v, problem, solver.f_tri))
     x_orc = oracle.solve_corrector(v_orc, yt_orc)
     d_corr = float(np.abs(q - x_orc).max())
 

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,8 @@ def test_ratio_parsing():
     assert _ratio("0.125") == 0.125
     with pytest.raises(ValueError):
         _ratio("abc")
+    with pytest.raises(ValueError, match="zero denominator"):
+        _ratio("1/0")
 
 
 def test_parse_config_file(tmp_path):
@@ -236,9 +240,18 @@ def test_exit_config_on_bad_inputs(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 1
     assert main(["run", "--h", "0.3"]) == 1
     assert "config error" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 1
+    bad.write_text("h = 1/0\n")
+    assert main(["run", "--config", str(bad)]) == 1
+    assert "config error: bad value for h" in capsys.readouterr().err
+    for size in ("nan", "inf"):
+        assert main(["run", "--h", size]) == 1
+        assert main(["run", "--h", "1/4", "--H", size]) == 1
+        assert capsys.readouterr().err.count("config error") == 2
+    for argv in (["frobnicate"], ["run", "--h", "1/0"],
+                 ["table1", "--h", "1/0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
@@ -273,6 +286,8 @@ def test_table_commands_reject_flags_they_ignore(argv, capsys):
     ["table1", "--h", "0.2"],
     ["table1", "--h", "1/6"],
     ["table2", "--h", "1/6"],
+    ["table1", "--h", "nan"],
+    ["table2", "--h", "inf"],
     ["table3", "--h", "1/4", "--sweeps", "1"],
     ["table4", "--h", "1/4", "--sweeps", "1"],
 ])
@@ -328,6 +343,8 @@ PINNED_RUNS = [
      ["run", "--h", "1/16", "--H", "1/4", "--sweeps", "4", "--mode",
       "additive", "--eps", "opt"]),
     ("history_table2_h16.csv", ["table2", "--h", "1/16", "--sweeps", "4"]),
+    ("history_h16_H8_opt.csv",
+     ["run", "--h", "1/16", "--H", "1/8", "--sweeps", "4", "--eps", "opt"]),
 ]
 
 
@@ -352,3 +369,15 @@ def test_certified_numbers_match_pinned_history(name, argv, tmp_path,
                                want_row[keys:]):
             assert abs(float(a) - float(b)) <= 1e-12 * abs(float(b)), \
                 (want_row[0], field, a, b)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["run", "--h", "1/4", "--sweeps", "1"], 0),
+    (["run", "--frobnicate"], 1),
+])
+def test_python_dash_m_runs_the_cli(args, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ddmcert"] + args)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ddmcert", run_name="__main__")
+    assert exc.value.code == code
+    capsys.readouterr()

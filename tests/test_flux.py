@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from ddmcert.flux import (BrokenFluxField, CorrectorSolver, average_gradient,
                           build_corrector_space, constraint_residuals,
-                          corrected_flux, corrector_matrix, corrector_rhs)
+                          corrected_flux, corrector_matrix, corrector_rhs,
+                          rhs_table)
 from ddmcert.majorant import MajorantConstants, alpha_weights
 from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
@@ -187,7 +188,8 @@ def test_zero_residual_gives_zero_corrector():
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp)
     constants = MajorantConstants.default(decomp, affine)
-    q, lam = CorrectorSolver(space, affine, constants).solve(yt, v)
+    solver = CorrectorSolver(space, affine, constants)
+    q, lam = solver.solve(rhs_table(space, yt, v, affine, solver.f_tri))
     assert np.abs(q).max() < 1e-12
     assert np.abs(lam).max() < 1e-12
 
@@ -211,7 +213,8 @@ def test_single_cell_divergence_balance():
     constants = MajorantConstants(C_min=1.0, C_P=np.array([np.sqrt(2) / np.pi]),
                                   beta=np.zeros(0), E_max=2.0)
     solver = CorrectorSolver(space, unit_source, constants)
-    q, _ = solver.solve(yt, zero_v)
+    q, _ = solver.solve(rhs_table(space, yt, zero_v, unit_source,
+                                  solver.f_tri))
     y = corrected_flux(yt, q, space)
     assert np.isclose(float((y.divergence() * mesh.areas).sum()), -1.0)
     res = constraint_residuals(y, solver.f_tri).means
@@ -267,14 +270,41 @@ def test_saddle_block_structure(cert4):
     assert all(C[i].nnz > 0 for i in range(C.shape[0]))
 
 
+def test_rhs_table_is_read_only_and_reweighting_is_exact(cert4):
+    space, beta = cert4.space, cert4.constants.beta
+    table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, cert4.f_tri)
+    res = table.residuals
+    for a in (table.cross, table.per_ct, res.cell, res.means.subdomain,
+              res.means.interface, *res.jumps, *res.edge_int,
+              cert4.yt.p1_midpoint_values()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    y = corrected_flux(cert4.yt, cert4.q, space)
+    assert y.p1_midpoint_values() is cert4.yt.p1_midpoint_values()
+
+    alpha = alpha_weights((1.0, 1.0, 1.0), cert4.constants)
+    other = alpha_weights((0.3, 2.0, 5.0), cert4.constants)
+    first = corrector_rhs(space, table, alpha, beta)
+    corrector_rhs(space, table, other, beta)
+    third = corrector_rhs(space, table, alpha, beta)
+    fresh_yt = BrokenFluxField(cert4.mesh, cert4.decomp,
+                               cert4.yt.p1_part.copy())
+    fresh = corrector_rhs(
+        space, rhs_table(space, fresh_yt, cert4.v, cert4.problem,
+                         cert4.f_tri), alpha, beta)
+    for got in (third, fresh):
+        for a, b in zip(got, first):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_kkt_local_optimality(cert4):
     # perturbing any single DOF and re-projecting onto the constraints
     # never decreases the objective
     space, constants = cert4.space, cert4.constants
     alphas = alpha_weights((1.0, 1.0, 1.0), constants)
     G = corrector_matrix(space, alphas, constants.beta).toarray()
-    b, d = corrector_rhs(space, cert4.yt, cert4.v, cert4.problem, alphas,
-                         constants.beta, cert4.f_tri)
+    table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, cert4.f_tri)
+    b, d = corrector_rhs(space, table, alphas, constants.beta)
     C = space.C.toarray()
     CCt_inv = np.linalg.inv(C @ C.T)
 

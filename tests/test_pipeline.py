@@ -5,14 +5,15 @@ from collections import Counter
 
 import pytest
 
-from ddmcert import linalg, majorant, pipeline, problem
+from ddmcert import flux, linalg, majorant, pipeline, problem
 from ddmcert.flux import CorrectorSolver
 from ddmcert.pipeline import OPT_ROUNDS, RunConfig, certify_iterate, run_case
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the sweep-invariant computations of the runs that follow."""
+    """Counts of the sweep-invariant and per-iterate computations of the
+    runs that follow."""
     counts = Counter()
 
     def counted(name, fn):
@@ -25,6 +26,10 @@ def calls(monkeypatch):
                         counted("p1_gradients", problem.p1_gradients))
     monkeypatch.setattr(majorant, "energy_error",
                         counted("energy_error", majorant.energy_error))
+    monkeypatch.setattr(pipeline, "rhs_table",
+                        counted("rhs_table", pipeline.rhs_table))
+    monkeypatch.setattr(flux, "corrector_rhs",
+                        counted("corrector_rhs", flux.corrector_rhs))
     make_problem = pipeline.manufactured_lshape_problem
 
     def counted_problem():
@@ -45,6 +50,9 @@ def test_sweep_invariants_computed_once_per_run(calls):
         assert len(res.rows) == sweeps
         # one energy error per certified iterate, however many eps rounds
         assert calls["energy_error"] == sweeps
+        # one weight-free table per iterate, weighted once per round
+        assert calls["rhs_table"] == sweeps
+        assert calls["corrector_rhs"] == sweeps * (1 + OPT_ROUNDS)
         per_run[sweeps] = (calls["p1_gradients"], calls["exact_grad"])
     assert per_run[2] == per_run[6]
     assert per_run[2][1] == 1
