@@ -13,7 +13,6 @@ from .mesh import (
 from .problem import (
     EllipticProblem,
     ScalarFieldP1,
-    LinearSystem,
     manufactured_lshape_problem,
     assemble_stiffness,
     assemble_load,

@@ -21,8 +21,8 @@ from .linalg import SolverError
 from .mesh import MeshError
 from .pipeline import (ConfigError, RunConfig, RunResult, SweepRow,
                        TABLE1_H, TABLE2_COARSE, TABLE3_SWEEPS, TABLE4_SWEEPS,
-                       run_case, run_checks, table1_rows, table2_rows,
-                       table34_result)
+                       output_dir, run_case, run_checks, table1_rows,
+                       table2_rows, table34_result)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,7 +53,7 @@ def parse_config_file(path) -> dict:
     """Flat key=value options; '#' starts a comment; unknown keys rejected."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     opts = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -167,13 +167,13 @@ def _write_artifacts(out_dir: str | None, rows, label: str | None, headers,
                      body, violation: bool) -> int:
     """Write a subcommand's artifacts and return its exit code.
 
-    ``history.csv`` (only with an output directory) gets ``rows`` as
+    ``history.csv`` (only with an output directory, which ``output_dir``
+    made before the command computed anything) gets ``rows`` as
     ``write_history_csv`` takes them; ``table.md`` is ``body`` under
     ``headers``, and is printed either way.
     """
     out = Path(out_dir) if out_dir else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         write_history_csv(out / "history.csv", rows, label=label)
     _emit(out, "table.md", markdown_table(headers, body))
     return EXIT_GUARANTEE if violation else EXIT_OK
@@ -201,6 +201,7 @@ def cmd_table1(args) -> int:
                           f"{', '.join(frac(h) for h in TABLE1_H)}")
     hs = [h for h in TABLE1_H if h >= finest - 1e-12]
     sweeps = args.sweeps if args.sweeps is not None else 16
+    output_dir(args.out)
     rows = [(frac(h), row) for h, row, _ in table1_rows(hs=hs, sweeps=sweeps)]
     headers = ["h", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[h] + _std_cells(row) for h, row in rows]
@@ -214,6 +215,7 @@ def cmd_table2(args) -> int:
     if not coarse:
         raise ConfigError(f"no coarse sizes >= h={h} available")
     sweeps = args.sweeps if args.sweeps is not None else 16
+    output_dir(args.out)
     rows = [(frac(H), row)
             for H, row in table2_rows(h=h, coarse_sizes=coarse, sweeps=sweeps)]
     headers = ["H", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
@@ -229,6 +231,7 @@ def _table34_run(args, table_sweeps) -> tuple[RunResult, list]:
     if sweeps < table_sweeps[0]:
         raise ConfigError(f"sweeps={sweeps} leaves the table empty: its "
                           f"first row is sweep {table_sweeps[0]}")
+    output_dir(args.out)
     res = table34_result(h=h, sweeps=sweeps)
     return res, [r for r in res.rows if r.sweep in table_sweeps]
 

@@ -38,13 +38,13 @@ corrector's right-hand side and the majorant read them from there.
 What depends on the iterate but not on the weights is formed once per
 iterate: ``rhs_table`` holds the weight-free terms of the corrector's
 right-hand side, and every eps round only weights them in
-``corrector_rhs``.  The P1 layer at the side midpoints is kept by the
+``corrector_rhs``; ``CorrectorSolver.solve`` factorizes a round's weights
+for that solve only.  The P1 layer at the side midpoints is kept by the
 averaged flux and shared with every corrected flux built from it.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -464,14 +464,14 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
 
 
 class CorrectorSolver:
-    """Factorized corrector saddle system, reusable across iterates.
+    """Corrector saddle system of a run, factorized for its fixed weights.
 
     The weights come from the majorant ``constants``: ``constants.beta``
-    and those of eps = (1, 1, 1).  The solver also owns the run's tables of
-    the problem on the fine mesh: the cell integrals ``f_tri``/``f_sq`` of f
-    and f^2 and ``exact_grad``, the exact gradient at the degree-5 points,
-    filled on first use.  ``reweighted`` shares them.  ``solve`` takes an
-    iterate's ``rhs_table`` and weights it with the solver's weights.
+    and ``alphas``, those of eps = (1, 1, 1).  The solver also owns the
+    run's tables of the problem on the fine mesh: the cell integrals
+    ``f_tri``/``f_sq`` of f and f^2 and ``exact_grad``, the exact gradient
+    at the degree-5 points, filled on first use.  ``solve`` takes an
+    iterate's ``rhs_table`` and the weights of its round.
     """
 
     def __init__(self, space: CorrectorSpace, problem: EllipticProblem,
@@ -481,21 +481,12 @@ class CorrectorSolver:
         self.problem = problem
         self.constants = constants
         self.f_tri, self.f_sq = f_cell_integrals(space.mesh, problem.f)
-        self._factorize(alpha_weights((1.0, 1.0, 1.0), constants))
+        self.alphas = tuple(alpha_weights((1.0, 1.0, 1.0), constants))
+        self.fact = self._factorize(self.alphas)
 
-    def _factorize(self, alphas) -> None:
-        self.alphas = tuple(alphas)
-        G = corrector_matrix(self.space, self.alphas, self.constants.beta)
-        self.fact = linalg.SaddleFactorization(G, self.space.C)
-
-    def reweighted(self, alphas) -> "CorrectorSolver":
-        """The same system factorized for new weights, sharing the tables;
-        the solver itself when the weights are its own."""
-        if tuple(alphas) == self.alphas:
-            return self
-        other = copy.copy(self)
-        other._factorize(alphas)
-        return other
+    def _factorize(self, alphas) -> linalg.SaddleFactorization:
+        G = corrector_matrix(self.space, alphas, self.constants.beta)
+        return linalg.SaddleFactorization(G, self.space.C)
 
     @cached_property
     def exact_grad(self) -> np.ndarray | None:
@@ -507,9 +498,11 @@ class CorrectorSolver:
         out.flags.writeable = False
         return out
 
-    def solve(self, table: RhsTable):
+    def solve(self, table: RhsTable, alphas):
         """(q, lam) for the iterate whose weight-free terms are ``table``,
-        under this solver's weights."""
-        b, d = corrector_rhs(self.space, table, self.alphas,
-                             self.constants.beta)
-        return self.fact.solve(b, d)
+        under ``alphas``; weights other than the solver's own are factorized
+        here and dropped on return, so no round's outlives its solve."""
+        alphas = tuple(alphas)
+        fact = self.fact if alphas == self.alphas else self._factorize(alphas)
+        b, d = corrector_rhs(self.space, table, alphas, self.constants.beta)
+        return fact.solve(b, d)

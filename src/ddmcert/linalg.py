@@ -1,8 +1,8 @@
 """Solver kernel: sparse direct factorization of symmetric systems.
 
-Every linear solve in the package goes through ``SaddleFactorization``: the
-corrector KKT system, and, as its constraint-free case, the SPD subdomain
-and Dirichlet blocks.
+Every linear solve goes through ``SaddleFactorization``, made in two places:
+``flux.CorrectorSolver`` for the corrector KKT system, and its constraint-free
+case ``dirichlet_correction`` for every Dirichlet solve.
 """
 
 from __future__ import annotations
@@ -82,3 +82,11 @@ class SaddleFactorization:
                 f"saddle solve residual {resid:.3e} exceeds tolerance",
                 residual=resid)
         return z[:self.n], z[self.n:]
+
+
+def dirichlet_correction(block, K, F, x, free) -> np.ndarray:
+    """The change of x on the indices ``free`` that solves K x = F there,
+    every other value held fixed; ``block`` is K restricted to ``free``."""
+    r = (F - K @ x)[free]
+    fact = SaddleFactorization(block, sp.csc_matrix((0, len(free))))
+    return fact.solve(r)[0]

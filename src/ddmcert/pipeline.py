@@ -6,9 +6,10 @@ plus corrector) and evaluates the majorant.  The run's ``CorrectorSolver``,
 built from the majorant constants, factorizes the corrector saddle system
 once for the fixed weights.  ``certify_iterate`` runs one loop of rounds:
 the fixed-weight one and, under ``--eps opt``, ``OPT_ROUNDS`` more with the
-closed-form weights, each round's factorization dropped before the next is
-made.  A run returns its geometry, its problem and one ``SweepRow`` per
-certified sweep, which reads its error from its report.
+closed-form weights, which ``CorrectorSolver.solve`` factorizes for that
+solve only.  ``output_dir`` makes a run's artifact directory before anything
+is computed.  A run returns its geometry, its problem and one ``SweepRow``
+per certified sweep, which reads its error from its report.
 
 What does not change from sweep to sweep is computed once per run: the
 mesh keeps its P1 gradients, edge lengths and side midpoints, and the
@@ -103,6 +104,20 @@ class RunConfig:
         return replace(self, H=H, sweeps=int(self.sweeps))
 
 
+def output_dir(out: Optional[str]) -> Optional[Path]:
+    """The artifact directory ``out``, made if missing (None without one);
+    ConfigError if it cannot be made, say where a file of that name is."""
+    if out is None:
+        return None
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: "
+                          f"{exc}") from exc
+    return path
+
+
 @dataclass
 class SweepRow:
     """Certified state of the iteration after a given sweep."""
@@ -175,8 +190,7 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
         if rep is not None:
             eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
-        # a temporary: no round's factorization outlives its solve
-        q, _ = solver.reweighted(alpha_weights(eps, constants)).solve(table)
+        q, _ = solver.solve(table, alpha_weights(eps, constants))
         y = corrected_flux(yt, q, space)
         rep = evaluate_majorant(y, v, problem, constants, solver.f_tri,
                                 solver.f_sq, eps, energy_err=err)
@@ -208,6 +222,7 @@ def run_case(config: RunConfig,
     """Run the full pipeline; certify the sweeps in ``majorant_sweeps``
     (default: every sweep)."""
     config = config.validated()
+    out = output_dir(config.out)
     mesh, decomp, problem = build_preset(config)
     constants = MajorantConstants.default(decomp, problem)
     coarse = build_coarse_mesh(mesh, decomp, config.H)
@@ -215,11 +230,6 @@ def run_case(config: RunConfig,
     solver = CorrectorSolver(space, problem, constants)
     wanted = (set(range(1, config.sweeps + 1)) if majorant_sweeps is None
               else {int(n) for n in majorant_sweeps})
-    out = None
-    if config.out is not None:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-
     result = RunResult(mesh, decomp, problem)
 
     def on_sweep(state: SchwarzState, record) -> None:

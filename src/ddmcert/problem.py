@@ -5,11 +5,13 @@ boundary, with a constant symmetric positive-definite coefficient A.  Scalar
 callables (f, u_g, exact solution) receive point arrays of shape (..., 2) and
 return values of shape (...); gradient callables return shape (..., 2).
 
-The functions here compute; they keep nothing.  Tables that stay the same
-for a whole run are kept by their owners: the P1 gradients of
-``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and the cell
-integrals of f and f^2 and the exact gradient at the degree-5 points
-(``exact_grad_table``) on the ``flux.CorrectorSolver`` of a run.
+The functions here compute; they keep nothing.  ``solve_dirichlet`` makes
+on the whole mesh the ``linalg.dirichlet_correction`` that every Schwarz
+subdomain solve makes.  Tables that stay the same for a whole run are kept
+by their owners: the P1 gradients of ``p1_gradients`` on the ``TriMesh``
+(``mesh.p1_grads``), and the cell integrals of f and f^2 and the exact
+gradient at the degree-5 points (``exact_grad_table``) on the
+``flux.CorrectorSolver`` of a run.
 ``energy_error`` takes that exact-gradient table when the caller has it.
 """
 
@@ -161,17 +163,7 @@ def manufactured_lshape_problem() -> EllipticProblem:
     return EllipticProblem(A=np.eye(2), f=f, u_g=u, exact_u=u, exact_grad=grad_u)
 
 
-@dataclass
-class LinearSystem:
-    """Sparse symmetric system on a mesh; ``solve_dirichlet`` imposes the
-    boundary values."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    mesh: Optional[TriMesh] = None
-
-
-def assemble_stiffness(mesh: TriMesh, A) -> LinearSystem:
+def assemble_stiffness(mesh: TriMesh, A) -> sp.csr_matrix:
     """Stiffness matrix of the bilinear form  integral A grad u . grad w.
 
     Parameters
@@ -182,12 +174,14 @@ def assemble_stiffness(mesh: TriMesh, A) -> LinearSystem:
 
     Returns
     -------
-    LinearSystem
-        Matrix part only; the right-hand side is zero.
+    scipy.sparse.csr_matrix
+        The (n_vertices, n_vertices) matrix, exactly symmetric.
     """
     A = np.asarray(A, dtype=float)
     if np.any(mesh.signed_areas() <= 0):
         raise MeshError("mesh contains a degenerate triangle")
+    # its own gradients: reading ``mesh.p1_grads`` would fill the mesh's
+    # table before the sweeps and raise h = 1/128's peak RSS by about 6 MB
     g = p1_gradients(mesh)                              # (T, 3, 2)
     ag = np.einsum("de,tje->tjd", A, g)
     k_loc = np.einsum("tid,tjd->tij", g, ag) * mesh.areas[:, None, None]
@@ -195,8 +189,7 @@ def assemble_stiffness(mesh: TriMesh, A) -> LinearSystem:
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = mesh.n_vertices
-    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return LinearSystem(K, np.zeros(n), mesh=mesh)
+    return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_load(mesh: TriMesh, f) -> np.ndarray:
@@ -209,29 +202,19 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     return vec
 
 
-def solve_dirichlet(system: LinearSystem, boundary_nodes,
+def solve_dirichlet(mesh: TriMesh, K, F, boundary_nodes,
                     boundary_values) -> ScalarFieldP1:
-    """Solve the system with prescribed nodal boundary values.
+    """The solution of K x = F with prescribed nodal boundary values.
 
-    Constrained unknowns are eliminated symmetrically; the free block is
-    solved by a sparse direct factorization.
+    x starts from the boundary values, zero elsewhere, and takes the
+    Dirichlet correction on the other nodes.
     """
-    K = system.matrix
-    n = K.shape[0]
-    x = np.zeros(n)
-    boundary_nodes = np.asarray(boundary_nodes, dtype=np.int64)
+    x = np.zeros(K.shape[0])
     x[boundary_nodes] = boundary_values
-    free = np.ones(n, dtype=bool)
-    free[boundary_nodes] = False
-    idx = np.nonzero(free)[0]
-    if len(idx):
-        r = system.rhs - K @ x
-        fact = linalg.SaddleFactorization(K[idx][:, idx],
-                                          sp.csc_matrix((0, len(idx))))
-        x[idx] = fact.solve(r[idx])[0]
-    if system.mesh is None:
-        raise ValueError("LinearSystem carries no mesh reference")
-    return ScalarFieldP1(system.mesh, x)
+    free = np.setdiff1d(np.arange(len(x)), boundary_nodes)
+    if len(free):
+        x[free] += linalg.dirichlet_correction(K[free][:, free], K, F, x, free)
+    return ScalarFieldP1(mesh, x)
 
 
 def exact_grad_table(mesh: TriMesh, problem: EllipticProblem) -> np.ndarray:

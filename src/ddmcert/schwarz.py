@@ -6,11 +6,12 @@ problem on a single Omega_j with boundary data taken from the trace of the
 current global iterate, then overwrites the iterate inside Omega_j.  The
 iteration counter therefore advances by one per subdomain solve; the additive
 variant instead solves every subdomain against the same pre-iterate once per
-sweep and combines updates in a fixed order.  Each subdomain solve is a sparse
-direct factorization of the subdomain block, made afresh in the sweep that
-uses it.  A run keeps only the iterate and which subdomains each sweep
-solved; anything measured along the way (a majorant, a distance to the
-discrete solution) is computed by the caller in the ``on_sweep`` callback.
+sweep and combines updates in a fixed order.  Each subdomain solve is the
+``linalg.dirichlet_correction`` of its interior nodes: a sparse direct
+factorization of the subdomain block, made afresh in the sweep that uses
+it.  A run keeps only the iterate and which subdomains each sweep solved;
+anything measured along the way (a majorant, a distance to the discrete
+solution) is computed by the caller in the ``on_sweep`` callback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .mesh import TriMesh, DomainDecomposition
@@ -82,7 +82,7 @@ def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
     to certify the iterate or to measure it against a reference solution.
     """
     config = config.validated(decomp.n_overlap)
-    K = assemble_stiffness(mesh, problem.A).matrix
+    K = assemble_stiffness(mesh, problem.A)
     F = assemble_load(mesh, problem.f)
 
     bdry = mesh.boundary_vertices
@@ -94,12 +94,9 @@ def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
     blocks = [K[idx][:, idx].tocsc() for idx in idx_sets]
 
     def solve_on(j, values):
-        idx = idx_sets[j]
-        r = (F - K @ values)[idx]
         try:
-            fact = linalg.SaddleFactorization(blocks[j],
-                                              sp.csc_matrix((0, len(idx))))
-            return fact.solve(r)[0]
+            return linalg.dirichlet_correction(blocks[j], K, F, values,
+                                               idx_sets[j])
         except linalg.SolverError as exc:
             raise linalg.SolverError(
                 f"subdomain solve failed on Omega_{j + 1}: {exc}",

@@ -11,18 +11,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ddmcert.problem import (LinearSystem, assemble_load, assemble_stiffness,
-                             solve_dirichlet)
+from ddmcert.problem import assemble_load, assemble_stiffness, solve_dirichlet
 from ddmcert.schwarz import run_schwarz
 
 
 def run_to_discrete(mesh, decomp, problem, config):
     """Run Schwarz; return its state, the per-sweep energy distances to the
     discrete solution, and that solution's own energy norm."""
-    K = assemble_stiffness(mesh, problem.A).matrix
+    K = assemble_stiffness(mesh, problem.A)
     F = assemble_load(mesh, problem.f)
     bdry = mesh.boundary_vertices
-    vh = solve_dirichlet(LinearSystem(K, F, mesh=mesh), bdry,
+    vh = solve_dirichlet(mesh, K, F, bdry,
                          problem.u_g(mesh.vertices[bdry])).values
     errors = []
 

@@ -624,8 +624,7 @@ def test_criterion_10_dense_oracle():
 
     oracle = _DenseOracle(mesh, decomp, coarse, space, problem, f_tri, f_sq)
 
-    system = assemble_stiffness(mesh, problem.A)
-    K_pkg = system.matrix.toarray()
+    K_pkg = assemble_stiffness(mesh, problem.A).toarray()
     K_orc = oracle.stiffness()
     d_stiff = float(np.abs(K_pkg - K_orc).max())
 
@@ -642,7 +641,8 @@ def test_criterion_10_dense_oracle():
     d_avg = float(np.abs(yt.p1_part - yt_orc).max())
 
     solver = CorrectorSolver(space, problem, constants)
-    q, _ = solver.solve(rhs_table(space, yt, state.v, problem, solver.f_tri))
+    q, _ = solver.solve(rhs_table(space, yt, state.v, problem, solver.f_tri),
+                        solver.alphas)
     x_orc = oracle.solve_corrector(v_orc, yt_orc)
     d_corr = float(np.abs(q - x_orc).max())
 

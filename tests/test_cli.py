@@ -175,6 +175,30 @@ def test_emit_fields_without_out_exits_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_out_naming_a_file_exits_config(tmp_path, monkeypatch, capsys):
+    import ddmcert.cli
+    import ddmcert.pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output directory was made")
+
+    # the directory is made before anything is computed
+    monkeypatch.setattr(ddmcert.pipeline, "build_preset", refuse)
+    for name in ("table1_rows", "table2_rows", "table34_result"):
+        monkeypatch.setattr(ddmcert.cli, name, refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for argv in (["run", "--h", "1/4", "--sweeps", "1"],
+                 ["table1", "--h", "1/4", "--sweeps", "1"],
+                 ["table2", "--h", "1/16", "--sweeps", "1"],
+                 ["table3", "--h", "1/8", "--sweeps", "2"]):
+        assert main(argv + ["--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: cannot make output directory" in err
+        assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_run_config_file_end_to_end(tmp_path):
     cfg = tmp_path / "case.cfg"
     out = tmp_path / "art"
@@ -247,6 +271,9 @@ def test_exit_config_on_bad_inputs(tmp_path, capsys):
         assert main(["run", "--h", size]) == 1
         assert main(["run", "--h", "1/4", "--H", size]) == 1
         assert capsys.readouterr().err.count("config error") == 2
+    bad.write_bytes(b"\xff\xfe")          # not UTF-8
+    assert main(["run", "--config", str(bad)]) == 1
+    assert "config error: cannot read config file" in capsys.readouterr().err
     for argv in (["frobnicate"], ["run", "--h", "1/0"],
                  ["table1", "--h", "1/0"]):
         with pytest.raises(SystemExit) as exc:

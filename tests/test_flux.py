@@ -189,7 +189,8 @@ def test_zero_residual_gives_zero_corrector():
     space = build_corrector_space(coarse, decomp)
     constants = MajorantConstants.default(decomp, affine)
     solver = CorrectorSolver(space, affine, constants)
-    q, lam = solver.solve(rhs_table(space, yt, v, affine, solver.f_tri))
+    q, lam = solver.solve(rhs_table(space, yt, v, affine, solver.f_tri),
+                          solver.alphas)
     assert np.abs(q).max() < 1e-12
     assert np.abs(lam).max() < 1e-12
 
@@ -214,7 +215,7 @@ def test_single_cell_divergence_balance():
                                   beta=np.zeros(0), E_max=2.0)
     solver = CorrectorSolver(space, unit_source, constants)
     q, _ = solver.solve(rhs_table(space, yt, zero_v, unit_source,
-                                  solver.f_tri))
+                                  solver.f_tri), solver.alphas)
     y = corrected_flux(yt, q, space)
     assert np.isclose(float((y.divergence() * mesh.areas).sum()), -1.0)
     res = constraint_residuals(y, solver.f_tri).means

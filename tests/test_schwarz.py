@@ -21,10 +21,10 @@ def test_single_subdomain_is_direct_solve(problem):
                                                     dirichlet_boundary=True)
     run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=2))
     state = run.state
-    system = assemble_stiffness(mesh, problem.A)
-    system.rhs[:] = assemble_load(mesh, problem.f)
+    K = assemble_stiffness(mesh, problem.A)
+    F = assemble_load(mesh, problem.f)
     bdry = mesh.boundary_vertices
-    vh = solve_dirichlet(system, bdry, problem.u_g(mesh.vertices[bdry]))
+    vh = solve_dirichlet(mesh, K, F, bdry, problem.u_g(mesh.vertices[bdry]))
     assert np.allclose(state.v.values, vh.values, atol=1e-9)
     # idempotent: the second sweep changed nothing
     assert run.errors[1] <= 1e-10
@@ -69,11 +69,11 @@ def test_sweep_is_one_subdomain_solve(problem):
     assert s1.history[0].solved == (0,)
     assert s2.history[1].solved == (1,)
 
-    system = assemble_stiffness(mesh, problem.A)
-    system.rhs[:] = assemble_load(mesh, problem.f)
+    K = assemble_stiffness(mesh, problem.A)
+    F = assemble_load(mesh, problem.f)
     inner = interior_nodes(mesh, decomp, 1)
     fixed = np.setdiff1d(np.arange(mesh.n_vertices), inner)
-    replay = solve_dirichlet(system, fixed, s1.v.values[fixed])
+    replay = solve_dirichlet(mesh, K, F, fixed, s1.v.values[fixed])
     assert np.allclose(replay.values, s2.v.values, atol=1e-9)
     # the interface trace was last written by the Omega_2 solve
     g23 = decomp.interfaces[1]
@@ -85,7 +85,7 @@ def test_fine_subdomain_block_solve_does_not_stall(problem):
     # h = 1/128 Omega_1 block with the load vector as right-hand side; a
     # Jacobi-PCG solve at relative tolerance 1e-12 stalls near 2e-6 here
     mesh, decomp = build_lshape_mesh(1 / 128)
-    K = assemble_stiffness(mesh, problem.A).matrix
+    K = assemble_stiffness(mesh, problem.A)
     idx = interior_nodes(mesh, decomp, 0)
     b = assemble_load(mesh, problem.f)[idx]
     block = K[idx][:, idx]
@@ -113,15 +113,35 @@ def test_additive_mode_runs_and_is_deterministic(problem):
 
 
 def test_run_does_not_solve_the_global_system(problem, monkeypatch):
+    import ddmcert.linalg
     import ddmcert.problem
 
     def refuse(*args, **kwargs):
         raise AssertionError("run_schwarz solved the global system")
 
     monkeypatch.setattr(ddmcert.problem, "solve_dirichlet", refuse)
+    # the sweeps share the Dirichlet correction with solve_dirichlet, so
+    # also check the nodes each correction is made on
+    corrected = []
+    correction = ddmcert.linalg.dirichlet_correction
+
+    def recording(block, K, F, x, free):
+        corrected.append(np.array(free))
+        return correction(block, K, F, x, free)
+
+    monkeypatch.setattr(ddmcert.linalg, "dirichlet_correction", recording)
     mesh, decomp = build_lshape_mesh(0.25)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=2))
-    assert state.sweep == 2 and len(state.history) == 2
+    n_interior = int((~mesh.boundary_vertex_mask).sum())
+    for mode in ("multiplicative", "additive"):
+        corrected.clear()
+        state = run_schwarz(mesh, decomp, problem,
+                            SchwarzConfig(mode=mode, sweeps=2))
+        assert state.sweep == 2 and len(state.history) == 2
+        swept = [j for record in state.history for j in record.solved]
+        assert len(corrected) == len(swept)
+        for j, free in zip(swept, corrected):
+            assert np.array_equal(free, interior_nodes(mesh, decomp, j))
+            assert len(free) < n_interior
 
 
 def test_config_validation():
