@@ -20,9 +20,9 @@ from pathlib import Path
 from .linalg import SolverError
 from .mesh import MeshError
 from .pipeline import (ConfigError, RunConfig, RunResult, SweepRow,
-                       TABLE1_H, TABLE2_COARSE, TABLE3_SWEEPS, TABLE4_SWEEPS,
-                       output_dir, run_case, run_checks, table1_rows,
-                       table2_rows, table34_result)
+                       TABLE3_SWEEPS, TABLE4_SWEEPS, output_dir, run_case,
+                       run_checks, table1_rows, table2_rows, table34_result,
+                       table_configs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -195,14 +195,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    finest = args.h if args.h is not None else TABLE1_H[-1]
-    if not any(abs(finest - h) <= 1e-12 for h in TABLE1_H):
-        raise ConfigError(f"h={finest} is not one of the table's mesh sizes "
-                          f"{', '.join(frac(h) for h in TABLE1_H)}")
-    hs = [h for h in TABLE1_H if h >= finest - 1e-12]
-    sweeps = args.sweeps if args.sweeps is not None else 16
+    configs = table_configs("table1", args.h, args.sweeps)
     output_dir(args.out)
-    rows = [(frac(h), row) for h, row, _ in table1_rows(hs=hs, sweeps=sweeps)]
+    rows = [(frac(h), row) for h, row, _ in table1_rows(
+        hs=[cfg.h for cfg in configs], sweeps=configs[0].sweeps)]
     headers = ["h", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[h] + _std_cells(row) for h, row in rows]
     return _write_artifacts(args.out, rows, "h", headers, body, any(
@@ -210,34 +206,28 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    h = args.h if args.h is not None else 1 / 64
-    coarse = [H for H in TABLE2_COARSE if H >= h - 1e-12]
-    if not coarse:
-        raise ConfigError(f"no coarse sizes >= h={h} available")
-    sweeps = args.sweeps if args.sweeps is not None else 16
+    configs = table_configs("table2", args.h, args.sweeps)
     output_dir(args.out)
-    rows = [(frac(H), row)
-            for H, row in table2_rows(h=h, coarse_sizes=coarse, sweeps=sweeps)]
+    rows = [(frac(H), row) for H, row in table2_rows(
+        h=configs[0].h, coarse_sizes=[cfg.H for cfg in configs],
+        sweeps=configs[0].sweeps)]
     headers = ["H", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[H] + _std_cells(row) for H, row in rows]
     return _write_artifacts(args.out, rows, "H", headers, body, any(
         row.violates_guarantee() for _, row in rows))
 
 
-def _table34_run(args, table_sweeps) -> tuple[RunResult, list]:
-    """The shared run and the rows of the table listing ``table_sweeps``."""
-    h = args.h if args.h is not None else 1 / 64
-    sweeps = args.sweeps if args.sweeps is not None else 8
-    if sweeps < table_sweeps[0]:
-        raise ConfigError(f"sweeps={sweeps} leaves the table empty: its "
-                          f"first row is sweep {table_sweeps[0]}")
+def _table34_run(args, name, table_sweeps) -> tuple[RunResult, list]:
+    """The shared run and the rows of table ``name``, which lists
+    ``table_sweeps``."""
+    (cfg,) = table_configs(name, args.h, args.sweeps)
     output_dir(args.out)
-    res = table34_result(h=h, sweeps=sweeps)
+    res = table34_result(h=cfg.h, sweeps=cfg.sweeps)
     return res, [r for r in res.rows if r.sweep in table_sweeps]
 
 
 def cmd_table3(args) -> int:
-    res, wanted = _table34_run(args, TABLE3_SWEEPS)
+    res, wanted = _table34_run(args, "table3", TABLE3_SWEEPS)
     headers = ["n", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[str(r.sweep)] + _std_cells(r) for r in wanted]
     return _write_artifacts(args.out, [(None, r) for r in wanted], None,
@@ -245,7 +235,7 @@ def cmd_table3(args) -> int:
 
 
 def cmd_table4(args) -> int:
-    res, wanted = _table34_run(args, TABLE4_SWEEPS)
+    res, wanted = _table34_run(args, "table4", TABLE4_SWEEPS)
     n_sub = len(res.decomp.basic)
     headers = (["n"] + [f"M1^2 w{k + 1}" for k in range(n_sub)]
                + [f"M2^2 w{k + 1}" for k in range(n_sub)])

@@ -37,10 +37,12 @@ corrector's right-hand side and the majorant read them from there.
 
 What depends on the iterate but not on the weights is formed once per
 iterate: ``rhs_table`` holds the weight-free terms of the corrector's
-right-hand side, and every eps round only weights them in
-``corrector_rhs``; ``CorrectorSolver.solve`` factorizes a round's weights
-for that solve only.  The P1 layer at the side midpoints is kept by the
-averaged flux and shared with every corrected flux built from it.
+right-hand side and the flux A grad v, and every eps round only weights
+them in ``corrector_rhs``.  ``CorrectorSolver.solve`` solves an eps round
+by projected CG from the round before, preconditioned by a factorization
+it keeps: the fixed-weight one or that of the last eps round it had to
+factorize.  The P1 layer at the side midpoints and its divergence are kept
+by the averaged flux and shared with every corrected flux built from it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class BrokenFluxField:
     coeffs: Optional[np.ndarray] = None
     _affine: tuple = field(default=None, repr=False)
     _p1_mid: np.ndarray = field(default=None, repr=False)
+    _p1_div: np.ndarray = field(default=None, repr=False)
 
     def p1_midpoint_values(self) -> np.ndarray:
         """The P1 layer at the side midpoints (T, 3, 2), read-only; filled
@@ -84,6 +87,15 @@ class BrokenFluxField:
             self._p1_mid = np.einsum("qi,tid->tqd", bary, self.p1_part)
             self._p1_mid.flags.writeable = False
         return self._p1_mid
+
+    def p1_divergence(self) -> np.ndarray:
+        """The P1 layer's per-triangle divergence (T,), read-only; filled
+        on first use and shared by ``corrected_flux``."""
+        if self._p1_div is None:
+            self._p1_div = np.einsum("tid,tid->t", self.p1_part,
+                                     self.mesh.p1_grads)
+            self._p1_div.flags.writeable = False
+        return self._p1_div
 
     def corrector_affine(self):
         """Per fine triangle, the corrector as value a_t + g_t * x.
@@ -123,9 +135,8 @@ class BrokenFluxField:
 
     def divergence(self) -> np.ndarray:
         """Per-triangle (constant) divergence."""
-        div = np.einsum("tid,tid->t", self.p1_part, self.mesh.p1_grads)
         _, g = self.corrector_affine()
-        return div + 2.0 * g
+        return self.p1_divergence() + 2.0 * g
 
     def jump_endpoint_values(self, m: int) -> np.ndarray:
         """(y_k - y_j) . n_kj at the endpoints of interface m's fine edges.
@@ -179,10 +190,11 @@ def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition,
 def corrected_flux(ytilde: BrokenFluxField, q: np.ndarray,
                    space: "CorrectorSpace") -> BrokenFluxField:
     """The admissible candidate y = ytilde + q; it shares ytilde's P1
-    layer and its midpoint values."""
+    layer, its midpoint values and its divergence."""
     return BrokenFluxField(ytilde.mesh, ytilde.decomp, ytilde.p1_part,
                            space, np.asarray(q, dtype=float),
-                           _p1_mid=ytilde.p1_midpoint_values())
+                           _p1_mid=ytilde.p1_midpoint_values(),
+                           _p1_div=ytilde.p1_divergence())
 
 
 @dataclass
@@ -388,13 +400,15 @@ class RhsTable:
     ``cross`` (T, 3) is, per fine triangle, the cross term of ytilde -
     A grad v against the three corrector basis fluxes of its
     cell-triangle; ``per_ct`` (CT,) the integral of div ytilde + f per
-    cell-triangle; ``residuals`` the residual integrals of ytilde.  All
-    arrays are read-only.
+    cell-triangle; ``residuals`` the residual integrals of ytilde;
+    ``a_grad_v`` (T, 2) the flux A grad v, which every eps round's
+    majorant reads too.  All arrays are read-only.
     """
 
     cross: np.ndarray
     per_ct: np.ndarray
     residuals: FluxResiduals
+    a_grad_v: np.ndarray
 
 
 def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
@@ -421,10 +435,10 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
     res = constraint_residuals(ytilde, f_tri)
     per_ct = np.zeros(len(space.ct_area))
     np.add.at(per_ct, ct, res.cell)
-    for a in (cross, per_ct, res.cell, res.means.subdomain,
+    for a in (cross, per_ct, gv, res.cell, res.means.subdomain,
               res.means.interface, *res.jumps, *res.edge_int):
         a.flags.writeable = False
-    return RhsTable(cross, per_ct, res)
+    return RhsTable(cross, per_ct, res, gv)
 
 
 def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
@@ -463,6 +477,29 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
     return -c, d
 
 
+# An eps round's weights alphas differ from a kept factorization's p only
+# in the positive factors of the same three pieces of G = a1 M_hat +
+# a2 D_hat + a3 sum beta^2 J_hat, so min(a/p) G_P <= G <= max(a/p) G_P,
+# and kappa = max(a/p) / min(a/p) bounds the condition number of G
+# preconditioned by G_P.  Within KAPPA_MAX, projected CG reduces the
+# G-norm error e_n at least as fast as 2 ((sqrt(4) - 1) / (sqrt(4) + 1))^n
+# = 2 / 3^n.  It stops at r'g <= PCG_RTOL r0'g0, 1e-10 in the energy norm
+# of the correction (1e-16 moved the certified values of pinned --eps opt
+# histories beyond 1e-12).  Since r'g <= kappa |e_n|^2 r0'g0 / |e_0|^2,
+# the bound gets there by n = 23; PCG_MAXITER leaves two steps of slack.
+KAPPA_MAX = 4.0
+PCG_RTOL = 1e-20
+PCG_MAXITER = 25
+
+
+def weight_ratio_bound(alphas, alphas_p) -> float:
+    """max(alphas / alphas_p) / min(alphas / alphas_p): the bound on the
+    condition number of the corrector matrix at ``alphas`` preconditioned
+    by the one at ``alphas_p``."""
+    ratios = [a / p for a, p in zip(alphas, alphas_p)]
+    return max(ratios) / min(ratios)
+
+
 class CorrectorSolver:
     """Corrector saddle system of a run, factorized for its fixed weights.
 
@@ -471,7 +508,11 @@ class CorrectorSolver:
     run's tables of the problem on the fine mesh: the cell integrals
     ``f_tri``/``f_sq`` of f and f^2 and ``exact_grad``, the exact gradient
     at the degree-5 points, filled on first use.  ``solve`` takes an
-    iterate's ``rhs_table`` and the weights of its round.
+    iterate's ``rhs_table``, the weights of its round and a start.
+
+    Besides the fixed-weight factor the solver keeps at most one other:
+    that of the last eps round it factorized, kept across iterates, since
+    the next iterates' eps rounds ask for nearby weights.
     """
 
     def __init__(self, space: CorrectorSpace, problem: EllipticProblem,
@@ -482,11 +523,12 @@ class CorrectorSolver:
         self.constants = constants
         self.f_tri, self.f_sq = f_cell_integrals(space.mesh, problem.f)
         self.alphas = tuple(alpha_weights((1.0, 1.0, 1.0), constants))
-        self.fact = self._factorize(self.alphas)
+        self.fact = linalg.SaddleFactorization(self._matrix(self.alphas),
+                                               space.C)
+        self._round = None        # (alphas, factorization) or None
 
-    def _factorize(self, alphas) -> linalg.SaddleFactorization:
-        G = corrector_matrix(self.space, alphas, self.constants.beta)
-        return linalg.SaddleFactorization(G, self.space.C)
+    def _matrix(self, alphas) -> sp.csc_matrix:
+        return corrector_matrix(self.space, alphas, self.constants.beta)
 
     @cached_property
     def exact_grad(self) -> np.ndarray | None:
@@ -498,11 +540,50 @@ class CorrectorSolver:
         out.flags.writeable = False
         return out
 
-    def solve(self, table: RhsTable, alphas):
+    def solve(self, table: RhsTable, alphas, start=None):
         """(q, lam) for the iterate whose weight-free terms are ``table``,
-        under ``alphas``; weights other than the solver's own are factorized
-        here and dropped on return, so no round's outlives its solve."""
+        under ``alphas``.
+
+        The fixed weights solve with the solver's own factor.  Other
+        weights run projected CG preconditioned by the kept factor of the
+        smallest ``weight_ratio_bound``, if that is at most ``KAPPA_MAX``.
+        CG starts from ``start``, a q of the same iterate (which meets the
+        same constraints), or else from the preconditioner's own solution.
+        Weights with no kept factor near enough, or whose CG does not
+        converge, are factorized; that factor replaces the kept one.
+        """
         alphas = tuple(alphas)
-        fact = self.fact if alphas == self.alphas else self._factorize(alphas)
+        if alphas == self.alphas:
+            fact = self.fact
+        else:
+            solved = self._iterate(table, alphas, start)
+            if solved is not None:
+                return solved
+            # released before the next factorization is made, so that no
+            # more than two corrector factorizations are ever alive at once
+            self._round = None
+            fact = linalg.SaddleFactorization(self._matrix(alphas),
+                                              self.space.C)
+            self._round = (alphas, fact)
         b, d = corrector_rhs(self.space, table, alphas, self.constants.beta)
         return fact.solve(b, d)
+
+    def _iterate(self, table, alphas, start):
+        """(q, lam) by projected CG, or None if no kept factor is near
+        enough or CG does not converge within ``PCG_MAXITER`` steps."""
+        kept = [(self.alphas, self.fact)]
+        if self._round is not None:
+            kept.append(self._round)
+        kappa, fact = min(((weight_ratio_bound(alphas, p), f)
+                           for p, f in kept), key=lambda kf: kf[0])
+        if kappa > KAPPA_MAX:
+            return None
+        b, d = corrector_rhs(self.space, table, alphas, self.constants.beta)
+        x0 = fact.solve(b, d)[0] if start is None else start
+        try:
+            q, lam, _ = linalg.projected_cg(self._matrix(alphas), b, x0, fact,
+                                            self.space.C, PCG_RTOL,
+                                            PCG_MAXITER)
+        except linalg.SolverError:
+            return None
+        return q, lam

@@ -25,8 +25,9 @@ the structural lower bound ``D11`` reported alongside every evaluation
 ``evaluate_majorant`` takes the cell integrals of f and f^2 from its
 caller (a run's ``CorrectorSolver`` keeps them) and reads the jump term
 and the admissibility means from one ``constraint_residuals`` evaluation
-of the flux.  The flux's P1 layer at the side midpoints is the one its
-averaged flux keeps, shared by every eps round of an iterate.
+of the flux.  The flux's P1 layer at the side midpoints and its divergence
+are the ones its averaged flux keeps, and A grad v the one the iterate's
+``RhsTable`` keeps, shared by every eps round of an iterate.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
                       constants: MajorantConstants,
                       f_tri: np.ndarray, f_sq_tri: np.ndarray,
                       eps=(1.0, 1.0, 1.0),
-                      energy_err: float | None = None) -> MajorantReport:
+                      energy_err: float | None = None,
+                      a_grad_v: np.ndarray | None = None) -> MajorantReport:
     """Evaluate the majorant of the energy error of v for flux candidate y.
 
     ``f_tri``/``f_sq_tri`` hold the cell integrals of f and f^2.  The first
@@ -184,7 +186,9 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
 
     With an exact solution the report carries the energy error of v: the
     ``energy_err`` a caller already computed for this v, or else one
-    evaluation of ``energy_error``.
+    evaluation of ``energy_error``.  ``a_grad_v`` is the flux A grad v per
+    triangle (T, 2) if the caller keeps it (an iterate's ``RhsTable``
+    does); otherwise it is formed here.
     """
     mesh = y.mesh
     decomp = y.decomp
@@ -193,7 +197,7 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     # S1: || y - A grad v ||^2 with weight A^{-1}, per subdomain
     _, w = quad_rule(2)
     yv = y.values()                                         # (T, 3, 2)
-    gv = v.gradient() @ problem.A.T
+    gv = v.gradient() @ problem.A.T if a_grad_v is None else a_grad_v
     r = yv - gv[:, None, :]
     ra = np.einsum("de,tqe->tqd", problem.A_inv, r)
     dens = np.einsum("tqd,tqd->tq", ra, r)

@@ -6,10 +6,13 @@ plus corrector) and evaluates the majorant.  The run's ``CorrectorSolver``,
 built from the majorant constants, factorizes the corrector saddle system
 once for the fixed weights.  ``certify_iterate`` runs one loop of rounds:
 the fixed-weight one and, under ``--eps opt``, ``OPT_ROUNDS`` more with the
-closed-form weights, which ``CorrectorSolver.solve`` factorizes for that
-solve only.  ``output_dir`` makes a run's artifact directory before anything
-is computed.  A run returns its geometry, its problem and one ``SweepRow``
-per certified sweep, which reads its error from its report.
+closed-form weights, each started from the round before; the solver solves
+them by projected CG preconditioned by a factorization it keeps, and
+factorizes only weights too far from both kept ones.  ``output_dir`` makes
+a run's artifact directory before anything is computed, and a table command
+checks every configuration of its runs (``table_configs``) before that.  A
+run returns its geometry, its problem and one ``SweepRow`` per certified
+sweep, which reads its error from its report.
 
 What does not change from sweep to sweep is computed once per run: the
 mesh keeps its P1 gradients, edge lengths and side midpoints, and the
@@ -17,7 +20,8 @@ run's ``CorrectorSolver`` keeps the cell integrals of f and f^2 and the
 exact gradient at the degree-5 points.  What depends on the iterate but
 not on the eps weights is computed once per iterate, however many eps
 rounds certify it: the energy error, and then the ``rhs_table`` of the
-corrector's right-hand side, which each round only weights.
+corrector's right-hand side, which each round only weights, and A grad v,
+which each round's majorant reads from that table.
 
 Every certified sweep is checked twice.  A flux that misses the
 admissibility constraints gives no guarantee, so ``certify_iterate`` raises
@@ -171,9 +175,10 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
 
     The first round uses the solver's fixed weights; with
     ``eps_policy='opt'`` ``OPT_ROUNDS`` more re-solve under the closed-form
-    optimal weights of the round before.  The report carries the eps its
-    weights used.  The constants and tables come from ``solver``; the energy
-    error of v and the weight-free ``rhs_table`` are formed once.
+    optimal weights of the round before, starting from its q.  The report
+    carries the eps its weights used.  The constants and tables come from
+    ``solver``; the energy error of v and the weight-free ``rhs_table`` are
+    formed once.
     Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
@@ -186,14 +191,15 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
         # the module, so that a probe wrapping it there sees it
         err = majorant.energy_error(v, problem, grad_u=solver.exact_grad)
     table = rhs_table(space, yt, v, problem, solver.f_tri)
-    eps, rep = (1.0, 1.0, 1.0), None
+    eps, rep, q = (1.0, 1.0, 1.0), None, None
     for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
         if rep is not None:
             eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
-        q, _ = solver.solve(table, alpha_weights(eps, constants))
+        q, _ = solver.solve(table, alpha_weights(eps, constants), start=q)
         y = corrected_flux(yt, q, space)
         rep = evaluate_majorant(y, v, problem, constants, solver.f_tri,
-                                solver.f_sq, eps, energy_err=err)
+                                solver.f_sq, eps, energy_err=err,
+                                a_grad_v=table.a_grad_v)
     if not rep.guaranteed:
         r = rep.residuals
         worst_s = np.abs(r.interface).max() if len(r.interface) else 0.0
@@ -254,6 +260,40 @@ TABLE1_H = (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64)
 TABLE2_COARSE = (1 / 4, 1 / 8, 1 / 16, 1 / 32)
 TABLE3_SWEEPS = (2, 4, 6, 8)
 TABLE4_SWEEPS = (2, 3, 4, 7, 8)
+# default (h, sweeps) per table; h is the finest mesh size for table1
+TABLE_DEFAULTS = {"table1": (TABLE1_H[-1], 16), "table2": (1 / 64, 16),
+                  "table3": (1 / 64, 8), "table4": (1 / 64, 8)}
+
+
+def table_configs(name: str, h: Optional[float] = None,
+                  sweeps: Optional[int] = None) -> list:
+    """The validated configurations of the runs behind table ``name``
+    (``table1`` .. ``table4``) at mesh size ``h`` and ``sweeps`` sweeps,
+    the table's defaults where None; ConfigError if any is invalid.  It
+    computes nothing, so a caller can check a table before making its
+    output directory."""
+    default_h, default_sweeps = TABLE_DEFAULTS[name]
+    h = default_h if h is None else h
+    sweeps = default_sweeps if sweeps is None else sweeps
+    if name == "table1":
+        if not any(abs(h - t) <= 1e-12 for t in TABLE1_H):
+            sizes = ", ".join(f"1/{round(1 / t)}" for t in TABLE1_H)
+            raise ConfigError(f"h={h} is not one of the table's mesh sizes "
+                              f"{sizes}")
+        configs = [RunConfig(h=t, H=t, sweeps=sweeps)
+                   for t in TABLE1_H if t >= h - 1e-12]
+    elif name == "table2":
+        configs = [RunConfig(h=h, H=H, sweeps=sweeps)
+                   for H in TABLE2_COARSE if H >= h - 1e-12]
+        if not configs:
+            raise ConfigError(f"no coarse sizes >= h={h} available")
+    else:
+        first = (TABLE3_SWEEPS if name == "table3" else TABLE4_SWEEPS)[0]
+        if sweeps < first:
+            raise ConfigError(f"sweeps={sweeps} leaves the table empty: its "
+                              f"first row is sweep {first}")
+        configs = [RunConfig(h=h, H=h, sweeps=sweeps)]
+    return [cfg.validated() for cfg in configs]
 
 
 def table1_rows(hs=TABLE1_H, sweeps: int = 16):

@@ -318,9 +318,12 @@ def test_table_commands_reject_flags_they_ignore(argv, capsys):
     ["table3", "--h", "1/4", "--sweeps", "1"],
     ["table4", "--h", "1/4", "--sweeps", "1"],
 ])
-def test_bad_table_inputs_exit_config(argv, capsys):
-    assert main(argv) == 1
+def test_bad_table_inputs_exit_config(argv, tmp_path, capsys):
+    # every configuration is checked before the output directory is made
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_coarse_size_not_a_multiple_of_h_exits_config(capsys):

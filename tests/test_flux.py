@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddmcert.flux import (BrokenFluxField, CorrectorSolver, average_gradient,
-                          build_corrector_space, constraint_residuals,
-                          corrected_flux, corrector_matrix, corrector_rhs,
-                          rhs_table)
-from ddmcert.majorant import MajorantConstants, alpha_weights
+from ddmcert import flux, linalg
+from ddmcert.flux import (KAPPA_MAX, BrokenFluxField, CorrectorSolver,
+                          average_gradient, build_corrector_space,
+                          constraint_residuals, corrected_flux,
+                          corrector_matrix, corrector_rhs, rhs_table,
+                          weight_ratio_bound)
+from ddmcert.majorant import (MajorantConstants, alpha_weights,
+                              evaluate_majorant)
 from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
 from ddmcert.pipeline import certify_iterate
@@ -275,13 +278,15 @@ def test_rhs_table_is_read_only_and_reweighting_is_exact(cert4):
     space, beta = cert4.space, cert4.constants.beta
     table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, cert4.f_tri)
     res = table.residuals
-    for a in (table.cross, table.per_ct, res.cell, res.means.subdomain,
-              res.means.interface, *res.jumps, *res.edge_int,
-              cert4.yt.p1_midpoint_values()):
+    for a in (table.cross, table.per_ct, table.a_grad_v, res.cell,
+              res.means.subdomain, res.means.interface, *res.jumps,
+              *res.edge_int, cert4.yt.p1_midpoint_values(),
+              cert4.yt.p1_divergence()):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     y = corrected_flux(cert4.yt, cert4.q, space)
     assert y.p1_midpoint_values() is cert4.yt.p1_midpoint_values()
+    assert y.p1_divergence() is cert4.yt.p1_divergence()
 
     alpha = alpha_weights((1.0, 1.0, 1.0), cert4.constants)
     other = alpha_weights((0.3, 2.0, 5.0), cert4.constants)
@@ -321,3 +326,70 @@ def test_kkt_local_optimality(cert4):
             x[i] += delta
             x -= C.T @ (CCt_inv @ (C @ x - d))
             assert objective(x) >= base - 1e-13 * abs(base)
+
+
+# ---------------------------------------------------------------------------
+# eps rounds: projected CG preconditioned by a kept factorization
+# ---------------------------------------------------------------------------
+
+# near the fixed weights of eps = (1, 1, 1): CG, not a factorization
+NEAR_EPS = (0.7, 1.3, 0.9)
+
+
+def eps_round(cert4):
+    """A solver, the iterate's table and the weights of a near eps round,
+    with that round's freshly factorized solution and matrix."""
+    space, constants = cert4.space, cert4.constants
+    solver = CorrectorSolver(space, cert4.problem, constants)
+    table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, solver.f_tri)
+    alphas = alpha_weights(NEAR_EPS, constants)
+    G = corrector_matrix(space, alphas, constants.beta)
+    q_ref, _ = linalg.SaddleFactorization(G, space.C).solve(
+        *corrector_rhs(space, table, alphas, constants.beta))
+    return solver, table, alphas, q_ref, G
+
+
+def g_norm(G, x):
+    return float(np.sqrt(x @ (G @ x)))
+
+
+def test_eps_round_by_projected_cg_matches_a_fresh_factorization(
+        cert4, monkeypatch):
+    solver, table, alphas, q_ref, G = eps_round(cert4)
+    assert weight_ratio_bound(alphas, solver.alphas) <= KAPPA_MAX
+    steps = []
+    pcg = linalg.projected_cg
+
+    def counted(*args):
+        out = pcg(*args)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(linalg, "projected_cg", counted)
+    q, _ = solver.solve(table, alphas, start=cert4.q)
+    assert len(steps) == 1 and steps[0] > 1
+    assert g_norm(G, q - q_ref) <= 1e-10 * g_norm(G, q_ref)
+    assert np.linalg.norm(cert4.space.C @ (q - q_ref)) <= 1e-12
+    m_sq = [evaluate_majorant(corrected_flux(cert4.yt, x, cert4.space),
+                              cert4.v, cert4.problem, cert4.constants,
+                              solver.f_tri, solver.f_sq, NEAR_EPS).total_sq
+            for x in (q, q_ref)]
+    assert abs(m_sq[0] - m_sq[1]) <= 1e-12 * m_sq[1]
+
+
+def test_eps_round_factorizes_when_cg_hits_its_cap(cert4, monkeypatch):
+    solver, table, alphas, q_ref, G = eps_round(cert4)
+    made = []
+    init = linalg.SaddleFactorization.__init__
+
+    def recording_init(self, G, C):
+        made.append(C.shape[0])
+        init(self, G, C)
+
+    monkeypatch.setattr(linalg.SaddleFactorization, "__init__",
+                        recording_init)
+    monkeypatch.setattr(flux, "PCG_MAXITER", 1)
+    q, _ = solver.solve(table, alphas, start=cert4.q)
+    # never the unconverged iterate: the round is factorized instead
+    assert made == [cert4.space.n_constraints]
+    assert g_norm(G, q - q_ref) <= 1e-12 * g_norm(G, q_ref)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddmcert.linalg import SaddleFactorization, SolverError
+from ddmcert.linalg import SaddleFactorization, SolverError, projected_cg
 
 
 def random_spd(n, seed, shift=None):
@@ -114,3 +114,54 @@ def test_non_finite_rhs_raises_solver_error():
     b[-1] = np.nan
     with pytest.raises(SolverError, match="residual"):
         fact.solve(b)
+
+
+# ---------------------------------------------------------------------------
+# projected_cg
+# ---------------------------------------------------------------------------
+
+
+def constrained_problem(n=40, m=5, seed=30):
+    """SPD G, independent constraint rows C, b, d, the dense KKT solution
+    and a feasible start."""
+    rng = np.random.default_rng(seed)
+    G = random_spd(n, seed=seed)
+    C = rng.standard_normal((m, n))
+    b = rng.standard_normal(n)
+    d = rng.standard_normal(m)
+    z = np.linalg.solve(np.block([[G, C.T], [C, np.zeros((m, m))]]),
+                        np.concatenate([b, d]))
+    x0 = np.linalg.lstsq(C, d, rcond=None)[0]
+    return sp.csr_matrix(G), sp.csr_matrix(C), b, d, z[:n], z[n:], x0
+
+
+def kkt_factor(G, C):
+    return SaddleFactorization(sp.csc_matrix(G), sp.csc_matrix(C))
+
+
+def test_projected_cg_matches_dense_kkt_and_keeps_constraints():
+    G, C, b, d, x_ref, lam_ref, x0 = constrained_problem()
+    # a preconditioner with a different leading block
+    G_P = G + sp.diags(np.linspace(1.0, 40.0, G.shape[0]))
+    x, lam, its = projected_cg(G, b, x0, kkt_factor(G_P, C), C,
+                               rtol=1e-24, maxiter=100)
+    assert 1 < its <= G.shape[0] - C.shape[0]
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(lam - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
+    assert np.linalg.norm(C @ x - d) <= 1e-12
+
+
+def test_projected_cg_with_the_exact_factor_takes_at_most_one_step():
+    G, C, b, d, x_ref, _, x0 = constrained_problem(seed=31)
+    fact = kkt_factor(G, C)
+    x, _, its = projected_cg(G, b, x0, fact, C, rtol=1e-20, maxiter=25)
+    assert its <= 1
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_projected_cg_raises_when_the_cap_is_hit():
+    G, C, b, d, _, _, x0 = constrained_problem(seed=32)
+    G_P = G + sp.diags(np.linspace(1.0, 40.0, G.shape[0]))
+    with pytest.raises(SolverError, match="did not converge"):
+        projected_cg(G, b, x0, kkt_factor(G_P, C), C, rtol=1e-20,
+                     maxiter=2)

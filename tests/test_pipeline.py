@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 from ddmcert import flux, linalg, majorant, pipeline, problem
-from ddmcert.flux import CorrectorSolver
-from ddmcert.pipeline import OPT_ROUNDS, RunConfig, certify_iterate, run_case
+from ddmcert.pipeline import OPT_ROUNDS, RunConfig, run_case
 
 
 @pytest.fixture
@@ -58,21 +57,32 @@ def test_sweep_invariants_computed_once_per_run(calls):
     assert per_run[2][1] == 1
 
 
-def test_eps_opt_rounds_keep_one_other_factorization(cert4, monkeypatch):
+def test_eps_opt_rounds_keep_one_other_factorization(monkeypatch):
     live = weakref.WeakSet()
-    others_alive = []
+    others_alive = []          # per corrector factorization
+    cg_rounds = Counter()
     init = linalg.SaddleFactorization.__init__
+    pcg = linalg.projected_cg
 
     def recording_init(self, G, C):
-        others_alive.append(len(live))
+        if C.shape[0]:
+            others_alive.append(len(live))
         init(self, G, C)
         live.add(self)
 
+    def counted_pcg(*args):
+        cg_rounds["runs"] += 1
+        return pcg(*args)
+
     monkeypatch.setattr(linalg.SaddleFactorization, "__init__",
                         recording_init)
-    solver = CorrectorSolver(cert4.space, cert4.problem, cert4.constants)
-    certify_iterate(cert4.v, solver, "opt")
-    # the fixed-weight factorization, then one per eps round
-    assert len(others_alive) == 1 + OPT_ROUNDS
-    # each round factorizes next to the fixed-weight factor only
+    monkeypatch.setattr(linalg, "projected_cg", counted_pcg)
+    sweeps = 6
+    res = run_case(RunConfig(h=1 / 8, sweeps=sweeps, eps_policy="opt"))
+    assert len(res.rows) == sweeps
+    # the fixed-weight factorization and the first sweep's two eps rounds;
+    # the kept round factor preconditions the other ten rounds
+    assert len(others_alive) == 3
+    assert cg_rounds["runs"] == sweeps * OPT_ROUNDS - 2
+    # each factorization is made next to at most one other factor
     assert max(others_alive) <= 1
