@@ -20,11 +20,7 @@ from .problem import (
     energy_error,
 )
 from .linalg import SolverError, SaddleFactorization
-from .schwarz import (
-    SchwarzConfig,
-    SchwarzState,
-    run_schwarz,
-)
+from .schwarz import run_schwarz
 from .flux import (
     BrokenFluxField,
     CorrectorSpace,

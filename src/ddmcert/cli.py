@@ -95,11 +95,8 @@ def build_config(args) -> RunConfig:
     for key, value in opts.items():
         value = _coerce(key, value)
         kwargs["eps_policy" if key == "eps" else key] = value
-    policy = kwargs.get("eps_policy")
-    if policy == "optimized":
+    if kwargs.get("eps_policy") == "optimized":
         kwargs["eps_policy"] = "opt"
-    elif policy not in (None, "fixed", "opt"):
-        raise ConfigError(f"unknown eps policy {policy!r}")
     return RunConfig(**kwargs).validated()
 
 
@@ -197,8 +194,7 @@ def cmd_run(args) -> int:
 def cmd_table1(args) -> int:
     configs = table_configs("table1", args.h, args.sweeps)
     output_dir(args.out)
-    rows = [(frac(h), row) for h, row, _ in table1_rows(
-        hs=[cfg.h for cfg in configs], sweeps=configs[0].sweeps)]
+    rows = [(frac(h), row) for h, row in table1_rows(configs)]
     headers = ["h", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[h] + _std_cells(row) for h, row in rows]
     return _write_artifacts(args.out, rows, "h", headers, body, any(
@@ -208,9 +204,7 @@ def cmd_table1(args) -> int:
 def cmd_table2(args) -> int:
     configs = table_configs("table2", args.h, args.sweeps)
     output_dir(args.out)
-    rows = [(frac(H), row) for H, row in table2_rows(
-        h=configs[0].h, coarse_sizes=[cfg.H for cfg in configs],
-        sweeps=configs[0].sweeps)]
+    rows = [(frac(H), row) for H, row in table2_rows(configs)]
     headers = ["H", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
     body = [[H] + _std_cells(row) for H, row in rows]
     return _write_artifacts(args.out, rows, "H", headers, body, any(
@@ -222,7 +216,7 @@ def _table34_run(args, name, table_sweeps) -> tuple[RunResult, list]:
     ``table_sweeps``."""
     (cfg,) = table_configs(name, args.h, args.sweeps)
     output_dir(args.out)
-    res = table34_result(h=cfg.h, sweeps=cfg.sweeps)
+    res = table34_result(cfg)
     return res, [r for r in res.rows if r.sweep in table_sweeps]
 
 

@@ -162,17 +162,17 @@ class BrokenFluxField:
 
 
 def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition,
-                     A=None) -> BrokenFluxField:
+                     A) -> BrokenFluxField:
     """Subdomain-wise averaged numerical flux G_k(A grad v).
 
     Within each basic subdomain the nodal value is the area-weighted average
-    of A grad v over the subdomain's triangles meeting that vertex; vertices
-    on an interface receive distinct values from either side.  The result is
-    piecewise linear on each omega_k (zero corrector).
+    of A grad v, A the problem's coefficient, over the subdomain's triangles
+    meeting that vertex; vertices on an interface receive distinct values
+    from either side.  The result is piecewise linear on each omega_k (zero
+    corrector).
     """
     mesh = v.mesh
-    A = np.eye(2) if A is None else np.asarray(A, dtype=float)
-    flux = v.gradient() @ A.T                            # (T, 2)
+    flux = v.gradient() @ np.asarray(A, dtype=float).T     # (T, 2)
     p1_part = np.empty((mesh.n_triangles, 3, 2))
     for sub in decomp.basic:
         tris = sub.tris
@@ -253,7 +253,9 @@ class CorrectorSpace:
     subdomain side (-1 off interfaces) and, for a quad diagonal, its cell
     (-1 otherwise); ``edge_dof`` is the first dof of every coarse edge (-1
     on inactive edges).  ``iface_edges[m]`` lists the coarse edges of
-    interface m in the traversal order of its fine edges.
+    interface m in the traversal order of its fine edges, and
+    ``iface_signs[m]`` their orientation: +1 where the coarse edge normal
+    points along the interface normal n_kj, -1 otherwise.
 
     ``Q`` maps the coefficient vector to the three local outward fluxes of
     every cell-triangle; ``C`` holds the admissibility constraint rows (one
@@ -273,22 +275,20 @@ class CorrectorSpace:
     dof_cell: np.ndarray
     edge_dof: np.ndarray
     iface_edges: list
+    iface_signs: list
     C: sp.csr_matrix              # constraints
     M_hat: sp.csr_matrix
     D_hat: sp.csr_matrix
     J_hats: list                  # per interface
 
-    @property
-    def n_constraints(self) -> int:
-        return self.C.shape[0]
-
 
 def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
-                          A=None) -> CorrectorSpace:
+                          A) -> CorrectorSpace:
     """Enumerate corrector degrees of freedom and assemble all static parts.
 
     One coefficient per coarse edge interior to a basic subdomain or on the
-    Dirichlet boundary; two per interface edge (one per side).  Raises
+    Dirichlet boundary; two per interface edge (one per side).  ``A`` is
+    the problem's coefficient, whose inverse weights the flux term.  Raises
     MeshError when the coarse mesh fails the solvability count.
     """
     ok, slack = compatibility_check(coarse)
@@ -296,8 +296,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
         raise MeshError(
             f"coarse mesh cannot carry the constraints (slack {slack})")
     mesh = decomp.mesh
-    A = np.eye(2) if A is None else np.asarray(A, dtype=float)
-    A_inv = np.linalg.inv(A)
+    A_inv = np.linalg.inv(np.asarray(A, dtype=float))
 
     # --- degrees of freedom ------------------------------------------------
     kind = coarse.edge_kind
@@ -355,7 +354,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
         shape=(n_basic, 3 * n_ct)).tocsr()
     areas_k = np.array([sub.area for sub in decomp.basic])
     C_rows = [sp.diags(1.0 / areas_k) @ (r1 @ Q)]
-    J_hats, iface_edges = [], []
+    J_hats, iface_edges, iface_signs = [], [], []
     for m, g in enumerate(decomp.interfaces):
         ce = np.flatnonzero(coarse.edge_iface == m)
         ce = ce[np.lexsort((coarse.edge_mid[ce, 1], coarse.edge_mid[ce, 0]))]
@@ -369,6 +368,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
               np.concatenate([dk, dj, dk, dj]))),
             shape=(n_dofs, n_dofs)).tocsr())
         sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
+        iface_signs.append(sign)
         C_rows.append(sp.coo_matrix(
             (np.concatenate([sign / g.length, -sign / g.length]),
              (np.zeros(2 * len(ce), dtype=np.int64), np.concatenate([dk, dj]))),
@@ -376,8 +376,8 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     C = sp.vstack(C_rows).tocsr()
 
     return CorrectorSpace(mesh, decomp, coarse, ct_area, Q, n_dofs, dof_edge,
-                          dof_side, dof_cell, edge_dof, iface_edges, C, M_hat,
-                          D_hat, J_hats)
+                          dof_side, dof_cell, edge_dof, iface_edges,
+                          iface_signs, C, M_hat, D_hat, J_hats)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +464,9 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
 
     res = table.residuals
     c = space.Q.T @ slot_c
-    for m, g in enumerate(space.decomp.interfaces):
+    for m, (ce, sign) in enumerate(zip(space.iface_edges, space.iface_signs)):
         # every coarse edge covers an equal run of consecutive fine edges
-        ce = space.iface_edges[m]
         ie = res.edge_int[m].reshape(len(ce), -1).sum(axis=1)
-        sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
         w = a3 * betas[m] ** 2 * sign * ie / coarse.edge_length[ce]
         dk = space.edge_dof[ce]
         c[dk] += w

@@ -17,6 +17,10 @@ import scipy.sparse.linalg as spla
 
 RANK_TOL = 1e-12     # relative pivot size below which constraint rows fold
 RESID_TOL = 1e-10    # residual bound of a solve, relative to 1 + ||rhs||
+# A start x0 whose r0'g0 is at most PCG_FLOOR x0'G x0 already solves the
+# system to about 13 digits in the G-norm; CG then takes no step, since
+# r'g <= rtol r0'g0 is below what roundoff in r lets it reach.
+PCG_FLOOR = 1e-26
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -112,15 +116,19 @@ def projected_cg(G, b, x0, fact: SaddleFactorization, C, rtol: float,
     part C'w that the solve's multiplier w attributes to the constraints;
     without this residual update the steps drift off the null space at tight
     tolerances.  Stops once r'g <= rtol r0'g0, g the preconditioned
-    residual; SolverError if that takes more than ``maxiter`` steps, so an
-    unconverged x is never returned.
+    residual, or at once if r0'g0 <= ``PCG_FLOOR`` x0'G x0; SolverError if
+    that takes more than ``maxiter`` steps, so an unconverged x is never
+    returned.
     """
     x = np.array(x0, dtype=float)
     r = G @ x - b
+    start_sq = _dot(x, r) + _dot(x, b)      # x0'G x0
     g, w = fact.solve(r, np.zeros(fact.m))
     r -= C.T @ w
     lam = -w
     rg = rg0 = _dot(r, g)
+    if rg0 <= PCG_FLOOR * start_sq:
+        return x, lam, 0
     p = -g
     it = 0
     while rg > rtol * rg0:

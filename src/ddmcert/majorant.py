@@ -76,16 +76,16 @@ class MajorantConstants:
 
     @classmethod
     def default(cls, decomp: DomainDecomposition,
-                problem: Optional[EllipticProblem] = None) -> "MajorantConstants":
-        """Constants from the decomposition geometry.
+                problem: EllipticProblem) -> "MajorantConstants":
+        """Constants from the decomposition geometry and the problem.
 
-        Subdomain Poincare constants use diam/pi (the convex-domain value);
-        interface constants average the squared edge-Poincare constants of
-        the two neighbours, each measured by its extent perpendicular to the
+        C_min is the problem's smallest diffusion eigenvalue.  Subdomain
+        Poincare constants use diam/pi (the convex-domain value); interface
+        constants average the squared edge-Poincare constants of the two
+        neighbours, each measured by its extent perpendicular to the
         interface.  E_max counts the largest number of interfaces meeting a
         single basic subdomain.
         """
-        C_min = problem.C_min if problem is not None else 1.0
         C_P = np.array([sub.diameter / math.pi for sub in decomp.basic])
         beta = np.empty(len(decomp.interfaces))
         for m, g in enumerate(decomp.interfaces):
@@ -100,7 +100,7 @@ class MajorantConstants:
             counts[g.k] += 1
             counts[g.j] += 1
         E_max = float(counts.max()) if decomp.interfaces else 1.0
-        return cls(C_min=C_min, C_P=C_P, beta=beta, E_max=E_max)
+        return cls(C_min=problem.C_min, C_P=C_P, beta=beta, E_max=E_max)
 
 
 def alpha_weights(eps, constants: MajorantConstants) -> tuple[float, float, float]:

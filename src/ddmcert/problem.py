@@ -88,18 +88,11 @@ class ScalarFieldP1:
         if self.values.shape != (self.mesh.n_vertices,):
             raise ValueError("nodal value count does not match vertex count")
 
-    @classmethod
-    def interpolate(cls, mesh: TriMesh, fn) -> "ScalarFieldP1":
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
-
     def gradient(self) -> np.ndarray:
         """Piecewise-constant gradient, one row per triangle."""
         g = self.mesh.p1_grads
         vals = self.values[self.mesh.triangles]        # (T, 3)
         return np.einsum("ti,tid->td", vals, g)
-
-    def copy(self) -> "ScalarFieldP1":
-        return ScalarFieldP1(self.mesh, self.values.copy())
 
 
 @dataclass

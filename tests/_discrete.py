@@ -15,9 +15,10 @@ from ddmcert.problem import assemble_load, assemble_stiffness, solve_dirichlet
 from ddmcert.schwarz import run_schwarz
 
 
-def run_to_discrete(mesh, decomp, problem, config):
-    """Run Schwarz; return its state, the per-sweep energy distances to the
-    discrete solution, and that solution's own energy norm."""
+def run_to_discrete(mesh, decomp, problem, sweeps, mode="multiplicative"):
+    """Run Schwarz; return its final iterate, the per-sweep energy
+    distances to the discrete solution, and that solution's own energy
+    norm."""
     K = assemble_stiffness(mesh, problem.A)
     F = assemble_load(mesh, problem.f)
     bdry = mesh.boundary_vertices
@@ -25,13 +26,13 @@ def run_to_discrete(mesh, decomp, problem, config):
                          problem.u_g(mesh.vertices[bdry])).values
     errors = []
 
-    def on_sweep(state, record):
-        e = vh - state.v.values
+    def on_sweep(n, v):
+        e = vh - v.values
         errors.append(float(np.sqrt(max(e @ (K @ e), 0.0))))
 
-    state = run_schwarz(mesh, decomp, problem, config, on_sweep=on_sweep)
+    v = run_schwarz(mesh, decomp, problem, mode, sweeps, on_sweep=on_sweep)
     scale = float(np.sqrt(max(vh @ (K @ vh), 0.0)))
-    return SimpleNamespace(state=state, errors=errors, scale=scale)
+    return SimpleNamespace(v=v, errors=errors, scale=scale)
 
 
 def contraction(run) -> "ContractionEstimate":

@@ -10,7 +10,7 @@ from ddmcert.majorant import MajorantConstants
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import manufactured_lshape_problem
-from ddmcert.schwarz import SchwarzConfig, run_schwarz
+from ddmcert.schwarz import run_schwarz
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +28,14 @@ def lshape4():
 def cert4(lshape4, problem):
     """h=H=1/4 pipeline state after 16 sweeps, certified once."""
     mesh, decomp = lshape4
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16))
+    v = run_schwarz(mesh, decomp, problem, "multiplicative", 16)
     constants = MajorantConstants.default(decomp, problem)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp, problem.A)
     solver = CorrectorSolver(space, problem, constants)
-    y, report = certify_iterate(state.v, solver, "fixed")
+    y, report = certify_iterate(v, solver, "fixed")
     yt = BrokenFluxField(mesh, decomp, y.p1_part)
     return SimpleNamespace(mesh=mesh, decomp=decomp, problem=problem,
-                           constants=constants, space=space, v=state.v,
+                           constants=constants, space=space, v=v,
                            yt=yt, q=y.coeffs, y=y, report=report,
                            f_tri=solver.f_tri, f_sq=solver.f_sq)

@@ -19,11 +19,11 @@ from ddmcert.majorant import (MajorantConstants, evaluate_majorant,
 from ddmcert.mesh import (CoarseMesh, build_coarse_mesh, build_lshape_mesh,
                           build_rect_grid_decomposition, compatibility_check)
 from ddmcert.pipeline import (RunConfig, run_case, table1_rows, table2_rows,
-                              table34_result)
+                              table_configs)
 from ddmcert.problem import (assemble_load, assemble_stiffness,
                              energy_error, f_cell_integrals,
                              manufactured_lshape_problem)
-from ddmcert.schwarz import SchwarzConfig, run_schwarz
+from ddmcert.schwarz import run_schwarz
 
 from _discrete import contraction, run_to_discrete
 
@@ -59,7 +59,7 @@ def matrix_runs():
 @pytest.fixture(scope="module")
 def table1_data():
     t0 = time.perf_counter()
-    rows = table1_rows(hs=(1 / 4, 1 / 8, 1 / 16, 1 / 32), sweeps=16)
+    rows = table1_rows(table_configs("table1", 1 / 32, 16))
     return SimpleNamespace(rows=rows, elapsed=time.perf_counter() - t0)
 
 
@@ -67,9 +67,8 @@ def table1_data():
 def table2_data():
     """Table 2 at h = 1/64, plus the H = h row the coarse rows compare to."""
     t0 = time.perf_counter()
-    rows = table2_rows(h=1 / 64,
-                       coarse_sizes=(1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64),
-                       sweeps=16)
+    configs = table_configs("table2", 1 / 64, 16)
+    rows = table2_rows(configs + [RunConfig(h=1 / 64, sweeps=16).validated()])
     return SimpleNamespace(rows=rows, elapsed=time.perf_counter() - t0)
 
 
@@ -77,13 +76,14 @@ def table2_data():
 def table2_half_data():
     """Table 2 on the h = 1/32 iterate, for the coarse sizes shared with
     h = 1/64 (H = 1/32 would be H = h there)."""
-    return table2_rows(h=1 / 32, coarse_sizes=(1 / 4, 1 / 8, 1 / 16),
-                       sweeps=16)
+    return table2_rows([RunConfig(h=1 / 32, H=H, sweeps=16).validated()
+                        for H in (1 / 4, 1 / 8, 1 / 16)])
 
 
 @pytest.fixture(scope="module")
 def table34_data():
-    return table34_result(h=1 / 64, sweeps=8, record=(2, 3, 4, 5, 6, 7, 8))
+    (cfg,) = table_configs("table3", 1 / 64, 8)
+    return run_case(cfg, majorant_sweeps=(2, 3, 4, 5, 6, 7, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +113,8 @@ def test_criterion_01_guarantee_property(matrix_runs):
 
 
 def test_criterion_02_table1_bands(table1_data):
-    effs = [row.report.efficiency for _, row, _ in table1_data.rows]
-    totals = [row.report.total_sq for _, row, _ in table1_data.rows]
+    effs = [row.report.efficiency for _, row in table1_data.rows]
+    totals = [row.report.total_sq for _, row in table1_data.rows]
     factors = [a / b for a, b in zip(totals, totals[1:])]
     ok = (all(2.0 <= e <= 4.5 for e in effs)
           and all(3.2 <= f <= 4.8 for f in factors)
@@ -142,8 +142,8 @@ def _boundary_strip(h: float):
     """
     problem = manufactured_lshape_problem()
     mesh, decomp = build_lshape_mesh(h)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=16))
-    c = average_gradient(state.v, decomp, problem.A).divergence()
+    v = run_schwarz(mesh, decomp, problem, "multiplicative", 16)
+    c = average_gradient(v, decomp, problem.A).divergence()
     f_tri, f_sq = f_cell_integrals(mesh, problem.f)
     resid = c * c * mesh.areas + 2.0 * c * f_tri + f_sq
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
@@ -154,7 +154,7 @@ def _boundary_strip(h: float):
     return SimpleNamespace(
         share=float(resid[strip].sum() / resid.sum()),
         area=float(mesh.areas[strip].sum() / mesh.areas.sum()),
-        error=energy_error(state.v, problem))
+        error=energy_error(v, problem))
 
 
 def test_criterion_03_table2_coarse_corrector(table2_data, table2_half_data):
@@ -335,7 +335,7 @@ def test_criterion_09_schwarz_convergence():
     monotone = True
     for h in (1 / 8, 1 / 16):
         mesh, decomp = build_lshape_mesh(h)
-        run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=16))
+        run = run_to_discrete(mesh, decomp, problem, 16)
         dists = run.errors
         monotone = monotone and all(
             b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
@@ -632,22 +632,22 @@ def test_criterion_10_dense_oracle():
     F_orc = oracle.load()
     d_load = float(np.abs(F_pkg - F_orc).max())
 
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=3))
+    v = run_schwarz(mesh, decomp, problem, "multiplicative", 3)
     v_orc = oracle.schwarz(K_orc, F_orc, sweeps=3)
-    d_sweep = float(np.abs(state.v.values - v_orc).max())
+    d_sweep = float(np.abs(v.values - v_orc).max())
 
-    yt = average_gradient(state.v, decomp, problem.A)
+    yt = average_gradient(v, decomp, problem.A)
     yt_orc = oracle.averaged_flux(v_orc)
     d_avg = float(np.abs(yt.p1_part - yt_orc).max())
 
     solver = CorrectorSolver(space, problem, constants)
-    q, _ = solver.solve(rhs_table(space, yt, state.v, problem, solver.f_tri),
+    q, _ = solver.solve(rhs_table(space, yt, v, problem, solver.f_tri),
                         solver.alphas)
     x_orc = oracle.solve_corrector(v_orc, yt_orc)
     d_corr = float(np.abs(q - x_orc).max())
 
     y = corrected_flux(yt, q, space)
-    rep = evaluate_majorant(y, state.v, problem, constants,
+    rep = evaluate_majorant(y, v, problem, constants,
                             f_tri=f_tri, f_sq_tri=f_sq)
     S1, S2, S3 = oracle.majorant_parts(
         v_orc, yt_orc + oracle.corrector_field(x_orc))

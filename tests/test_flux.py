@@ -14,7 +14,7 @@ from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
 from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
-from ddmcert.schwarz import SchwarzConfig, run_schwarz
+from ddmcert.schwarz import run_schwarz
 
 BARY = np.array([[2 / 3, 1 / 6, 1 / 6],
                  [1 / 6, 2 / 3, 1 / 6],
@@ -34,8 +34,9 @@ def l2_sq(mesh, y, target):
 
 def test_averaging_preserves_affine_fields():
     mesh, decomp = build_lshape_mesh(0.25)
-    v = ScalarFieldP1.interpolate(mesh, lambda p: 3 * p[..., 0] - p[..., 1])
-    yt = average_gradient(v, decomp)
+    p = mesh.vertices
+    v = ScalarFieldP1(mesh, 3 * p[:, 0] - p[:, 1])
+    yt = average_gradient(v, decomp, np.eye(2))
     grad = np.broadcast_to(np.array([3.0, -1.0]), (mesh.n_triangles, 2))
     assert l2_sq(mesh, yt, np.array(grad)) < 1e-26
     assert np.allclose(yt.divergence(), 0.0, atol=1e-12)
@@ -51,9 +52,8 @@ def test_averaging_is_arithmetic_mean_on_equal_areas():
     # unit square split by the ll-ur diagonal; v = max(x, y) has
     # grad (1,0) on the lower triangle and (0,1) on the upper one
     mesh, decomp, _ = build_rect_grid_decomposition(1, 1, 1.0)
-    v = ScalarFieldP1.interpolate(mesh, lambda p: np.maximum(p[..., 0],
-                                                             p[..., 1]))
-    yt = average_gradient(v, decomp)
+    v = ScalarFieldP1(mesh, mesh.vertices.max(axis=1))
+    yt = average_gradient(v, decomp, np.eye(2))
     coords = mesh.vertices[mesh.triangles]          # (T, 3, 2)
     nodal = yt.p1_part
     for t in range(2):
@@ -77,8 +77,8 @@ def test_averaging_regression_value(cert4):
 def test_interface_values_are_one_sided():
     mesh, decomp = build_lshape_mesh(0.5)
     # quadratic field: gradients differ between subdomains at the interface
-    v = ScalarFieldP1.interpolate(mesh, lambda p: p[..., 0] * p[..., 1])
-    yt = average_gradient(v, decomp)
+    v = ScalarFieldP1(mesh, mesh.vertices.prod(axis=1))
+    yt = average_gradient(v, decomp, np.eye(2))
     jumps = yt.jump_endpoint_values(0)
     assert np.abs(jumps).max() > 1e-3
 
@@ -91,12 +91,12 @@ def test_interface_values_are_one_sided():
 def test_space_counts_lshape_H1():
     mesh, decomp = build_lshape_mesh(1.0)
     coarse = build_coarse_mesh(mesh, decomp, 1.0, cells="quad")
-    space = build_corrector_space(coarse, decomp)
+    space = build_corrector_space(coarse, decomp, np.eye(2))
     # 8 Dirichlet edges + 2 interface edges x 2 sides, plus one diagonal
     # DOF per square cell
     assert np.count_nonzero(space.dof_cell < 0) == 12
     assert space.n_dofs == 15
-    assert space.n_constraints == 5        # 3 subdomains + 2 interfaces
+    assert space.C.shape[0] == 5        # 3 subdomains + 2 interfaces
     assert coarse.dim_per_cell == 12       # 3 cells x 4 edges
 
 
@@ -104,7 +104,7 @@ def test_space_fine_mesh_every_edge_is_a_dof():
     mesh, decomp, _ = build_rect_grid_decomposition(2, 2, 0.5,
                                                     dirichlet_boundary=True)
     coarse = build_coarse_mesh(mesh, decomp, 0.5)
-    space = build_corrector_space(coarse, decomp)
+    space = build_corrector_space(coarse, decomp, np.eye(2))
     # no interfaces: one DOF per fine edge, no duplication
     assert space.n_dofs == mesh.n_edges
     assert coarse.ell == 3 and coarse.N_cells == mesh.n_triangles
@@ -114,7 +114,7 @@ def test_space_fine_mesh_every_edge_is_a_dof():
 def test_single_cell_represents_constants():
     mesh, decomp, coarse = build_rect_grid_decomposition(
         1, 1, 1.0, cell_type="quad", dirichlet_boundary=True)
-    space = build_corrector_space(coarse, decomp)
+    space = build_corrector_space(coarse, decomp, np.eye(2))
     target = np.array([1.0, 0.0])
     # each dof is the total flux across its edge along the edge normal;
     # the diagonal from (0,0) to (1,1) has length sqrt2, normal (-1,1)/sqrt2
@@ -136,14 +136,14 @@ def test_tri_and_quad_cells_agree_at_H_equal_h(h, eps_policy, problem):
     # at H = h a quad cell is one fine square split by the fine diagonal,
     # so both cell kinds span the same RT0 space on the fine triangulation
     mesh, decomp = build_lshape_mesh(h)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=4))
+    v = run_schwarz(mesh, decomp, problem, "multiplicative", 4)
     constants = MajorantConstants.default(decomp, problem)
     reports, n_dofs = [], []
     for cells in ("tri", "quad"):
         coarse = build_coarse_mesh(mesh, decomp, h, cells=cells)
         space = build_corrector_space(coarse, decomp, problem.A)
         solver = CorrectorSolver(space, problem, constants)
-        reports.append(certify_iterate(state.v, solver, eps_policy)[1])
+        reports.append(certify_iterate(v, solver, eps_policy)[1])
         n_dofs.append(space.n_dofs)
     assert n_dofs[0] == n_dofs[1]
     tri, quad = reports
@@ -156,7 +156,7 @@ def test_incompatible_coarse_mesh_rejected():
     mesh, decomp, coarse = build_rect_grid_decomposition(
         1, 1, 1.0, dirichlet_boundary=False)
     with pytest.raises(MeshError, match="slack"):
-        build_corrector_space(coarse, decomp)
+        build_corrector_space(coarse, decomp, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,10 @@ def test_zero_residual_gives_zero_corrector():
     affine = EllipticProblem(
         A=np.eye(2), f=lambda p: np.zeros(p.shape[:-1]),
         u_g=lambda p: p[..., 0] + 2 * p[..., 1])
-    v = ScalarFieldP1.interpolate(mesh, lambda p: p[..., 0] + 2 * p[..., 1])
-    yt = average_gradient(v, decomp)
+    v = ScalarFieldP1(mesh, affine.u_g(mesh.vertices))
+    yt = average_gradient(v, decomp, affine.A)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
-    space = build_corrector_space(coarse, decomp)
+    space = build_corrector_space(coarse, decomp, affine.A)
     constants = MajorantConstants.default(decomp, affine)
     solver = CorrectorSolver(space, affine, constants)
     q, lam = solver.solve(rhs_table(space, yt, v, affine, solver.f_tri),
@@ -206,8 +206,8 @@ def test_single_cell_divergence_balance():
     dirichlet = np.flatnonzero(coarse.edge_kind == DIRICHLET)
     coarse.edge_kind[dirichlet[1:]] = INACTIVE
     coarse.N_fD = 1
-    space = build_corrector_space(coarse, decomp)
-    assert space.n_dofs == 2 and space.n_constraints == 1
+    space = build_corrector_space(coarse, decomp, np.eye(2))
+    assert space.n_dofs == 2 and space.C.shape[0] == 1
 
     unit_source = EllipticProblem(A=np.eye(2),
                                   f=lambda p: np.ones(p.shape[:-1]),
@@ -270,7 +270,7 @@ def test_saddle_block_structure(cert4):
     assert (G.diagonal() > 0).all()
     # constraint rows: one per subdomain, one per interface, all nonzero
     C = space.C.tocsr()
-    assert C.shape[0] == space.n_constraints
+    assert C.shape[0] == space.C.shape[0]
     assert all(C[i].nnz > 0 for i in range(C.shape[0]))
 
 
@@ -391,5 +391,5 @@ def test_eps_round_factorizes_when_cg_hits_its_cap(cert4, monkeypatch):
     monkeypatch.setattr(flux, "PCG_MAXITER", 1)
     q, _ = solver.solve(table, alphas, start=cert4.q)
     # never the unconverged iterate: the round is factorized instead
-    assert made == [cert4.space.n_constraints]
+    assert made == [cert4.space.C.shape[0]]
     assert g_norm(G, q - q_ref) <= 1e-12 * g_norm(G, q_ref)

@@ -15,7 +15,7 @@ from ddmcert.majorant import MajorantConstants
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import GUARANTEE_RTOL, certify_iterate
 from ddmcert.problem import EllipticProblem
-from ddmcert.schwarz import SchwarzConfig, run_schwarz
+from ddmcert.schwarz import run_schwarz
 
 H_FINE = 1 / 8
 # monomials x^a y^b of degree at most 3
@@ -70,8 +70,7 @@ def test_guarantee_for_any_spd_coefficient_and_iterate(theta, lam, coeffs,
                                                        seed):
     problem = cubic_problem(theta, lam, coeffs)
     mesh, decomp = build_lshape_mesh(H_FINE)
-    v = run_schwarz(mesh, decomp, problem,
-                    SchwarzConfig(mode=mode, sweeps=sweeps)).v
+    v = run_schwarz(mesh, decomp, problem, mode, sweeps)
     interior = ~mesh.boundary_vertex_mask
     rng = np.random.default_rng(seed)
     v.values[interior] += scale * rng.standard_normal(int(interior.sum()))

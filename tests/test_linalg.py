@@ -159,6 +159,19 @@ def test_projected_cg_with_the_exact_factor_takes_at_most_one_step():
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
+def test_projected_cg_restart_from_its_own_output_takes_at_most_one_step():
+    # at a converged x, r'g is roundoff, which r'g <= rtol r0'g0 cannot
+    # reduce: without the floor this restart runs 17 steps
+    G, C, b, d, x_ref, _, x0 = constrained_problem(seed=31)
+    for G_P in (G, 2.0 * G):
+        fact = kkt_factor(G_P, C)
+        x, _, _ = projected_cg(G, b, x0, fact, C, rtol=1e-20, maxiter=25)
+        x2, _, its = projected_cg(G, b, x, fact, C, rtol=1e-20, maxiter=25)
+        assert its <= 1
+        assert np.linalg.norm(x2 - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(C @ x2 - d) <= 1e-12
+
+
 def test_projected_cg_raises_when_the_cap_is_hit():
     G, C, b, d, _, _, x0 = constrained_problem(seed=32)
     G_P = G + sp.diags(np.linspace(1.0, 40.0, G.shape[0]))

@@ -74,7 +74,7 @@ def test_exact_flux_gives_zero_majorant():
         exact_u=lambda p: p[..., 0],
         exact_grad=lambda p: np.broadcast_to(np.array([1.0, 0.0]),
                                              p.shape[:-1] + (2,)))
-    v = ScalarFieldP1.interpolate(mesh, affine.exact_u)
+    v = ScalarFieldP1(mesh, affine.exact_u(mesh.vertices))
     y = average_gradient(v, decomp, affine.A)
     c = MajorantConstants.default(decomp, affine)
     rep = evaluate_majorant(y, v, affine, c,

@@ -6,7 +6,7 @@ from ddmcert.linalg import SaddleFactorization
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
 from ddmcert.problem import (assemble_load, assemble_stiffness, energy_error,
                              manufactured_lshape_problem, solve_dirichlet)
-from ddmcert.schwarz import SchwarzConfig, interior_nodes, run_schwarz
+from ddmcert.schwarz import interior_nodes, run_schwarz
 
 from _discrete import contraction, contraction_estimate, run_to_discrete
 
@@ -19,21 +19,19 @@ def problem():
 def test_single_subdomain_is_direct_solve(problem):
     mesh, decomp, _ = build_rect_grid_decomposition(4, 4, 0.25,
                                                     dirichlet_boundary=True)
-    run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=2))
-    state = run.state
+    run = run_to_discrete(mesh, decomp, problem, 2)
     K = assemble_stiffness(mesh, problem.A)
     F = assemble_load(mesh, problem.f)
     bdry = mesh.boundary_vertices
     vh = solve_dirichlet(mesh, K, F, bdry, problem.u_g(mesh.vertices[bdry]))
-    assert np.allclose(state.v.values, vh.values, atol=1e-9)
+    assert np.allclose(run.v.values, vh.values, atol=1e-9)
     # idempotent: the second sweep changed nothing
     assert run.errors[1] <= 1e-10
 
 
 def test_multiplicative_monotone_distance(problem):
     mesh, decomp = build_lshape_mesh(0.25)
-    dists = run_to_discrete(mesh, decomp, problem,
-                            SchwarzConfig(sweeps=16)).errors
+    dists = run_to_discrete(mesh, decomp, problem, 16).errors
     assert len(dists) == 16
     for a, b in zip(dists, dists[1:]):
         assert b <= a * (1 + 1e-12)
@@ -45,40 +43,64 @@ def test_energy_error_decreases_along_iteration(problem):
     mesh, decomp = build_lshape_mesh(0.25)
     errs = {}
 
-    def cb(state, record):
-        if record.sweep in (2, 4, 6, 8):
-            errs[record.sweep] = energy_error(state.v, problem)
+    def cb(n, v):
+        if n in (2, 4, 6, 8):
+            errs[n] = energy_error(v, problem)
 
-    run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=8), on_sweep=cb)
+    run_schwarz(mesh, decomp, problem, "multiplicative", 8, on_sweep=cb)
     seq = [errs[n] for n in (2, 4, 6, 8)]
     assert all(b <= a for a, b in zip(seq, seq[1:]))
 
 
 def test_conformity_and_boundary_data(problem):
     mesh, decomp = build_lshape_mesh(1 / 8)
-    state = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=3))
+    v = run_schwarz(mesh, decomp, problem, "multiplicative", 3)
     bdry = mesh.boundary_vertices
-    assert np.allclose(state.v.values[bdry], problem.u_g(mesh.vertices[bdry]))
+    assert np.allclose(v.values[bdry], problem.u_g(mesh.vertices[bdry]))
 
 
-def test_sweep_is_one_subdomain_solve(problem):
+def recording_corrections(monkeypatch):
+    """The index sets of every Dirichlet correction made from now on."""
+    import ddmcert.linalg
+
+    corrected = []
+    correction = ddmcert.linalg.dirichlet_correction
+
+    def recording(block, K, F, x, free):
+        corrected.append(np.array(free))
+        return correction(block, K, F, x, free)
+
+    monkeypatch.setattr(ddmcert.linalg, "dirichlet_correction", recording)
+    return corrected
+
+
+def test_sweep_is_one_subdomain_solve(problem, monkeypatch):
     # replay sweep 2 by hand: solve on Omega_2 with trace data from sweep 1
     mesh, decomp = build_lshape_mesh(0.25)
-    s1 = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=1))
-    s2 = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=2))
-    assert s1.history[0].solved == (0,)
-    assert s2.history[1].solved == (1,)
+    corrected = recording_corrections(monkeypatch)
+    iterates = {}
+
+    def keep(n, v):
+        iterates[n] = v.values.copy()
+
+    v2 = run_schwarz(mesh, decomp, problem, "multiplicative", 2,
+                     on_sweep=keep)
+    assert sorted(iterates) == [1, 2]
+    assert np.array_equal(iterates[2], v2.values)
+    assert len(corrected) == 2
+    assert np.array_equal(corrected[0], interior_nodes(mesh, decomp, 0))
+    assert np.array_equal(corrected[1], interior_nodes(mesh, decomp, 1))
 
     K = assemble_stiffness(mesh, problem.A)
     F = assemble_load(mesh, problem.f)
     inner = interior_nodes(mesh, decomp, 1)
     fixed = np.setdiff1d(np.arange(mesh.n_vertices), inner)
-    replay = solve_dirichlet(mesh, K, F, fixed, s1.v.values[fixed])
-    assert np.allclose(replay.values, s2.v.values, atol=1e-9)
+    replay = solve_dirichlet(mesh, K, F, fixed, iterates[1][fixed])
+    assert np.allclose(replay.values, v2.values, atol=1e-9)
     # the interface trace was last written by the Omega_2 solve
     g23 = decomp.interfaces[1]
     verts = np.unique(mesh.edges[g23.edges])
-    assert np.allclose(s2.v.values[verts], replay.values[verts], atol=1e-9)
+    assert np.allclose(v2.values[verts], replay.values[verts], atol=1e-9)
 
 
 def test_fine_subdomain_block_solve_does_not_stall(problem):
@@ -93,27 +115,16 @@ def test_fine_subdomain_block_solve_does_not_stall(problem):
     assert np.linalg.norm(block @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_subdomain_order_is_respected(problem):
-    mesh, decomp = build_lshape_mesh(0.25)
-    fwd = run_schwarz(mesh, decomp, problem, SchwarzConfig(sweeps=1))
-    rev = run_schwarz(mesh, decomp, problem,
-                      SchwarzConfig(sweeps=1, order=(1, 0)))
-    assert rev.history[0].solved == (1,)
-    assert not np.allclose(fwd.v.values, rev.v.values)
-
-
 def test_additive_mode_runs_and_is_deterministic(problem):
     mesh, decomp = build_lshape_mesh(0.25)
-    cfg = SchwarzConfig(mode="additive", sweeps=6)
-    a = run_to_discrete(mesh, decomp, problem, cfg)
-    b = run_schwarz(mesh, decomp, problem, cfg)
-    assert np.array_equal(a.state.v.values, b.v.values)
+    a = run_to_discrete(mesh, decomp, problem, 6, mode="additive")
+    b = run_schwarz(mesh, decomp, problem, "additive", 6)
+    assert np.array_equal(a.v.values, b.values)
     dists = a.errors
     assert dists[-1] < 1e-3 * dists[0]
 
 
 def test_run_does_not_solve_the_global_system(problem, monkeypatch):
-    import ddmcert.linalg
     import ddmcert.problem
 
     def refuse(*args, **kwargs):
@@ -122,35 +133,31 @@ def test_run_does_not_solve_the_global_system(problem, monkeypatch):
     monkeypatch.setattr(ddmcert.problem, "solve_dirichlet", refuse)
     # the sweeps share the Dirichlet correction with solve_dirichlet, so
     # also check the nodes each correction is made on
-    corrected = []
-    correction = ddmcert.linalg.dirichlet_correction
-
-    def recording(block, K, F, x, free):
-        corrected.append(np.array(free))
-        return correction(block, K, F, x, free)
-
-    monkeypatch.setattr(ddmcert.linalg, "dirichlet_correction", recording)
+    corrected = recording_corrections(monkeypatch)
     mesh, decomp = build_lshape_mesh(0.25)
     n_interior = int((~mesh.boundary_vertex_mask).sum())
-    for mode in ("multiplicative", "additive"):
+    sweeps = 4
+    # sweep n corrects Omega_j, j = (n - 1) mod 2, or both in index order
+    expected = {"multiplicative": [(n - 1) % 2 for n in range(1, sweeps + 1)],
+                "additive": [0, 1] * sweeps}
+    for mode, swept in expected.items():
         corrected.clear()
-        state = run_schwarz(mesh, decomp, problem,
-                            SchwarzConfig(mode=mode, sweeps=2))
-        assert state.sweep == 2 and len(state.history) == 2
-        swept = [j for record in state.history for j in record.solved]
+        seen = []
+        run_schwarz(mesh, decomp, problem, mode, sweeps,
+                    on_sweep=lambda n, v: seen.append(n))
+        assert seen == list(range(1, sweeps + 1))
         assert len(corrected) == len(swept)
         for j, free in zip(swept, corrected):
             assert np.array_equal(free, interior_nodes(mesh, decomp, j))
             assert len(free) < n_interior
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SchwarzConfig(mode="bogus").validated(2)
-    with pytest.raises(ValueError):
-        SchwarzConfig(sweeps=0).validated(2)
-    with pytest.raises(ValueError):
-        SchwarzConfig(order=(0, 0)).validated(2)
+def test_config_validation(problem):
+    mesh, decomp = build_lshape_mesh(0.25)
+    with pytest.raises(ValueError, match="mode"):
+        run_schwarz(mesh, decomp, problem, "bogus", 2)
+    with pytest.raises(ValueError, match="sweeps"):
+        run_schwarz(mesh, decomp, problem, "multiplicative", 0)
 
 
 def test_contraction_exact_sequence():
@@ -171,7 +178,7 @@ def test_contraction_floor_flag():
                                      (1 / 16, 0.25, 0.30)])
 def test_contraction_regression(problem, h, lo, hi):
     mesh, decomp = build_lshape_mesh(h)
-    run = run_to_discrete(mesh, decomp, problem, SchwarzConfig(sweeps=10))
+    run = run_to_discrete(mesh, decomp, problem, 10)
     est = contraction(run)
     assert est.rho_hat < 1.0
     assert lo < est.rho_hat < hi
