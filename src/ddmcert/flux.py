@@ -43,6 +43,9 @@ by projected CG from the round before, preconditioned by a factorization
 it keeps: the fixed-weight one or that of the last eps round it had to
 factorize.  The P1 layer at the side midpoints and its divergence are kept
 by the averaged flux and shared with every corrected flux built from it.
+The kernels are plain array arithmetic: 2x2 products written out, sums
+over triangles by ``np.bincount`` over a key, the interface endpoint
+corners (``Interface.corners``) found once per run.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from . import linalg
 from .mesh import (CoarseMesh, DomainDecomposition, MeshError, TriMesh,
                    INACTIVE, INTERFACE, compatibility_check)
 from .problem import (EllipticProblem, ScalarFieldP1, exact_grad_table,
-                      f_cell_integrals, quad_rule)
+                      f_cell_integrals, mat_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +86,12 @@ class BrokenFluxField:
         """The P1 layer at the side midpoints (T, 3, 2), read-only; filled
         on first use and shared by ``corrected_flux``."""
         if self._p1_mid is None:
-            bary, _ = quad_rule(2)
-            self._p1_mid = np.einsum("qi,tid->tqd", bary, self.p1_part)
-            self._p1_mid.flags.writeable = False
+            p = self.p1_part
+            self._p1_mid = mid = np.empty_like(p)
+            for m, d in np.ndindex(3, 2):       # 1-D views: faster than einsum
+                np.add(p[:, m - 2, d], p[:, m - 1, d], out=mid[:, m, d])
+            mid *= 0.5
+            mid.flags.writeable = False
         return self._p1_mid
 
     def p1_divergence(self) -> np.ndarray:
@@ -110,12 +116,13 @@ class BrokenFluxField:
                 self._affine = (np.zeros((T, 2)), np.zeros(T))
             else:
                 s = self.space
-                fluxes = (s.Q @ self.coeffs).reshape(-1, 3)      # (CT, 3)
-                sigma = fluxes.sum(axis=1)
-                moment = np.einsum("ci,cid->cd", fluxes, s.coarse.ct_verts)
+                f = (s.Q @ self.coeffs).reshape(-1, 3)           # (CT, 3)
+                v = s.coarse.ct_verts
                 scale = 1.0 / (2.0 * s.ct_area)
-                a_ct = -moment * scale[:, None]
-                g_ct = sigma * scale
+                a_ct = np.stack([-(f[:, 0] * v[:, 0, d] + f[:, 1] * v[:, 1, d]
+                                   + f[:, 2] * v[:, 2, d]) * scale
+                                 for d in range(2)], axis=1)
+                g_ct = (f[:, 0] + f[:, 1] + f[:, 2]) * scale
                 ct = s.coarse.fine_tri_ct
                 self._affine = (a_ct[ct], g_ct[ct])
         return self._affine
@@ -127,11 +134,13 @@ class BrokenFluxField:
             p1 = self.p1_midpoint_values()
             pts = self.mesh.side_midpoints
         else:
-            p1 = np.einsum("qi,tid->tqd", bary, self.p1_part)
-            corners = self.mesh.vertices[self.mesh.triangles]
-            pts = np.einsum("qi,tid->tqd", bary, corners)
+            p1 = bary @ self.p1_part
+            pts = bary @ self.mesh.vertices[self.mesh.triangles]
         a, g = self.corrector_affine()
-        return p1 + (a[:, None, :] + g[:, None, None] * pts)
+        out = g[:, None, None] * pts
+        out += np.repeat(a, pts.shape[1], axis=0).reshape(out.shape)
+        out += p1
+        return out
 
     def divergence(self) -> np.ndarray:
         """Per-triangle (constant) divergence."""
@@ -145,45 +154,40 @@ class BrokenFluxField:
         endpoint order following the interface traversal.
         """
         g = self.decomp.interfaces[m]
-        n = g.normal
+        n0, n1 = g.normal
         a, slope = self.corrector_affine()
-        out = np.zeros((len(g.edges), 2))
-        for side, sgn in ((0, 1.0), (1, -1.0)):
-            tris = g.side_tris[:, side]
-            tv = self.mesh.triangles[tris]                    # (n_e, 3)
-            for pos in range(2):
-                vid = g.endpoints[:, pos]
-                loc = np.argmax(tv == vid[:, None], axis=1)
-                vals = self.p1_part[tris, loc]                # (n_e, 2)
-                coords = self.mesh.vertices[vid]
-                corr = a[tris] @ n + slope[tris] * (coords @ n)
-                out[:, pos] += sgn * (vals @ n + corr)
-        return out
+        vals = self.p1_part.reshape(-1, 2)[g.corners]        # (n_e, side, pos, 2)
+        coords = self.mesh.vertices[g.endpoints]             # (n_e, pos, 2)
+        a_n = a[g.side_tris] @ g.normal                      # (n_e, side)
+        x_n = coords[..., 0] * n0 + coords[..., 1] * n1
+        y_n = (vals[..., 0] * n0 + vals[..., 1] * n1
+               + (a_n[:, :, None] + slope[g.side_tris][:, :, None]
+                  * x_n[:, None, :]))
+        return y_n[:, 0] - y_n[:, 1]
 
 
-def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition,
-                     A) -> BrokenFluxField:
+def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition, A, *,
+                     grad_v: Optional[np.ndarray] = None) -> BrokenFluxField:
     """Subdomain-wise averaged numerical flux G_k(A grad v).
 
     Within each basic subdomain the nodal value is the area-weighted average
     of A grad v, A the problem's coefficient, over the subdomain's triangles
     meeting that vertex; vertices on an interface receive distinct values
     from either side.  The result is piecewise linear on each omega_k (zero
-    corrector).
+    corrector).  ``grad_v`` is ``v.gradient()`` if the caller keeps it.
+    The sums run over one key per (subdomain, vertex) pair.
     """
     mesh = v.mesh
-    flux = v.gradient() @ np.asarray(A, dtype=float).T     # (T, 2)
+    g = v.gradient() if grad_v is None else grad_v
+    A = np.asarray(A, dtype=float)
+    w = mesh.areas
+    key = (decomp.tri_subdomain * mesh.n_vertices)[:, None] + mesh.triangles
+    n = decomp.n_basic * mesh.n_vertices
+    den = np.bincount(key.ravel(), np.repeat(w, 3), n)[key]
     p1_part = np.empty((mesh.n_triangles, 3, 2))
-    for sub in decomp.basic:
-        tris = sub.tris
-        num = np.zeros((mesh.n_vertices, 2))
-        den = np.zeros(mesh.n_vertices)
-        w = mesh.areas[tris]
-        verts = mesh.triangles[tris]
-        np.add.at(num, verts.ravel(),
-                  np.repeat(w[:, None] * flux[tris], 3, axis=0).reshape(-1, 2))
-        np.add.at(den, verts.ravel(), np.repeat(w, 3))
-        p1_part[tris] = (num / np.where(den > 0, den, 1.0)[:, None])[verts]
+    for d, flux in enumerate(mat_vec(A, g[:, 0], g[:, 1])):
+        num = np.bincount(key.ravel(), np.repeat(w * flux, 3), n)
+        p1_part[:, :, d] = num[key] / den
     return BrokenFluxField(mesh, decomp, p1_part)
 
 
@@ -221,8 +225,7 @@ def constraint_residuals(y: BrokenFluxField, f_tri: np.ndarray) -> FluxResiduals
     mesh = y.mesh
     decomp = y.decomp
     cell = y.divergence() * mesh.areas + f_tri
-    r = np.zeros(decomp.n_basic)
-    np.add.at(r, decomp.tri_subdomain, cell)
+    r = np.bincount(decomp.tri_subdomain, cell, decomp.n_basic)
     r /= np.array([sub.area for sub in decomp.basic])
 
     jumps, edge_int = [], []
@@ -413,28 +416,38 @@ class RhsTable:
 
 def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
               v: ScalarFieldP1, problem: EllipticProblem,
-              f_tri: np.ndarray) -> RhsTable:
+              f_tri: np.ndarray, *,
+              grad_v: Optional[np.ndarray] = None) -> RhsTable:
     """The weight-free terms of the corrector right-hand side for the
-    averaged flux ``ytilde`` of v; ``f_tri`` holds the cell integrals of f.
+    averaged flux ``ytilde`` of v; ``f_tri`` holds the cell integrals of f,
+    and ``grad_v`` is ``v.gradient()`` if the caller keeps it.
+
+    The cross term of basis function i is sum_m ra_m . p_m - (sum_m ra_m)
+    . V_i, ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m and V_i
+    the cell-triangle's vertices.
     """
     mesh = space.mesh
     coarse = space.coarse
 
-    pts = mesh.side_midpoints                                    # (T, 3, 2)
-    gv = v.gradient() @ problem.A.T
-    r = ytilde.p1_midpoint_values() - gv[:, None, :]
-    ra = np.einsum("de,tqe->tqd", problem.A_inv, r)
+    g = v.gradient() if grad_v is None else grad_v
+    gv = np.stack(mat_vec(problem.A, g[:, 0], g[:, 1]), axis=1)
+    mid = ytilde.p1_midpoint_values()
+    pts = mesh.side_midpoints
+    ra = [mat_vec(problem.A_inv, mid[:, m, 0] - gv[:, 0],
+                  mid[:, m, 1] - gv[:, 1]) for m in range(3)]
+    ra_p = sum(r0 * pts[:, m, 0] + r1 * pts[:, m, 1]
+               for m, (r0, r1) in enumerate(ra))
+    ra_sum = [ra[0][d] + ra[1][d] + ra[2][d] for d in range(2)]
 
     ct = coarse.fine_tri_ct
-    verts_ct = coarse.ct_verts[ct]                               # (T, 3, 2)
-    s_ct = space.ct_area[ct]
-    diff = pts[:, :, None, :] - verts_ct[:, None, :, :]          # (T, m, i, 2)
-    cross = np.einsum("tmd,tmid->ti", ra, diff)
-    cross *= (mesh.areas / (6.0 * s_ct))[:, None]                # w/(2 S_ct)
+    scale = mesh.areas / (6.0 * space.ct_area[ct])               # w/(2 S_ct)
+    cross = np.empty((len(ct), 3))
+    for i in range(3):
+        cross[:, i] = (ra_p - ra_sum[0] * coarse.ct_verts[ct, i, 0]
+                       - ra_sum[1] * coarse.ct_verts[ct, i, 1]) * scale
 
     res = constraint_residuals(ytilde, f_tri)
-    per_ct = np.zeros(len(space.ct_area))
-    np.add.at(per_ct, ct, res.cell)
+    per_ct = np.bincount(ct, res.cell, len(space.ct_area))
     for a in (cross, per_ct, gv, res.cell, res.means.subdomain,
               res.means.interface, *res.jumps, *res.edge_int):
         a.flags.writeable = False
@@ -455,11 +468,12 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
     a1, a2, a3 = alphas
 
     ct = coarse.fine_tri_ct
-    slot_c = np.zeros(3 * len(space.ct_area))
-    slot_ids = (3 * ct)[:, None] + np.arange(3)[None, :]
+    n_ct = len(space.ct_area)
+    slot_c = np.empty(3 * n_ct)
     # weighted before the slot sums, which keeps the certified values'
     # rounding; summing once per iterate and scaling by a1 would change it
-    np.add.at(slot_c, slot_ids.ravel(), (a1 * table.cross).ravel())
+    for i in range(3):
+        slot_c[i::3] = np.bincount(ct, a1 * table.cross[:, i], n_ct)
     slot_c += np.repeat(a2 * table.per_ct / space.ct_area, 3)
 
     res = table.residuals

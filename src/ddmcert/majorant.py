@@ -27,7 +27,8 @@ caller (a run's ``CorrectorSolver`` keeps them) and reads the jump term
 and the admissibility means from one ``constraint_residuals`` evaluation
 of the flux.  The flux's P1 layer at the side midpoints and its divergence
 are the ones its averaged flux keeps, and A grad v the one the iterate's
-``RhsTable`` keeps, shared by every eps round of an iterate.
+``RhsTable`` keeps, shared by every eps round of an iterate.  S1 writes
+out its 2x2 products; S1 and S2 sum per subdomain by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 
 from .flux import BrokenFluxField, ConstraintResiduals, constraint_residuals
 from .mesh import DomainDecomposition
-from .problem import EllipticProblem, ScalarFieldP1, energy_error, quad_rule
+from .problem import (EllipticProblem, ScalarFieldP1, energy_error, mat_vec,
+                      quad_rule)
 
 EPS_MIN = 1e-8
 EPS_MAX = 1e8
@@ -196,20 +198,17 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
 
     # S1: || y - A grad v ||^2 with weight A^{-1}, per subdomain
     _, w = quad_rule(2)
-    yv = y.values()                                         # (T, 3, 2)
     gv = v.gradient() @ problem.A.T if a_grad_v is None else a_grad_v
-    r = yv - gv[:, None, :]
-    ra = np.einsum("de,tqe->tqd", problem.A_inv, r)
-    dens = np.einsum("tqd,tqd->tq", ra, r)
-    per_tri_1 = mesh.areas * (dens @ w)
-    S1 = np.zeros(decomp.n_basic)
-    np.add.at(S1, decomp.tri_subdomain, per_tri_1)
+    r = y.values()                                          # (T, 3, 2)
+    r -= np.repeat(gv, 3, axis=0).reshape(r.shape)
+    ra0, ra1 = mat_vec(problem.A_inv, r[..., 0], r[..., 1])
+    per_tri_1 = mesh.areas * ((ra0 * r[..., 0] + ra1 * r[..., 1]) @ w)
+    S1 = np.bincount(decomp.tri_subdomain, per_tri_1, decomp.n_basic)
 
     # S2: || div y + f ||^2 = c^2 |t| + 2 c int f + int f^2 per triangle
     c = y.divergence()
     per_tri_2 = c ** 2 * mesh.areas + 2.0 * c * f_tri + f_sq_tri
-    S2 = np.zeros(decomp.n_basic)
-    np.add.at(S2, decomp.tri_subdomain, per_tri_2)
+    S2 = np.bincount(decomp.tri_subdomain, per_tri_2, decomp.n_basic)
 
     # S3: squared jump norms per interface; affine jumps integrate exactly
     res = constraint_residuals(y, f_tri)

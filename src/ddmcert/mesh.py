@@ -229,7 +229,8 @@ class Interface:
     fine edges along the segment in traversal order; ``side_tris[:, 0]`` is
     the adjacent triangle on the omega_k side, ``side_tris[:, 1]`` on the
     omega_j side.  ``endpoints`` stores each edge's two vertices ordered
-    along the traversal direction.
+    along the traversal direction; ``corners[e, side, pos]`` is the corner
+    3 t + i of ``endpoints[e, pos]`` in triangle t = ``side_tris[e, side]``.
     """
 
     k: int
@@ -239,6 +240,7 @@ class Interface:
     length: float
     side_tris: np.ndarray
     endpoints: np.ndarray
+    corners: np.ndarray
 
 
 @dataclass
@@ -366,10 +368,13 @@ def _build_interfaces(mesh: TriMesh, tri_subdomain: np.ndarray) -> list[Interfac
         forward = (mesh.vertices[vb] - mesh.vertices[va]) @ tangent >= 0
         endpoints = np.stack([np.where(forward, va, vb),
                               np.where(forward, vb, va)], axis=1)
+        tv = mesh.triangles[side_tris][:, :, None, :]            # (n_e, 2, 1, 3)
+        loc = np.argmax(tv == endpoints[:, None, :, None], axis=3)
+        corners = 3 * side_tris[:, :, None] + loc
 
         interfaces.append(Interface(int(k), int(j), edge_ids, normal,
                                     float(lengths[edge_ids].sum()), side_tris,
-                                    endpoints))
+                                    endpoints, corners))
     return interfaces
 
 

@@ -185,13 +185,15 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     space = solver.space
     problem = solver.problem
     constants = solver.constants
-    yt = average_gradient(v, space.decomp, problem.A)
+    grad_v = v.gradient()
+    yt = average_gradient(v, space.decomp, problem.A, grad_v=grad_v)
     err = None
     if problem.exact_grad is not None:
         # before the table, which keeps h = 1/128's peak RSS lower; through
         # the module, so that a probe wrapping it there sees it
-        err = majorant.energy_error(v, problem, grad_u=solver.exact_grad)
-    table = rhs_table(space, yt, v, problem, solver.f_tri)
+        err = majorant.energy_error(v, problem, grad_u=solver.exact_grad,
+                                    grad_v=grad_v)
+    table = rhs_table(space, yt, v, problem, solver.f_tri, grad_v=grad_v)
     eps, rep, q = (1.0, 1.0, 1.0), None, None
     for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
         if rep is not None:

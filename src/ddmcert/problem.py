@@ -5,14 +5,16 @@ boundary, with a constant symmetric positive-definite coefficient A.  Scalar
 callables (f, u_g, exact solution) receive point arrays of shape (..., 2) and
 return values of shape (...); gradient callables return shape (..., 2).
 
-The functions here compute; they keep nothing.  ``solve_dirichlet`` makes
-on the whole mesh the ``linalg.dirichlet_correction`` that every Schwarz
-subdomain solve makes.  Tables that stay the same for a whole run are kept
-by their owners: the P1 gradients of ``p1_gradients`` on the ``TriMesh``
-(``mesh.p1_grads``), and the cell integrals of f and f^2 and the exact
-gradient at the degree-5 points (``exact_grad_table``) on the
-``flux.CorrectorSolver`` of a run.
-``energy_error`` takes that exact-gradient table when the caller has it.
+The functions here compute; they keep nothing.  2x2 coefficient products
+are written out (``mat_vec``): ``einsum`` over a length-2 axis costs more
+than its arithmetic.  ``solve_dirichlet`` makes on the whole mesh the
+``linalg.dirichlet_correction`` that every Schwarz subdomain solve makes.
+Tables that stay the same for a whole run are kept by their owners: the P1
+gradients of ``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and
+the cell integrals of f and f^2 and the exact gradient at the degree-5
+points (``exact_grad_table``) on the ``flux.CorrectorSolver`` of a run.
+``energy_error`` takes that exact-gradient table, and the iterate's
+gradient, when the caller has them.
 """
 
 from __future__ import annotations
@@ -56,11 +58,15 @@ def quad_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _D5_BARY, _D5_W
 
 
+def mat_vec(M, x0, x1):
+    """M x by components, for a 2x2 M and x given as arrays x0, x1."""
+    return M[0, 0] * x0 + M[0, 1] * x1, M[1, 0] * x0 + M[1, 1] * x1
+
+
 def tri_quad_points(mesh: TriMesh, degree: int = 2):
     """Physical quadrature points (T, Q, 2) and weights (T, Q) per triangle."""
     bary, w = quad_rule(degree)
-    corners = mesh.vertices[mesh.triangles]            # (T, 3, 2)
-    pts = np.einsum("qi,tid->tqd", bary, corners)
+    pts = bary @ mesh.vertices[mesh.triangles]        # (T, Q, 2)
     weights = mesh.areas[:, None] * w[None, :]
     return pts, weights
 
@@ -97,7 +103,8 @@ class ScalarFieldP1:
 
 @dataclass
 class EllipticProblem:
-    """Coefficient matrix, source, boundary datum, optional exact solution."""
+    """Coefficient matrix A (its inverse ``A_inv`` formed once, read-only),
+    source, boundary datum, optional exact solution."""
 
     A: np.ndarray
     f: Callable
@@ -105,6 +112,7 @@ class EllipticProblem:
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
     C_min: float = field(default=None)
+    A_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -115,10 +123,8 @@ class EllipticProblem:
             raise ValueError("A must be positive definite")
         if self.C_min is None:
             self.C_min = float(eigs[0])
-
-    @property
-    def A_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.A)
+        self.A_inv = np.linalg.inv(self.A)
+        self.A_inv.flags.writeable = False
 
 
 def manufactured_lshape_problem() -> EllipticProblem:
@@ -190,9 +196,8 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     pts, _ = tri_quad_points(mesh, degree=2)
     fvals = np.asarray(f(pts), dtype=float)             # (T, 3)
     contrib = (mesh.areas[:, None] / 3.0) * (fvals @ _MID_BARY)
-    vec = np.zeros(mesh.n_vertices)
-    np.add.at(vec, mesh.triangles.ravel(), contrib.ravel())
-    return vec
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(),
+                       mesh.n_vertices)
 
 
 def solve_dirichlet(mesh: TriMesh, K, F, boundary_nodes,
@@ -217,22 +222,28 @@ def exact_grad_table(mesh: TriMesh, problem: EllipticProblem) -> np.ndarray:
 
 
 def energy_error(v: ScalarFieldP1, problem: EllipticProblem, *,
-                 grad_u: Optional[np.ndarray] = None) -> float:
+                 grad_u: Optional[np.ndarray] = None,
+                 grad_v: Optional[np.ndarray] = None) -> float:
     """Energy norm ||grad(u - v)||_A of the error against the exact solution.
 
-    ``grad_u`` is ``exact_grad_table(v.mesh, problem)`` if the caller keeps
-    it; otherwise it is computed here.
+    ``grad_u`` is ``exact_grad_table(v.mesh, problem)`` and ``grad_v`` is
+    ``v.gradient()`` if the caller keeps them; otherwise they are computed
+    here.  Five (T, 7) arrays are alive at most.
     """
     if problem.exact_grad is None:
         raise ValueError("problem has no exact gradient to compare against")
     mesh = v.mesh
     if grad_u is None:
         grad_u = exact_grad_table(mesh, problem)
+    g = v.gradient() if grad_v is None else grad_v
+    d0 = grad_u[..., 0] - g[:, 0, None]                 # (T, 7)
+    d1 = grad_u[..., 1] - g[:, 1, None]
+    dens, ad1 = mat_vec(problem.A, d0, d1)
+    dens *= d0                                          # d . A d
+    dens += ad1 * d1
     _, w = quad_rule(5)
-    w = mesh.areas[:, None] * w[None, :]
-    d = grad_u - v.gradient()[:, None, :]
-    ad = np.einsum("de,tqe->tqd", problem.A, d)
-    val = np.einsum("tq,tqd,tqd->", w, d, ad)
+    # not ``@``, which OpenBLAS threads at these sizes (see ``linalg._dot``)
+    val = (mesh.areas * np.einsum("tq,q->t", dens, w)).sum()
     return float(np.sqrt(max(val, 0.0)))
 
 

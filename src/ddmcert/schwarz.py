@@ -31,10 +31,9 @@ def interior_nodes(mesh: TriMesh, decomp: DomainDecomposition, j: int) -> np.nda
     Omega_j and the vertex is not on the outer boundary."""
     in_overlap = np.zeros(mesh.n_triangles, dtype=bool)
     in_overlap[decomp.overlap_tris(j)] = True
-    total = np.zeros(mesh.n_vertices, dtype=np.int64)
-    inside = np.zeros(mesh.n_vertices, dtype=np.int64)
-    np.add.at(total, mesh.triangles.ravel(), 1)
-    np.add.at(inside, mesh.triangles[in_overlap].ravel(), 1)
+    total = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
+    inside = np.bincount(mesh.triangles[in_overlap].ravel(),
+                         minlength=mesh.n_vertices)
     mask = (inside > 0) & (inside == total) & ~mesh.boundary_vertex_mask
     return np.nonzero(mask)[0]
 

@@ -375,6 +375,7 @@ PINNED_RUNS = [
     ("history_table2_h16.csv", ["table2", "--h", "1/16", "--sweeps", "4"]),
     ("history_h16_H8_opt.csv",
      ["run", "--h", "1/16", "--H", "1/8", "--sweeps", "4", "--eps", "opt"]),
+    ("history_h16_fixed.csv", ["run", "--h", "1/16", "--sweeps", "4"]),
 ]
 
 
