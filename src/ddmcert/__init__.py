@@ -17,7 +17,6 @@ from .problem import (
     assemble_stiffness,
     assemble_load,
     solve_dirichlet,
-    energy_error,
 )
 from .linalg import SolverError, SaddleFactorization
 from .schwarz import run_schwarz
@@ -37,6 +36,7 @@ from .majorant import (
     poincare_edge_constant,
     beta_pair,
     alpha_weights,
+    energy_error,
     evaluate_majorant,
     optimize_eps,
 )

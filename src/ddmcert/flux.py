@@ -36,16 +36,17 @@ their means c1/c2 are formed in one place, ``constraint_residuals``; the
 corrector's right-hand side and the majorant read them from there.
 
 What depends on the iterate but not on the weights is formed once per
-iterate: ``rhs_table`` holds the weight-free terms of the corrector's
-right-hand side and the flux A grad v, and every eps round only weights
-them in ``corrector_rhs``.  ``CorrectorSolver.solve`` solves an eps round
-by projected CG from the round before, preconditioned by a factorization
-it keeps: the fixed-weight one or that of the last eps round it had to
-factorize.  The P1 layer at the side midpoints and its divergence are kept
-by the averaged flux and shared with every corrected flux built from it.
-The kernels are plain array arithmetic: 2x2 products written out, sums
-over triangles by ``np.bincount`` over a key, the interface endpoint
-corners (``Interface.corners``) found once per run.
+iterate.  ``pipeline.certify_iterate`` forms the flux A grad v, which
+``average_gradient`` averages and ``rhs_table`` reads; ``rhs_table`` holds
+the weight-free terms of the corrector's right-hand side, and every eps
+round only weights them in ``corrector_rhs``.  ``CorrectorSolver.solve``
+solves an eps round by projected CG from the round before, preconditioned
+by a factorization it keeps: the fixed-weight one or that of the last eps
+round it had to factorize.  The P1 layer at the side midpoints and its
+divergence are kept by the averaged flux and shared with every corrected
+flux built from it.  The kernels are plain array arithmetic: 2x2 products
+written out, sums over triangles by ``np.bincount`` over a key, the
+interface endpoint corners (``Interface.corners``) found once per run.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ import scipy.sparse as sp
 from . import linalg
 from .mesh import (CoarseMesh, DomainDecomposition, MeshError, TriMesh,
                    INACTIVE, INTERFACE, compatibility_check)
-from .problem import (EllipticProblem, ScalarFieldP1, exact_grad_table,
-                      f_cell_integrals, mat_vec)
+from .problem import (EllipticProblem, exact_grad_table, f_cell_integrals,
+                      mat_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +167,25 @@ class BrokenFluxField:
         return y_n[:, 0] - y_n[:, 1]
 
 
-def average_gradient(v: ScalarFieldP1, decomp: DomainDecomposition, A, *,
-                     grad_v: Optional[np.ndarray] = None) -> BrokenFluxField:
+def average_gradient(a_grad_v: np.ndarray,
+                     decomp: DomainDecomposition) -> BrokenFluxField:
     """Subdomain-wise averaged numerical flux G_k(A grad v).
 
     Within each basic subdomain the nodal value is the area-weighted average
-    of A grad v, A the problem's coefficient, over the subdomain's triangles
-    meeting that vertex; vertices on an interface receive distinct values
-    from either side.  The result is piecewise linear on each omega_k (zero
-    corrector).  ``grad_v`` is ``v.gradient()`` if the caller keeps it.
-    The sums run over one key per (subdomain, vertex) pair.
+    of the per-triangle flux ``a_grad_v`` = A grad v (T, 2) over the
+    subdomain's triangles meeting that vertex; vertices on an interface
+    receive distinct values from either side.  The result is piecewise
+    linear on each omega_k (zero corrector).  The sums run over one key per
+    (subdomain, vertex) pair.
     """
-    mesh = v.mesh
-    g = v.gradient() if grad_v is None else grad_v
-    A = np.asarray(A, dtype=float)
+    mesh = decomp.mesh
     w = mesh.areas
     key = (decomp.tri_subdomain * mesh.n_vertices)[:, None] + mesh.triangles
     n = decomp.n_basic * mesh.n_vertices
     den = np.bincount(key.ravel(), np.repeat(w, 3), n)[key]
     p1_part = np.empty((mesh.n_triangles, 3, 2))
-    for d, flux in enumerate(mat_vec(A, g[:, 0], g[:, 1])):
-        num = np.bincount(key.ravel(), np.repeat(w * flux, 3), n)
+    for d in range(2):
+        num = np.bincount(key.ravel(), np.repeat(w * a_grad_v[:, d], 3), n)
         p1_part[:, :, d] = num[key] / den
     return BrokenFluxField(mesh, decomp, p1_part)
 
@@ -294,7 +293,8 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     the problem's coefficient, whose inverse weights the flux term.  Raises
     MeshError when the coarse mesh fails the solvability count.
     """
-    ok, slack = compatibility_check(coarse)
+    ok, slack = compatibility_check(coarse.N_cells, coarse.N_f,
+                                    coarse.N_fD, coarse.ell)
     if not ok:
         raise MeshError(
             f"coarse mesh cannot carry the constraints (slack {slack})")
@@ -403,24 +403,21 @@ class RhsTable:
     ``cross`` (T, 3) is, per fine triangle, the cross term of ytilde -
     A grad v against the three corrector basis fluxes of its
     cell-triangle; ``per_ct`` (CT,) the integral of div ytilde + f per
-    cell-triangle; ``residuals`` the residual integrals of ytilde;
-    ``a_grad_v`` (T, 2) the flux A grad v, which every eps round's
-    majorant reads too.  All arrays are read-only.
+    cell-triangle; ``residuals`` the residual integrals of ytilde.  All
+    arrays are read-only.
     """
 
     cross: np.ndarray
     per_ct: np.ndarray
     residuals: FluxResiduals
-    a_grad_v: np.ndarray
 
 
 def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
-              v: ScalarFieldP1, problem: EllipticProblem,
-              f_tri: np.ndarray, *,
-              grad_v: Optional[np.ndarray] = None) -> RhsTable:
+              a_grad_v: np.ndarray, problem: EllipticProblem,
+              f_tri: np.ndarray) -> RhsTable:
     """The weight-free terms of the corrector right-hand side for the
-    averaged flux ``ytilde`` of v; ``f_tri`` holds the cell integrals of f,
-    and ``grad_v`` is ``v.gradient()`` if the caller keeps it.
+    averaged flux ``ytilde`` of v; ``a_grad_v`` (T, 2) is A grad v and
+    ``f_tri`` holds the cell integrals of f.
 
     The cross term of basis function i is sum_m ra_m . p_m - (sum_m ra_m)
     . V_i, ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m and V_i
@@ -429,12 +426,10 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
     mesh = space.mesh
     coarse = space.coarse
 
-    g = v.gradient() if grad_v is None else grad_v
-    gv = np.stack(mat_vec(problem.A, g[:, 0], g[:, 1]), axis=1)
     mid = ytilde.p1_midpoint_values()
     pts = mesh.side_midpoints
-    ra = [mat_vec(problem.A_inv, mid[:, m, 0] - gv[:, 0],
-                  mid[:, m, 1] - gv[:, 1]) for m in range(3)]
+    ra = [mat_vec(problem.A_inv, mid[:, m, 0] - a_grad_v[:, 0],
+                  mid[:, m, 1] - a_grad_v[:, 1]) for m in range(3)]
     ra_p = sum(r0 * pts[:, m, 0] + r1 * pts[:, m, 1]
                for m, (r0, r1) in enumerate(ra))
     ra_sum = [ra[0][d] + ra[1][d] + ra[2][d] for d in range(2)]
@@ -448,10 +443,10 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
 
     res = constraint_residuals(ytilde, f_tri)
     per_ct = np.bincount(ct, res.cell, len(space.ct_area))
-    for a in (cross, per_ct, gv, res.cell, res.means.subdomain,
+    for a in (cross, per_ct, res.cell, res.means.subdomain,
               res.means.interface, *res.jumps, *res.edge_int):
         a.flags.writeable = False
-    return RhsTable(cross, per_ct, res, gv)
+    return RhsTable(cross, per_ct, res)
 
 
 def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
@@ -543,11 +538,8 @@ class CorrectorSolver:
         return corrector_matrix(self.space, alphas, self.constants.beta)
 
     @cached_property
-    def exact_grad(self) -> np.ndarray | None:
-        """``exact_grad_table`` on the fine mesh (T, 7, 2), or None when the
-        problem has no exact solution."""
-        if self.problem.exact_grad is None:
-            return None
+    def exact_grad(self) -> np.ndarray:
+        """``exact_grad_table`` on the fine mesh (T, 7, 2)."""
         out = exact_grad_table(self.space.mesh, self.problem)
         out.flags.writeable = False
         return out

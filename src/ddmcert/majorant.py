@@ -22,13 +22,17 @@ interface multiplicity E_max.  Minimizing over eps in closed form yields
 the structural lower bound ``D11`` reported alongside every evaluation
 (T1/T2/T3 are the three sums with their eps-independent factors).
 
-``evaluate_majorant`` takes the cell integrals of f and f^2 from its
-caller (a run's ``CorrectorSolver`` keeps them) and reads the jump term
-and the admissibility means from one ``constraint_residuals`` evaluation
-of the flux.  The flux's P1 layer at the side midpoints and its divergence
-are the ones its averaged flux keeps, and A grad v the one the iterate's
-``RhsTable`` keeps, shared by every eps round of an iterate.  S1 writes
-out its 2x2 products; S1 and S2 sum per subdomain by ``np.bincount``.
+``evaluate_majorant`` needs no exact solution.  It takes the flux A grad v
+of the iterate and the cell integrals of f and f^2 from its caller
+(``pipeline.certify_iterate`` forms the one once per iterate, a run's
+``CorrectorSolver`` keeps the others) and reads the jump term and the
+admissibility means from one ``constraint_residuals`` evaluation of the
+flux.  The flux's P1 layer at the side midpoints and its divergence are the
+ones its averaged flux keeps, shared by every eps round of an iterate.  S1
+writes out its 2x2 products; S1 and S2 sum per subdomain by
+``np.bincount``.  ``energy_error``, which a run compares the majorant with,
+integrates the error of grad v against the exact gradient at the degree-5
+points; its caller attaches it to the report.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .flux import BrokenFluxField, ConstraintResiduals, constraint_residuals
-from .mesh import DomainDecomposition
-from .problem import (EllipticProblem, ScalarFieldP1, energy_error, mat_vec,
-                      quad_rule)
+from .mesh import DomainDecomposition, TriMesh
+from .problem import EllipticProblem, mat_vec, quad_rule
 
 EPS_MIN = 1e-8
 EPS_MAX = 1e8
@@ -130,14 +133,36 @@ class MajorantReport:
     eps: tuple
     alphas: tuple
     D11: float                   # eps-optimal structural bound
-    residuals: ConstraintResiduals = None
-    guaranteed: bool = True
-    energy_err: Optional[float] = None
-    efficiency: Optional[float] = None
+    residuals: ConstraintResiduals
+    guaranteed: bool
+    energy_err: Optional[float] = None   # attached by ``certify_iterate``
 
     @property
     def total(self) -> float:
         return math.sqrt(self.total_sq)
+
+    @property
+    def efficiency(self) -> float:
+        err = self.energy_err
+        return self.total / err if err > 0 else math.inf
+
+
+def energy_error(mesh: TriMesh, A, grad_v: np.ndarray,
+                 grad_u: np.ndarray) -> float:
+    """Energy norm ||grad(u - v)||_A of the error of v, from its gradient
+    ``grad_v`` (T, 2) and the exact gradient ``grad_u`` at the degree-5
+    points (``problem.exact_grad_table``, (T, 7, 2)).  Five (T, 7) arrays
+    are alive at most.
+    """
+    d0 = grad_u[..., 0] - grad_v[:, 0, None]            # (T, 7)
+    d1 = grad_u[..., 1] - grad_v[:, 1, None]
+    dens, ad1 = mat_vec(A, d0, d1)
+    dens *= d0                                          # d . A d
+    dens += ad1 * d1
+    _, w = quad_rule(5)
+    # not ``@``, which OpenBLAS threads at these sizes (see ``linalg._dot``)
+    val = (mesh.areas * np.einsum("tq,q->t", dens, w)).sum()
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def _term_sums(S1, S2, S3, beta, constants):
@@ -170,27 +195,20 @@ def optimize_eps(S1, S2, S3, constants: MajorantConstants):
     return ratio(t2, t1), ratio(t3, t1), ratio(t3, t2)
 
 
-def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
+def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
                       problem: EllipticProblem,
                       constants: MajorantConstants,
                       f_tri: np.ndarray, f_sq_tri: np.ndarray,
-                      eps=(1.0, 1.0, 1.0),
-                      energy_err: float | None = None,
-                      a_grad_v: np.ndarray | None = None) -> MajorantReport:
-    """Evaluate the majorant of the energy error of v for flux candidate y.
+                      eps=(1.0, 1.0, 1.0)) -> MajorantReport:
+    """Evaluate the majorant of the energy error of v for flux candidate y,
+    given the flux ``a_grad_v`` = A grad v of v per triangle (T, 2).
 
     ``f_tri``/``f_sq_tri`` hold the cell integrals of f and f^2.  The first
     term integrates exactly (midpoint rule on the fine triangles); the
     equilibration term expands (div y + f)^2 with those degree-5 integrals;
     jump terms are exact on each fine edge.  If the admissibility means
     exceed ``ADMISSIBILITY_TOL`` times 1 + max_t |int_t f| / min_t |t|, the
-    report is flagged not guaranteed.
-
-    With an exact solution the report carries the energy error of v: the
-    ``energy_err`` a caller already computed for this v, or else one
-    evaluation of ``energy_error``.  ``a_grad_v`` is the flux A grad v per
-    triangle (T, 2) if the caller keeps it (an iterate's ``RhsTable``
-    does); otherwise it is formed here.
+    report is flagged not guaranteed.  The report carries no energy error.
     """
     mesh = y.mesh
     decomp = y.decomp
@@ -198,9 +216,8 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
 
     # S1: || y - A grad v ||^2 with weight A^{-1}, per subdomain
     _, w = quad_rule(2)
-    gv = v.gradient() @ problem.A.T if a_grad_v is None else a_grad_v
     r = y.values()                                          # (T, 3, 2)
-    r -= np.repeat(gv, 3, axis=0).reshape(r.shape)
+    r -= np.repeat(a_grad_v, 3, axis=0).reshape(r.shape)
     ra0, ra1 = mat_vec(problem.A_inv, r[..., 0], r[..., 1])
     per_tri_1 = mesh.areas * ((ra0 * r[..., 0] + ra1 * r[..., 1]) @ w)
     S1 = np.bincount(decomp.tri_subdomain, per_tri_1, decomp.n_basic)
@@ -230,12 +247,6 @@ def evaluate_majorant(y: BrokenFluxField, v: ScalarFieldP1,
     guaranteed = bool(np.all(np.abs(means.subdomain) <= tol)
                       and np.all(np.abs(means.interface) <= tol))
 
-    err = eff = None
-    if problem.exact_grad is not None:
-        err = energy_error(v, problem) if energy_err is None else energy_err
-        total = math.sqrt(M1_sq + M2_sq + M3_sq)
-        eff = total / err if err > 0 else math.inf
-
     return MajorantReport(M1_sq + M2_sq + M3_sq, M1_sq, M2_sq, M3_sq,
                           S1, S2, S3, tuple(float(e) for e in eps),
-                          alphas, D11, means, guaranteed, err, eff)
+                          alphas, D11, means, guaranteed)

@@ -466,13 +466,10 @@ def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
 class CoarseMesh:
     """Cell mesh of nominal size H carrying the flux-corrector space.
 
-    ``dim_per_cell`` is the per-cell degree-of-freedom count (sum of edge
-    counts over cells, each cell counting its own edges), the quantity the
-    solvability condition is phrased in.  The assembled space is smaller
-    because shared edges are identified; that count lives with the corrector
-    space, not here.
+    ``N_cells``, ``N_v``, ``N_f`` and ``N_fD`` count its cells, vertices,
+    sides and Dirichlet sides; each cell has ``ell`` sides.
 
-    Array layout (absent on a counts-only mesh):
+    Array layout:
 
     - edges ``e``: ``edge_kind`` (INTERIOR / INTERFACE / DIRICHLET /
       INACTIVE), ``edge_normal`` (fixed unit normal), ``edge_length``,
@@ -496,39 +493,36 @@ class CoarseMesh:
     N_v: int
     N_f: int
     N_fD: int
-    ell: int | None
-    dim_per_cell: int
-    edge_kind: np.ndarray | None = None
-    edge_normal: np.ndarray | None = None
-    edge_length: np.ndarray | None = None
-    edge_mid: np.ndarray | None = None
-    edge_iface: np.ndarray | None = None
-    cell_verts: np.ndarray | None = None
-    cell_sub: np.ndarray | None = None
-    tri_cell: np.ndarray | None = None
-    ct_verts: np.ndarray | None = None
-    ct_edge: np.ndarray | None = None
-    ct_sign: np.ndarray | None = None
-    fine_tri_ct: np.ndarray | None = None
-
-    @classmethod
-    def from_counts(cls, n_cells: int, n_v: int, n_f: int, n_fd: int,
-                    ell: int) -> "CoarseMesh":
-        """Counts-only coarse mesh for solvability bookkeeping."""
-        return cls(H=float("nan"), N_cells=n_cells, N_v=n_v, N_f=n_f,
-                   N_fD=n_fd, ell=ell, dim_per_cell=n_cells * ell)
+    ell: int
+    edge_kind: np.ndarray
+    edge_normal: np.ndarray
+    edge_length: np.ndarray
+    edge_mid: np.ndarray
+    edge_iface: np.ndarray
+    cell_verts: np.ndarray
+    cell_sub: np.ndarray
+    tri_cell: np.ndarray
+    ct_verts: np.ndarray
+    ct_edge: np.ndarray
+    ct_sign: np.ndarray
+    fine_tri_ct: np.ndarray
 
 
-def compatibility_check(coarse: CoarseMesh) -> tuple[bool, int]:
-    """Solvability of the corrector constraints on this coarse mesh.
+def compatibility_check(N_cells: int, N_f: int, N_fD: int,
+                        ell: int) -> tuple[bool, int]:
+    """Solvability of the corrector constraints on a coarse mesh of
+    ``N_cells`` cells with ``ell`` sides each, ``N_f`` sides in all and
+    ``N_fD`` of them on the Dirichlet boundary.
 
     The constrained minimization is solvable whenever the cell-wise flux
-    degrees of freedom (``dim_per_cell``) plus the Dirichlet-boundary edges
-    cover the divergence unknowns, one per cell, plus one unknown per edge:
-    dim Q_N + N_fD >= N + N_f.  Returns (satisfied, slack); slack is the
-    number of remaining free parameters when satisfied.
+    degrees of freedom (ell N_cells, each cell counting its own sides; the
+    assembled space is smaller because shared sides are identified) plus
+    the Dirichlet-boundary edges cover the divergence unknowns, one per
+    cell, plus one unknown per edge: dim Q_N + N_fD >= N + N_f.  Returns
+    (satisfied, slack); slack is the number of remaining free parameters
+    when satisfied.
     """
-    slack = coarse.dim_per_cell + coarse.N_fD - coarse.N_cells - coarse.N_f
+    slack = ell * N_cells + N_fD - N_cells - N_f
     return slack >= 0, int(slack)
 
 
@@ -545,7 +539,7 @@ def _coarse_mesh(H: float, ell: int, n_v: int, n_f: int,
     n_cells = len(arrays["cell_verts"])
     n_fd = int(np.count_nonzero(arrays["edge_kind"] == DIRICHLET))
     return CoarseMesh(H=H, N_cells=n_cells, N_v=n_v, N_f=n_f, N_fD=n_fd,
-                      ell=ell, dim_per_cell=ell * n_cells, **arrays)
+                      ell=ell, **arrays)
 
 
 def _coarse_from_fine_triangulation(mesh: TriMesh, decomp: DomainDecomposition,

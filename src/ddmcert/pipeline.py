@@ -19,10 +19,13 @@ What does not change from sweep to sweep is computed once per run: the
 mesh keeps its P1 gradients, edge lengths and side midpoints, and the
 run's ``CorrectorSolver`` keeps the cell integrals of f and f^2 and the
 exact gradient at the degree-5 points.  What depends on the iterate but
-not on the eps weights is computed once per iterate, however many eps
-rounds certify it: the energy error, and then the ``rhs_table`` of the
-corrector's right-hand side, which each round only weights, and A grad v,
-which each round's majorant reads from that table.
+not on the eps weights is formed once per iterate in ``certify_iterate``,
+however many eps rounds certify it, and passed on: grad v, the flux
+A grad v (averaged into the flux candidate, read by the table and by each
+round's majorant), the energy error, and then the ``rhs_table`` of the
+corrector's right-hand side, which each round only weights.  The majorant
+itself never reads the exact solution; ``certify_iterate`` attaches the
+energy error to the final report.
 
 Every certified sweep is checked twice.  A flux that misses the
 admissibility constraints gives no guarantee, so ``certify_iterate`` raises
@@ -47,11 +50,11 @@ from .linalg import SolverError
 from . import majorant
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
                        evaluate_majorant, optimize_eps)
-from .mesh import (CoarseMesh, DomainDecomposition, TriMesh, _rect_grid,
+from .mesh import (DomainDecomposition, TriMesh, _rect_grid,
                    build_coarse_mesh, build_lshape_mesh,
                    build_rect_grid_decomposition, compatibility_check)
 from .problem import (EllipticProblem, ScalarFieldP1,
-                      manufactured_lshape_problem)
+                      manufactured_lshape_problem, mat_vec)
 from .schwarz import run_schwarz
 from . import vtkio
 
@@ -177,32 +180,29 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     The first round uses the solver's fixed weights; with
     ``eps_policy='opt'`` ``OPT_ROUNDS`` more re-solve under the closed-form
     optimal weights of the round before, starting from its q.  The report
-    carries the eps its weights used.  The constants and tables come from
-    ``solver``; the energy error of v and the weight-free ``rhs_table`` are
-    formed once.
+    carries the eps its weights used and the energy error of v.  The
+    constants and tables come from ``solver``; grad v, A grad v, the energy
+    error and the weight-free ``rhs_table`` are formed once.
     Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
     problem = solver.problem
     constants = solver.constants
     grad_v = v.gradient()
-    yt = average_gradient(v, space.decomp, problem.A, grad_v=grad_v)
-    err = None
-    if problem.exact_grad is not None:
-        # before the table, which keeps h = 1/128's peak RSS lower; through
-        # the module, so that a probe wrapping it there sees it
-        err = majorant.energy_error(v, problem, grad_u=solver.exact_grad,
-                                    grad_v=grad_v)
-    table = rhs_table(space, yt, v, problem, solver.f_tri, grad_v=grad_v)
+    a_grad_v = np.stack(mat_vec(problem.A, grad_v[:, 0], grad_v[:, 1]), axis=1)
+    yt = average_gradient(a_grad_v, space.decomp)
+    # before the table, which keeps h = 1/128's peak RSS lower; through the
+    # module, so that a probe wrapping it there sees it
+    err = majorant.energy_error(v.mesh, problem.A, grad_v, solver.exact_grad)
+    table = rhs_table(space, yt, a_grad_v, problem, solver.f_tri)
     eps, rep, q = (1.0, 1.0, 1.0), None, None
     for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
         if rep is not None:
             eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
         q, _ = solver.solve(table, alpha_weights(eps, constants), start=q)
         y = corrected_flux(yt, q, space)
-        rep = evaluate_majorant(y, v, problem, constants, solver.f_tri,
-                                solver.f_sq, eps, energy_err=err,
-                                a_grad_v=table.a_grad_v)
+        rep = evaluate_majorant(y, a_grad_v, problem, constants, solver.f_tri,
+                                solver.f_sq, eps)
     if not rep.guaranteed:
         r = rep.residuals
         worst_s = np.abs(r.interface).max() if len(r.interface) else 0.0
@@ -210,7 +210,7 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
             "flux is not admissible, no guarantee: subdomain mean residual "
             f"{np.abs(r.subdomain).max():.3e}, interface mean residual "
             f"{worst_s:.3e}")
-    return y, rep
+    return y, replace(rep, energy_err=err)
 
 
 def _emit_fields(out: Path, sweep: int, mesh, v, y, problem, decomp):
@@ -370,14 +370,13 @@ def run_checks(h: float = 0.25):
         abs(opt.final_row().report.total - opt.final_row().report.D11)
         <= 1e-6 * opt.final_row().report.D11)
 
-    ok_a0, _ = compatibility_check(CoarseMesh.from_counts(6, 8, 13, 0, 3))
-    ok_a1, slack_a1 = compatibility_check(
-        CoarseMesh.from_counts(6, 8, 13, 1, 3))
+    ok_a0, _ = compatibility_check(6, 13, 0, 3)
+    ok_a1, slack_a1 = compatibility_check(6, 13, 1, 3)
     add("compatibility verdicts (triangulated hexagon)",
         (not ok_a0) and ok_a1 and slack_a1 == 0)
     _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)
     _, _, c22 = build_rect_grid_decomposition(2, 2, 1.0)
-    ok_b1, _ = compatibility_check(c11)
-    ok_b2, _ = compatibility_check(c22)
+    ok_b1, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, c11.ell)
+    ok_b2, _ = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, c22.ell)
     add("compatibility verdicts (grids)", (not ok_b1) and ok_b2)
     return out

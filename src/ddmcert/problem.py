@@ -13,8 +13,8 @@ Tables that stay the same for a whole run are kept by their owners: the P1
 gradients of ``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and
 the cell integrals of f and f^2 and the exact gradient at the degree-5
 points (``exact_grad_table``) on the ``flux.CorrectorSolver`` of a run.
-``energy_error`` takes that exact-gradient table, and the iterate's
-gradient, when the caller has them.
+The energy error against that exact-gradient table is
+``majorant.energy_error``.
 """
 
 from __future__ import annotations
@@ -221,34 +221,8 @@ def exact_grad_table(mesh: TriMesh, problem: EllipticProblem) -> np.ndarray:
     return problem.exact_grad(pts)
 
 
-def energy_error(v: ScalarFieldP1, problem: EllipticProblem, *,
-                 grad_u: Optional[np.ndarray] = None,
-                 grad_v: Optional[np.ndarray] = None) -> float:
-    """Energy norm ||grad(u - v)||_A of the error against the exact solution.
-
-    ``grad_u`` is ``exact_grad_table(v.mesh, problem)`` and ``grad_v`` is
-    ``v.gradient()`` if the caller keeps them; otherwise they are computed
-    here.  Five (T, 7) arrays are alive at most.
-    """
-    if problem.exact_grad is None:
-        raise ValueError("problem has no exact gradient to compare against")
-    mesh = v.mesh
-    if grad_u is None:
-        grad_u = exact_grad_table(mesh, problem)
-    g = v.gradient() if grad_v is None else grad_v
-    d0 = grad_u[..., 0] - g[:, 0, None]                 # (T, 7)
-    d1 = grad_u[..., 1] - g[:, 1, None]
-    dens, ad1 = mat_vec(problem.A, d0, d1)
-    dens *= d0                                          # d . A d
-    dens += ad1 * d1
-    _, w = quad_rule(5)
-    # not ``@``, which OpenBLAS threads at these sizes (see ``linalg._dot``)
-    val = (mesh.areas * np.einsum("tq,q->t", dens, w)).sum()
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def f_cell_integrals(mesh: TriMesh, f, degree: int = 5):
+def f_cell_integrals(mesh: TriMesh, f):
     """Per-triangle integrals of f and f^2 with the degree-5 rule."""
-    pts, w = tri_quad_points(mesh, degree=degree)
+    pts, w = tri_quad_points(mesh, degree=5)
     fv = np.asarray(f(pts), dtype=float)
     return (w * fv).sum(axis=1), (w * fv * fv).sum(axis=1)

@@ -12,6 +12,8 @@ from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import manufactured_lshape_problem
 from ddmcert.schwarz import run_schwarz
 
+from _iterate import a_grad
+
 
 @pytest.fixture(scope="session")
 def problem():
@@ -37,5 +39,6 @@ def cert4(lshape4, problem):
     yt = BrokenFluxField(mesh, decomp, y.p1_part)
     return SimpleNamespace(mesh=mesh, decomp=decomp, problem=problem,
                            constants=constants, space=space, v=v,
-                           yt=yt, q=y.coeffs, y=y, report=report,
+                           a_grad_v=a_grad(v, problem.A), yt=yt,
+                           q=y.coeffs, y=y, report=report,
                            f_tri=solver.f_tri, f_sq=solver.f_sq)

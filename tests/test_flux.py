@@ -16,6 +16,8 @@ from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
 from ddmcert.schwarz import run_schwarz
 
+from _iterate import a_grad
+
 BARY = np.array([[2 / 3, 1 / 6, 1 / 6],
                  [1 / 6, 2 / 3, 1 / 6],
                  [1 / 6, 1 / 6, 2 / 3]])
@@ -36,7 +38,7 @@ def test_averaging_preserves_affine_fields():
     mesh, decomp = build_lshape_mesh(0.25)
     p = mesh.vertices
     v = ScalarFieldP1(mesh, 3 * p[:, 0] - p[:, 1])
-    yt = average_gradient(v, decomp, np.eye(2))
+    yt = average_gradient(a_grad(v, np.eye(2)), decomp)
     grad = np.broadcast_to(np.array([3.0, -1.0]), (mesh.n_triangles, 2))
     assert l2_sq(mesh, yt, np.array(grad)) < 1e-26
     assert np.allclose(yt.divergence(), 0.0, atol=1e-12)
@@ -53,7 +55,7 @@ def test_averaging_is_arithmetic_mean_on_equal_areas():
     # grad (1,0) on the lower triangle and (0,1) on the upper one
     mesh, decomp, _ = build_rect_grid_decomposition(1, 1, 1.0)
     v = ScalarFieldP1(mesh, mesh.vertices.max(axis=1))
-    yt = average_gradient(v, decomp, np.eye(2))
+    yt = average_gradient(a_grad(v, np.eye(2)), decomp)
     coords = mesh.vertices[mesh.triangles]          # (T, 3, 2)
     nodal = yt.p1_part
     for t in range(2):
@@ -78,7 +80,7 @@ def test_interface_values_are_one_sided():
     mesh, decomp = build_lshape_mesh(0.5)
     # quadratic field: gradients differ between subdomains at the interface
     v = ScalarFieldP1(mesh, mesh.vertices.prod(axis=1))
-    yt = average_gradient(v, decomp, np.eye(2))
+    yt = average_gradient(a_grad(v, np.eye(2)), decomp)
     jumps = yt.jump_endpoint_values(0)
     assert np.abs(jumps).max() > 1e-3
 
@@ -97,7 +99,7 @@ def test_space_counts_lshape_H1():
     assert np.count_nonzero(space.dof_cell < 0) == 12
     assert space.n_dofs == 15
     assert space.C.shape[0] == 5        # 3 subdomains + 2 interfaces
-    assert coarse.dim_per_cell == 12       # 3 cells x 4 edges
+    assert coarse.ell * coarse.N_cells == 12     # 3 cells x 4 edges
 
 
 def test_space_fine_mesh_every_edge_is_a_dof():
@@ -108,7 +110,7 @@ def test_space_fine_mesh_every_edge_is_a_dof():
     # no interfaces: one DOF per fine edge, no duplication
     assert space.n_dofs == mesh.n_edges
     assert coarse.ell == 3 and coarse.N_cells == mesh.n_triangles
-    assert coarse.dim_per_cell == 3 * mesh.n_triangles
+    assert coarse.ell * coarse.N_cells == 3 * mesh.n_triangles
 
 
 def test_single_cell_represents_constants():
@@ -187,12 +189,13 @@ def test_zero_residual_gives_zero_corrector():
         A=np.eye(2), f=lambda p: np.zeros(p.shape[:-1]),
         u_g=lambda p: p[..., 0] + 2 * p[..., 1])
     v = ScalarFieldP1(mesh, affine.u_g(mesh.vertices))
-    yt = average_gradient(v, decomp, affine.A)
+    yt = average_gradient(a_grad(v, affine.A), decomp)
     coarse = build_coarse_mesh(mesh, decomp, 0.25)
     space = build_corrector_space(coarse, decomp, affine.A)
     constants = MajorantConstants.default(decomp, affine)
     solver = CorrectorSolver(space, affine, constants)
-    q, lam = solver.solve(rhs_table(space, yt, v, affine, solver.f_tri),
+    q, lam = solver.solve(rhs_table(space, yt, a_grad(v, affine.A), affine,
+                                    solver.f_tri),
                           solver.alphas)
     assert np.abs(q).max() < 1e-12
     assert np.abs(lam).max() < 1e-12
@@ -217,8 +220,9 @@ def test_single_cell_divergence_balance():
     constants = MajorantConstants(C_min=1.0, C_P=np.array([np.sqrt(2) / np.pi]),
                                   beta=np.zeros(0), E_max=2.0)
     solver = CorrectorSolver(space, unit_source, constants)
-    q, _ = solver.solve(rhs_table(space, yt, zero_v, unit_source,
-                                  solver.f_tri), solver.alphas)
+    table = rhs_table(space, yt, a_grad(zero_v, unit_source.A), unit_source,
+                      solver.f_tri)
+    q, _ = solver.solve(table, solver.alphas)
     y = corrected_flux(yt, q, space)
     assert np.isclose(float((y.divergence() * mesh.areas).sum()), -1.0)
     res = constraint_residuals(y, solver.f_tri).means
@@ -276,9 +280,10 @@ def test_saddle_block_structure(cert4):
 
 def test_rhs_table_is_read_only_and_reweighting_is_exact(cert4):
     space, beta = cert4.space, cert4.constants.beta
-    table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, cert4.f_tri)
+    table = rhs_table(space, cert4.yt, cert4.a_grad_v, cert4.problem,
+                      cert4.f_tri)
     res = table.residuals
-    for a in (table.cross, table.per_ct, table.a_grad_v, res.cell,
+    for a in (table.cross, table.per_ct, res.cell,
               res.means.subdomain, res.means.interface, *res.jumps,
               *res.edge_int, cert4.yt.p1_midpoint_values(),
               cert4.yt.p1_divergence()):
@@ -296,7 +301,7 @@ def test_rhs_table_is_read_only_and_reweighting_is_exact(cert4):
     fresh_yt = BrokenFluxField(cert4.mesh, cert4.decomp,
                                cert4.yt.p1_part.copy())
     fresh = corrector_rhs(
-        space, rhs_table(space, fresh_yt, cert4.v, cert4.problem,
+        space, rhs_table(space, fresh_yt, cert4.a_grad_v, cert4.problem,
                          cert4.f_tri), alpha, beta)
     for got in (third, fresh):
         for a, b in zip(got, first):
@@ -309,7 +314,8 @@ def test_kkt_local_optimality(cert4):
     space, constants = cert4.space, cert4.constants
     alphas = alpha_weights((1.0, 1.0, 1.0), constants)
     G = corrector_matrix(space, alphas, constants.beta).toarray()
-    table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, cert4.f_tri)
+    table = rhs_table(space, cert4.yt, cert4.a_grad_v, cert4.problem,
+                      cert4.f_tri)
     b, d = corrector_rhs(space, table, alphas, constants.beta)
     C = space.C.toarray()
     CCt_inv = np.linalg.inv(C @ C.T)
@@ -341,7 +347,8 @@ def eps_round(cert4):
     with that round's freshly factorized solution and matrix."""
     space, constants = cert4.space, cert4.constants
     solver = CorrectorSolver(space, cert4.problem, constants)
-    table = rhs_table(space, cert4.yt, cert4.v, cert4.problem, solver.f_tri)
+    table = rhs_table(space, cert4.yt, cert4.a_grad_v, cert4.problem,
+                      solver.f_tri)
     alphas = alpha_weights(NEAR_EPS, constants)
     G = corrector_matrix(space, alphas, constants.beta)
     q_ref, _ = linalg.SaddleFactorization(G, space.C).solve(
@@ -371,7 +378,7 @@ def test_eps_round_by_projected_cg_matches_a_fresh_factorization(
     assert g_norm(G, q - q_ref) <= 1e-10 * g_norm(G, q_ref)
     assert np.linalg.norm(cert4.space.C @ (q - q_ref)) <= 1e-12
     m_sq = [evaluate_majorant(corrected_flux(cert4.yt, x, cert4.space),
-                              cert4.v, cert4.problem, cert4.constants,
+                              cert4.a_grad_v, cert4.problem, cert4.constants,
                               solver.f_tri, solver.f_sq, NEAR_EPS).total_sq
             for x in (q, q_ref)]
     assert abs(m_sq[0] - m_sq[1]) <= 1e-12 * m_sq[1]

@@ -18,12 +18,14 @@ import pytest
 
 from ddmcert.flux import (CorrectorSolver, average_gradient,
                           build_corrector_space, corrected_flux, rhs_table)
-from ddmcert.majorant import MajorantConstants, evaluate_majorant
+from ddmcert.majorant import (MajorantConstants, energy_error,
+                              evaluate_majorant)
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
-from ddmcert.problem import (EllipticProblem, energy_error,
-                             manufactured_lshape_problem, p1_gradients,
-                             quad_rule)
+from ddmcert.problem import (EllipticProblem, manufactured_lshape_problem,
+                             p1_gradients, quad_rule)
 from ddmcert.schwarz import run_schwarz
+
+from _iterate import a_grad
 
 A_FULL = np.array([[2.0, 0.7], [0.7, 1.3]])
 RTOL = 1e-13
@@ -163,8 +165,9 @@ def ref_term_sums(y, v, problem, f_tri, f_sq):
 
 @pytest.fixture(scope="module", params=[1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
 def full_a(request):
-    """An iterate of the h = 1/8 L-shape under ``A_FULL``, its averaged
-    flux, the iterate's table and a corrected flux at the fixed weights."""
+    """An iterate of the h = 1/8 L-shape under ``A_FULL``, its flux
+    A grad v and averaged flux, the iterate's table and a corrected flux at
+    the fixed weights."""
     base = manufactured_lshape_problem()
     problem = EllipticProblem(A=A_FULL, f=base.f, u_g=base.u_g,
                               exact_u=base.exact_u,
@@ -175,12 +178,13 @@ def full_a(request):
     coarse = build_coarse_mesh(mesh, decomp, request.param)
     space = build_corrector_space(coarse, decomp, problem.A)
     solver = CorrectorSolver(space, problem, constants)
-    yt = average_gradient(v, decomp, problem.A)
-    table = rhs_table(space, yt, v, problem, solver.f_tri)
+    gv = a_grad(v, problem.A)
+    yt = average_gradient(gv, decomp)
+    table = rhs_table(space, yt, gv, problem, solver.f_tri)
     q, _ = solver.solve(table, solver.alphas)
     return SimpleNamespace(problem=problem, decomp=decomp, v=v,
                            constants=constants, space=space, solver=solver,
-                           yt=yt, table=table,
+                           a_grad_v=gv, yt=yt, table=table,
                            y=corrected_flux(yt, q, space))
 
 
@@ -194,21 +198,21 @@ def test_rhs_table_matches_reference(full_a):
                                       full_a.problem, full_a.solver.f_tri)
     assert_close(full_a.table.cross, cross)
     assert_close(full_a.table.per_ct, per_ct)
-    assert_close(full_a.table.a_grad_v, gv)
+    assert_close(full_a.a_grad_v, gv)
 
 
 def test_energy_error_matches_reference(full_a):
-    got = energy_error(full_a.v, full_a.problem,
-                       grad_u=full_a.solver.exact_grad)
+    v = full_a.v
+    got = energy_error(v.mesh, full_a.problem.A, v.gradient(),
+                       full_a.solver.exact_grad)
     want = ref_energy_error(full_a.v, full_a.problem)
     assert abs(got - want) <= RTOL * want
 
 
 def test_term_sums_match_reference(full_a):
     s = full_a.solver
-    rep = evaluate_majorant(full_a.y, full_a.v, full_a.problem,
-                            full_a.constants, s.f_tri, s.f_sq,
-                            a_grad_v=full_a.table.a_grad_v)
+    rep = evaluate_majorant(full_a.y, full_a.a_grad_v, full_a.problem,
+                            full_a.constants, s.f_tri, s.f_sq)
     S1, S2, S3 = ref_term_sums(full_a.y, full_a.v, full_a.problem,
                                s.f_tri, s.f_sq)
     assert_close(rep.S1, S1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from ddmcert.majorant import (MajorantConstants, alpha_weights, beta_pair,
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                              manufactured_lshape_problem)
+
+from _iterate import a_grad, error_of
 
 PI = math.pi
 
@@ -75,9 +78,10 @@ def test_exact_flux_gives_zero_majorant():
         exact_grad=lambda p: np.broadcast_to(np.array([1.0, 0.0]),
                                              p.shape[:-1] + (2,)))
     v = ScalarFieldP1(mesh, affine.exact_u(mesh.vertices))
-    y = average_gradient(v, decomp, affine.A)
+    gv = a_grad(v, affine.A)
+    y = average_gradient(gv, decomp)
     c = MajorantConstants.default(decomp, affine)
-    rep = evaluate_majorant(y, v, affine, c,
+    rep = evaluate_majorant(y, gv, affine, c,
                             *f_cell_integrals(mesh, affine.f))
     assert rep.total_sq < 1e-26
     assert rep.guaranteed
@@ -93,7 +97,8 @@ def test_unit_square_hand_value():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
-    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS,
+    rep = evaluate_majorant(y, a_grad(v, unit_source.A), unit_source,
+                            SQUARE_CONSTANTS,
                             *f_cell_integrals(mesh, unit_source.f))
     assert np.isclose(rep.M1_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M3_sq, 0.0, atol=1e-14)
@@ -109,7 +114,8 @@ def test_inadmissible_candidate_is_flagged():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
-    rep = evaluate_majorant(y, v, unit_source, SQUARE_CONSTANTS,
+    rep = evaluate_majorant(y, a_grad(v, unit_source.A), unit_source,
+                            SQUARE_CONSTANTS,
                             *f_cell_integrals(mesh, unit_source.f))
     assert not rep.guaranteed       # mean residual is 1, way above tolerance
 
@@ -151,7 +157,8 @@ def test_majorant_terms_obey_parallelogram_identity(cert4):
                           np.zeros_like(cert4.yt.p1_part))
 
     def terms(yt, q, v, prob):
-        rep = evaluate_majorant(corrected_flux(yt, q, space), v, prob,
+        rep = evaluate_majorant(corrected_flux(yt, q, space),
+                                a_grad(v, prob.A), prob,
                                 cert4.constants,
                                 *f_cell_integrals(cert4.mesh, prob.f))
         return np.array([rep.S1.sum(), rep.S2.sum(), rep.S3.sum()])
@@ -179,7 +186,7 @@ def test_optimize_eps_algebra():
 def test_optimize_eps_never_increases(cert4):
     rep = cert4.report
     eps = optimize_eps(rep.S1, rep.S2, rep.S3, cert4.constants)
-    rep_opt = evaluate_majorant(cert4.y, cert4.v, cert4.problem,
+    rep_opt = evaluate_majorant(cert4.y, cert4.a_grad_v, cert4.problem,
                                 cert4.constants, eps=eps,
                                 f_tri=cert4.f_tri, f_sq_tri=cert4.f_sq)
     assert rep_opt.total_sq <= rep.total_sq * (1 + 1e-14)
@@ -193,3 +200,27 @@ def test_guarantee_on_certified_state(cert4):
     assert rep.energy_err <= rep.total * (1 + 1e-9)
     assert rep.energy_err <= rep.D11 * (1 + 1e-9)
     assert rep.efficiency >= 1.0
+
+
+def test_majorant_needs_no_exact_solution(cert4):
+    def no_exact(p):
+        raise AssertionError("the majorant read the exact solution")
+
+    blind = dataclasses.replace(cert4.problem, exact_u=no_exact,
+                                exact_grad=no_exact)
+    reps = [evaluate_majorant(cert4.y, cert4.a_grad_v, prob, cert4.constants,
+                              cert4.f_tri, cert4.f_sq)
+            for prob in (cert4.problem, blind)]
+    for rep in reps:
+        assert rep.energy_err is None
+        for name in ("S1", "S2", "S3"):
+            assert np.array_equal(getattr(rep, name),
+                                  getattr(cert4.report, name))
+        for name in ("total_sq", "M1_sq", "M2_sq", "M3_sq", "D11"):
+            assert getattr(rep, name) == getattr(cert4.report, name)
+
+
+def test_certified_report_carries_the_energy_error(cert4):
+    rep = cert4.report
+    assert rep.energy_err == error_of(cert4.v, cert4.problem)
+    assert rep.efficiency == rep.total / rep.energy_err

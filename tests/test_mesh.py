@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ddmcert.mesh import (CoarseMesh, MeshError, build_coarse_mesh,
-                          build_lshape_mesh, build_rect_grid_decomposition,
-                          compatibility_check)
+from ddmcert.mesh import (MeshError, build_coarse_mesh, build_lshape_mesh,
+                          build_rect_grid_decomposition, compatibility_check)
 
 
 def test_lshape_quarter_counts():
@@ -110,18 +109,18 @@ def test_rect_quad_counts():
 
 def test_compatibility_fig3_hexagon():
     # triangulated hexagon: 6 cells, 8 vertices, 13 edges
-    ok, slack = compatibility_check(CoarseMesh.from_counts(6, 8, 13, 0, 3))
+    ok, slack = compatibility_check(6, 13, 0, 3)
     assert not ok and slack == -1
-    ok, slack = compatibility_check(CoarseMesh.from_counts(6, 8, 13, 1, 3))
+    ok, slack = compatibility_check(6, 13, 1, 3)
     assert ok and slack == 0
 
 
 def test_compatibility_regular_grids():
     _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)
-    ok, _ = compatibility_check(c11)
+    ok, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, c11.ell)
     assert not ok
     _, _, c22 = build_rect_grid_decomposition(2, 2, 1.0)
-    ok, slack = compatibility_check(c22)
+    ok, slack = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, c22.ell)
     assert ok and slack == 0
 
 
@@ -133,11 +132,9 @@ def test_compatibility_closed_form(mn, cell_type):
     # uniform ell-gon meshes: satisfied <=> N(ell-2) + N_fD >= N_v - 1
     m, n = mn
     for n_fd in (0, 1, 2, 5):
-        _, _, coarse = build_rect_grid_decomposition(m, n, 1.0,
-                                                     cell_type=cell_type)
-        c = CoarseMesh.from_counts(coarse.N_cells, coarse.N_v, coarse.N_f,
-                                   n_fd, coarse.ell)
-        ok, _ = compatibility_check(c)
+        _, _, c = build_rect_grid_decomposition(m, n, 1.0,
+                                                cell_type=cell_type)
+        ok, _ = compatibility_check(c.N_cells, c.N_f, n_fd, c.ell)
         closed = c.N_cells * (c.ell - 2) + n_fd >= c.N_v - 1
         assert ok == closed
 

@@ -5,8 +5,10 @@ import pytest
 
 from ddmcert.mesh import TriMesh, build_lshape_mesh
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, assemble_load,
-                             assemble_stiffness, energy_error,
-                             manufactured_lshape_problem, solve_dirichlet)
+                             assemble_stiffness, manufactured_lshape_problem,
+                             solve_dirichlet)
+
+from _iterate import error_of
 
 PI = math.pi
 
@@ -131,7 +133,7 @@ def test_solve_dirichlet_convergence_rate():
         F = assemble_load(mesh, p.f)
         bdry = mesh.boundary_vertices
         v = solve_dirichlet(mesh, K, F, bdry, p.u_g(mesh.vertices[bdry]))
-        errs.append(energy_error(v, p))
+        errs.append(error_of(v, p))
     # first-order energy convergence for the smooth solution
     assert 1.8 < errs[0] / errs[1] < 2.2
 
@@ -140,17 +142,17 @@ def test_energy_error_basics():
     p = manufactured_lshape_problem()
     mesh, _ = build_lshape_mesh(1 / 8)
     vI = ScalarFieldP1(mesh, p.exact_u(mesh.vertices))
-    base = energy_error(vI, p)
+    base = error_of(vI, p)
     assert base > 0
 
     bumped = ScalarFieldP1(mesh, vI.values.copy())
     interior = np.nonzero(~mesh.boundary_vertex_mask)[0][0]
     bumped.values[interior] += 0.05
-    assert energy_error(bumped, p) > base
+    assert error_of(bumped, p) > base
 
     mesh2, _ = build_lshape_mesh(1 / 16)
     vI2 = ScalarFieldP1(mesh2, p.exact_u(mesh2.vertices))
-    assert 1.8 < base / energy_error(vI2, p) < 2.2
+    assert 1.8 < base / error_of(vI2, p) < 2.2
 
 
 def test_energy_error_affine_exact():
@@ -162,7 +164,7 @@ def test_energy_error_affine_exact():
         exact_grad=lambda pts: np.broadcast_to(
             np.array([2.0, -1.0]), pts.shape[:-1] + (2,)))
     v = ScalarFieldP1(mesh, affine.exact_u(mesh.vertices))
-    assert energy_error(v, affine) < 1e-13
+    assert error_of(v, affine) < 1e-13
 
 
 def test_galerkin_optimality():
@@ -172,10 +174,10 @@ def test_galerkin_optimality():
     F = assemble_load(mesh, p.f)
     bdry = mesh.boundary_vertices
     vh = solve_dirichlet(mesh, K, F, bdry, p.u_g(mesh.vertices[bdry]))
-    best = energy_error(vh, p)
+    best = error_of(vh, p)
     rng = np.random.default_rng(11)
     free = ~mesh.boundary_vertex_mask
     for _ in range(5):
         w = ScalarFieldP1(mesh, vh.values.copy())
         w.values[free] += 0.1 * rng.standard_normal(free.sum())
-        assert energy_error(w, p) >= best
+        assert error_of(w, p) >= best

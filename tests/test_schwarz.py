@@ -4,11 +4,12 @@ import scipy.sparse as sp
 
 from ddmcert.linalg import SaddleFactorization
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
-from ddmcert.problem import (assemble_load, assemble_stiffness, energy_error,
+from ddmcert.problem import (assemble_load, assemble_stiffness,
                              manufactured_lshape_problem, solve_dirichlet)
 from ddmcert.schwarz import interior_nodes, run_schwarz
 
 from _discrete import contraction, contraction_estimate, run_to_discrete
+from _iterate import error_of
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ def test_energy_error_decreases_along_iteration(problem):
 
     def cb(n, v):
         if n in (2, 4, 6, 8):
-            errs[n] = energy_error(v, problem)
+            errs[n] = error_of(v, problem)
 
     run_schwarz(mesh, decomp, problem, "multiplicative", 8, on_sweep=cb)
     seq = [errs[n] for n in (2, 4, 6, 8)]
