@@ -18,7 +18,7 @@ from .problem import (
     assemble_load,
     solve_dirichlet,
 )
-from .linalg import SolverError, SaddleFactorization
+from .linalg import SolverError, SaddleFactorization, SymmetricFactorization
 from .schwarz import run_schwarz
 from .flux import (
     BrokenFluxField,

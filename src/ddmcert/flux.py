@@ -139,7 +139,7 @@ class BrokenFluxField:
             pts = bary @ self.mesh.vertices[self.mesh.triangles]
         a, g = self.corrector_affine()
         out = g[:, None, None] * pts
-        out += np.repeat(a, pts.shape[1], axis=0).reshape(out.shape)
+        out += a[:, None, :]
         out += p1
         return out
 

@@ -1,11 +1,13 @@
 """Solver kernel: sparse direct factorization of symmetric systems.
 
-Every factorization is a ``SaddleFactorization``, made in two places:
-``flux.CorrectorSolver`` for the corrector KKT system, and its constraint-free
-case ``dirichlet_correction`` for every Dirichlet solve.  ``projected_cg``
-solves a KKT system whose leading block differs from a factorized one's:
-conjugate gradients in the null space of the constraints, preconditioned by
-that factorization.
+Two kinds of factorization are made.  A ``SymmetricFactorization`` of each
+Schwarz subdomain block is made once per run by ``schwarz.run_schwarz``
+(and of the whole interior by ``problem.solve_dirichlet``); every
+``dirichlet_correction`` solves with one.  A ``SaddleFactorization`` of the
+corrector KKT system is made by ``flux.CorrectorSolver``.
+``projected_cg`` solves a KKT system whose leading block differs from a
+factorized one's: conjugate gradients in the null space of the
+constraints, preconditioned by that factorization.
 """
 
 from __future__ import annotations
@@ -48,12 +50,66 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+class SymmetricFactorization:
+    """LDL' factorization of a sparse symmetric positive-definite matrix B,
+    reusable across right-hand sides (Davis, Direct Methods for Sparse
+    Linear Systems, SIAM 2006).
+
+    One ``splu`` in SuperLU's symmetric mode (a minimum-degree ordering of
+    B + B', diagonal pivots) gives B[q][:, q] = L U with U = D L'.  Only the
+    permutation, the pivots d and the unit upper factor L' = D^{-1} U are
+    kept, half of SuperLU's L + U; the SuperLU object and B are dropped.
+    SolverError on breakdown, on an off-diagonal pivot or on a pivot <= 0.
+    """
+
+    def __init__(self, B):
+        try:
+            lu = spla.splu(sp.csc_matrix(B), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise SolverError(
+                f"symmetric factorization breakdown: {exc}") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SolverError(
+                "symmetric factorization breakdown: off-diagonal pivot")
+        # a copy: ``perm_c`` is a view that would keep the SuperLU object
+        # alive; it is released before U is scaled
+        self._perm = lu.perm_c.copy()
+        U = lu.U
+        del lu
+        self.d = U.diagonal()
+        if not np.all(self.d > 0):
+            raise SolverError(
+                f"matrix is not positive definite: pivot {self.d.min():.3e}")
+        U.data /= self.d[U.indices]
+        # canonical order now, which every solve would otherwise sort into
+        U.sum_duplicates()
+        self._unit_upper = U
+        self._inv_perm = np.argsort(self._perm)
+
+    def solve(self, b) -> np.ndarray:
+        """x with B x = b, by two unit triangular solves and a scaling.
+
+        ``overwrite_A`` spares a copy of the factor per solve:
+        ``spsolve_triangular`` writes only into the stored diagonal, which
+        no solve reads, since the diagonal is taken as unit.
+        """
+        U = self._unit_upper
+        z = spla.spsolve_triangular(U.T, b[self._inv_perm], lower=True,
+                                    unit_diagonal=True, overwrite_A=True,
+                                    overwrite_b=True)
+        z /= self.d
+        y = spla.spsolve_triangular(U, z, lower=False, unit_diagonal=True,
+                                    overwrite_A=True, overwrite_b=True)
+        return y[self._perm]
+
+
 class SaddleFactorization:
     """LU factorization of [[G, C'], [C, 0]], reusable across right-hand sides.
 
-    The leading block must be nonsingular and the constraint rows
-    independent; with no constraint rows (``C`` of shape (0, n)) this is a
-    plain factorization of ``G``.
+    The leading block must be nonsingular and the constraint rows, of which
+    there is at least one, independent.
     """
 
     def __init__(self, G, C):
@@ -61,22 +117,19 @@ class SaddleFactorization:
         C = sp.csc_matrix(C)
         self.n = G.shape[0]
         self.m = C.shape[0]
-        if self.m:
-            # Constraint rows must be independent; detect deficiency by a
-            # pivoted QR of C' and report the constraints that fold.
-            _, R, piv = scipy.linalg.qr(C.T.toarray(), mode="economic",
-                                        pivoting=True)
-            diag = np.abs(np.diag(R))
-            thresh = RANK_TOL * max(diag[0], 1e-300)
-            rank = int((diag > thresh).sum())
-            if rank < self.m:
-                bad = sorted(int(i) for i in piv[rank:])
-                raise SolverError(
-                    f"constraint block is rank deficient (rank {rank} of "
-                    f"{self.m}); redundant constraint indices {bad}")
-            kkt = sp.bmat([[G, C.T], [C, None]], format="csc")
-        else:
-            kkt = G
+        # Constraint rows must be independent; detect deficiency by a
+        # pivoted QR of C' and report the constraints that fold.
+        _, R, piv = scipy.linalg.qr(C.T.toarray(), mode="economic",
+                                    pivoting=True)
+        diag = np.abs(np.diag(R))
+        thresh = RANK_TOL * max(diag[0], 1e-300)
+        rank = int((diag > thresh).sum())
+        if rank < self.m:
+            bad = sorted(int(i) for i in piv[rank:])
+            raise SolverError(
+                f"constraint block is rank deficient (rank {rank} of "
+                f"{self.m}); redundant constraint indices {bad}")
+        kkt = sp.bmat([[G, C.T], [C, None]], format="csc")
         try:
             # every matrix factorized here is symmetric
             self._lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A")
@@ -84,24 +137,34 @@ class SaddleFactorization:
             raise SolverError(f"saddle factorization breakdown: {exc}") from exc
         self._kkt = kkt
 
-    def solve(self, b, d=()):
-        """Return (x, lam); lam is empty when there are no constraints."""
-        rhs = np.concatenate([b, d]) if self.m else np.asarray(b, dtype=float)
+    def solve(self, b, d):
+        """(x, lam) with G x + C' lam = b and C x = d."""
+        rhs = np.concatenate([b, d])
         z = self._lu.solve(rhs)
-        resid = _norm(self._kkt @ z - rhs)
-        if not np.isfinite(resid) or resid > RESID_TOL * (1.0 + _norm(rhs)):
-            raise SolverError(
-                f"saddle solve residual {resid:.3e} exceeds tolerance",
-                residual=resid)
+        _check_residual(self._kkt @ z - rhs, rhs, "saddle solve")
         return z[:self.n], z[self.n:]
 
 
-def dirichlet_correction(block, K, F, x, free) -> np.ndarray:
+def _check_residual(resid_vec, rhs, what):
+    """SolverError unless the residual is finite and within ``RESID_TOL``."""
+    resid = _norm(resid_vec)
+    if not np.isfinite(resid) or resid > RESID_TOL * (1.0 + _norm(rhs)):
+        raise SolverError(f"{what} residual {resid:.3e} exceeds tolerance",
+                          residual=resid)
+
+
+def dirichlet_correction(fact: SymmetricFactorization, K, F, x,
+                         free) -> np.ndarray:
     """The change of x on the indices ``free`` that solves K x = F there,
-    every other value held fixed; ``block`` is K restricted to ``free``."""
+    every other value held fixed; ``fact`` factorizes K restricted to
+    ``free``.  The residual is checked through K, so that no copy of that
+    block needs to be kept."""
     r = (F - K @ x)[free]
-    fact = SaddleFactorization(block, sp.csc_matrix((0, len(free))))
-    return fact.solve(r)[0]
+    delta = fact.solve(r)
+    step = np.zeros(len(x))
+    step[free] = delta
+    _check_residual((K @ step)[free] - r, r, "Dirichlet correction")
+    return delta
 
 
 def projected_cg(G, b, x0, fact: SaddleFactorization, C, rtol: float,

@@ -29,10 +29,11 @@ of the iterate and the cell integrals of f and f^2 from its caller
 admissibility means from one ``constraint_residuals`` evaluation of the
 flux.  The flux's P1 layer at the side midpoints and its divergence are the
 ones its averaged flux keeps, shared by every eps round of an iterate.  S1
-writes out its 2x2 products; S1 and S2 sum per subdomain by
-``np.bincount``.  ``energy_error``, which a run compares the majorant with,
-integrates the error of grad v against the exact gradient at the degree-5
-points; its caller attaches it to the report.
+and ``energy_error``, which a run compares the majorant with, write out
+their 2x2 quadratic forms (``problem.quad_form``); S1 and S2 sum per
+subdomain by ``np.bincount``.  ``energy_error`` integrates the error of
+grad v against the exact gradient at the degree-5 points; its caller
+attaches it to the report.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .flux import BrokenFluxField, ConstraintResiduals, constraint_residuals
 from .mesh import DomainDecomposition, TriMesh
-from .problem import EllipticProblem, mat_vec, quad_rule
+from .problem import EllipticProblem, quad_form, quad_rule
 
 EPS_MIN = 1e-8
 EPS_MAX = 1e8
@@ -151,14 +152,12 @@ def energy_error(mesh: TriMesh, A, grad_v: np.ndarray,
                  grad_u: np.ndarray) -> float:
     """Energy norm ||grad(u - v)||_A of the error of v, from its gradient
     ``grad_v`` (T, 2) and the exact gradient ``grad_u`` at the degree-5
-    points (``problem.exact_grad_table``, (T, 7, 2)).  Five (T, 7) arrays
+    points (``problem.exact_grad_table``, (T, 7, 2)).  Four (T, 7) arrays
     are alive at most.
     """
     d0 = grad_u[..., 0] - grad_v[:, 0, None]            # (T, 7)
     d1 = grad_u[..., 1] - grad_v[:, 1, None]
-    dens, ad1 = mat_vec(A, d0, d1)
-    dens *= d0                                          # d . A d
-    dens += ad1 * d1
+    dens = quad_form(A, d0, d1)                         # d . A d
     _, w = quad_rule(5)
     # not ``@``, which OpenBLAS threads at these sizes (see ``linalg._dot``)
     val = (mesh.areas * np.einsum("tq,q->t", dens, w)).sum()
@@ -217,9 +216,9 @@ def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
     # S1: || y - A grad v ||^2 with weight A^{-1}, per subdomain
     _, w = quad_rule(2)
     r = y.values()                                          # (T, 3, 2)
-    r -= np.repeat(a_grad_v, 3, axis=0).reshape(r.shape)
-    ra0, ra1 = mat_vec(problem.A_inv, r[..., 0], r[..., 1])
-    per_tri_1 = mesh.areas * ((ra0 * r[..., 0] + ra1 * r[..., 1]) @ w)
+    r -= a_grad_v[:, None, :]
+    dens = quad_form(problem.A_inv, r[..., 0], r[..., 1])   # r . A^-1 r
+    per_tri_1 = mesh.areas * (dens @ w)
     S1 = np.bincount(decomp.tri_subdomain, per_tri_1, decomp.n_basic)
 
     # S2: || div y + f ||^2 = c^2 |t| + 2 c int f + int f^2 per triangle

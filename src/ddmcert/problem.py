@@ -6,13 +6,15 @@ callables (f, u_g, exact solution) receive point arrays of shape (..., 2) and
 return values of shape (...); gradient callables return shape (..., 2).
 
 The functions here compute; they keep nothing.  2x2 coefficient products
-are written out (``mat_vec``): ``einsum`` over a length-2 axis costs more
-than its arithmetic.  ``solve_dirichlet`` makes on the whole mesh the
-``linalg.dirichlet_correction`` that every Schwarz subdomain solve makes.
+are written out (``mat_vec``, ``quad_form``): ``einsum`` over a length-2
+axis costs more than its arithmetic.  ``solve_dirichlet`` makes on the whole mesh the
+``linalg.dirichlet_correction`` that every Schwarz subdomain solve makes,
+with a ``linalg.SymmetricFactorization`` of its own.
 Tables that stay the same for a whole run are kept by their owners: the P1
 gradients of ``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and
 the cell integrals of f and f^2 and the exact gradient at the degree-5
-points (``exact_grad_table``) on the ``flux.CorrectorSolver`` of a run.
+points (``exact_grad_table``, filled one point at a time) on the
+``flux.CorrectorSolver`` of a run.
 The energy error against that exact-gradient table is
 ``majorant.energy_error``.
 """
@@ -61,6 +63,21 @@ def quad_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def mat_vec(M, x0, x1):
     """M x by components, for a 2x2 M and x given as arrays x0, x1."""
     return M[0, 0] * x0 + M[0, 1] * x1, M[1, 0] * x0 + M[1, 1] * x1
+
+
+def quad_form(M, x0, x1):
+    """x . M x by components, rounded as from ``mat_vec``, with two arrays
+    of the size of x0 made; x0 is overwritten."""
+    dens = M[0, 0] * x0
+    scratch = M[0, 1] * x1
+    dens += scratch
+    dens *= x0                                  # x0 (M x)_0
+    np.multiply(M[1, 0], x0, out=scratch)
+    np.multiply(M[1, 1], x1, out=x0)            # x0 is scratch from here
+    scratch += x0
+    scratch *= x1
+    dens += scratch
+    return dens
 
 
 def tri_quad_points(mesh: TriMesh, degree: int = 2):
@@ -211,14 +228,24 @@ def solve_dirichlet(mesh: TriMesh, K, F, boundary_nodes,
     x[boundary_nodes] = boundary_values
     free = np.setdiff1d(np.arange(len(x)), boundary_nodes)
     if len(free):
-        x[free] += linalg.dirichlet_correction(K[free][:, free], K, F, x, free)
+        fact = linalg.SymmetricFactorization(K[free][:, free])
+        x[free] += linalg.dirichlet_correction(fact, K, F, x, free)
     return ScalarFieldP1(mesh, x)
 
 
 def exact_grad_table(mesh: TriMesh, problem: EllipticProblem) -> np.ndarray:
-    """The exact gradient at the degree-5 points of every triangle, (T, 7, 2)."""
-    pts, _ = tri_quad_points(mesh, degree=5)
-    return problem.exact_grad(pts)
+    """The exact gradient at the degree-5 points of every triangle, (T, 7, 2).
+
+    Filled one point at a time, so that the temporaries of ``exact_grad``
+    are those of one point, not of all seven; the values are those of the
+    all-points evaluation.
+    """
+    bary, _ = quad_rule(5)
+    corners = mesh.vertices[mesh.triangles]              # (T, 3, 2)
+    out = np.empty((mesh.n_triangles, len(bary), 2))
+    for q, b in enumerate(bary):
+        out[:, q] = problem.exact_grad(b @ corners)
+    return out
 
 
 def f_cell_integrals(mesh: TriMesh, f):

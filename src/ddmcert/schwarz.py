@@ -7,9 +7,12 @@ current global iterate, then overwrites the iterate inside Omega_j.  The
 iteration counter therefore advances by one per subdomain solve; the additive
 variant instead solves every subdomain against the same pre-iterate once per
 sweep and combines updates in index order.  Each subdomain solve is the
-``linalg.dirichlet_correction`` of its interior nodes: a sparse direct
-factorization of the subdomain block, made afresh in the sweep that uses
-it.  A run keeps only the iterate, which ``run_schwarz`` returns; anything
+``linalg.dirichlet_correction`` of its interior nodes, with a
+``linalg.SymmetricFactorization`` of the subdomain block.  ``run_schwarz``
+makes one per subdomain at its entry and keeps it for every sweep, since
+the blocks do not change (Toselli & Widlund, Domain Decomposition
+Methods, Springer 2005); no block is kept.  Beside those factors a run
+keeps only the iterate, which ``run_schwarz`` returns; anything
 measured along the way (a majorant, a distance to the discrete solution)
 is computed by the caller in the ``on_sweep(n, v)`` callback.
 """
@@ -49,7 +52,8 @@ def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
     pre-iterate, in index order.  ``on_sweep(n, v)`` is invoked after sweep
     n with the iterate v, which later sweeps update in place; callers use it
     to certify the iterate or to measure it against a reference solution.
-    ValueError for an unknown ``mode`` or ``sweeps < 1``.
+    ValueError for an unknown ``mode`` or ``sweeps < 1``; SolverError if a
+    subdomain block does not factorize or a subdomain solve fails.
     """
     if mode not in ("multiplicative", "additive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -62,14 +66,21 @@ def run_schwarz(mesh: TriMesh, decomp: DomainDecomposition,
     v = np.zeros(mesh.n_vertices)
     v[bdry] = problem.u_g(mesh.vertices[bdry])
 
-    # Per-subdomain interior index sets and their stiffness blocks.
+    # Per-subdomain interior index sets and the factors of their blocks.
     M = decomp.n_overlap
     idx_sets = [interior_nodes(mesh, decomp, j) for j in range(M)]
-    blocks = [K[idx][:, idx].tocsc() for idx in idx_sets]
+    facts = []
+    for j, idx in enumerate(idx_sets):
+        try:
+            facts.append(linalg.SymmetricFactorization(K[idx][:, idx]))
+        except linalg.SolverError as exc:
+            raise linalg.SolverError(
+                f"subdomain factorization failed on Omega_{j + 1}: {exc}",
+                residual=exc.residual) from exc
 
     def solve_on(j, values):
         try:
-            return linalg.dirichlet_correction(blocks[j], K, F, values,
+            return linalg.dirichlet_correction(facts[j], K, F, values,
                                                idx_sets[j])
         except linalg.SolverError as exc:
             raise linalg.SolverError(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddmcert import flux
+from ddmcert import flux, linalg
 from ddmcert.cli import (CSV_HEADER, _ratio, build_config, fmt_ieff, frac,
                          main, markdown_table, parse_config_file, sci3)
 from ddmcert.pipeline import ConfigError
@@ -362,6 +362,16 @@ def test_non_admissible_certificate_exits_solver(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "not admissible" in err
     assert "subdomain mean residual" in err
+
+
+def test_subdomain_factorization_failure_exits_solver(monkeypatch, capsys):
+    def breakdown(B):
+        raise linalg.SolverError("symmetric factorization breakdown: test")
+
+    monkeypatch.setattr(linalg, "SymmetricFactorization", breakdown)
+    assert main(["run", "--h", "1/4", "--sweeps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "subdomain factorization failed on Omega_1" in err
 
 
 # history.csv of these runs as an earlier version of the code wrote them;

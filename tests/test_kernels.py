@@ -22,7 +22,7 @@ from ddmcert.majorant import (MajorantConstants, energy_error,
                               evaluate_majorant)
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.problem import (EllipticProblem, manufactured_lshape_problem,
-                             p1_gradients, quad_rule)
+                             mat_vec, p1_gradients, quad_form, quad_rule)
 from ddmcert.schwarz import run_schwarz
 
 from _iterate import a_grad
@@ -218,3 +218,14 @@ def test_term_sums_match_reference(full_a):
     assert_close(rep.S1, S1)
     assert_close(rep.S2, S2)
     assert_close(rep.S3, S3)
+
+
+def test_quad_form_rounds_as_mat_vec():
+    # bitwise: the in-place form must not change a certified digit
+    rng = np.random.default_rng(3)
+    x0, x1 = rng.standard_normal((2, 50, 7))
+    m0, m1 = mat_vec(A_FULL, x0, x1)
+    want = m0 * x0 + m1 * x1
+    x1_before = x1.copy()
+    assert np.array_equal(quad_form(A_FULL, x0.copy(), x1), want)
+    assert np.array_equal(x1, x1_before)

@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from ddmcert.linalg import SaddleFactorization, SolverError, projected_cg
+from ddmcert.linalg import (SaddleFactorization, SolverError,
+                            SymmetricFactorization, dirichlet_correction,
+                            projected_cg)
 
 
 def random_spd(n, seed, shift=None):
@@ -13,11 +18,8 @@ def random_spd(n, seed, shift=None):
 
 
 def direct_solve(A, b):
-    """SPD solve through the constraint-free factorization."""
-    A = sp.csc_matrix(A)
-    x, lam = SaddleFactorization(A, sp.csc_matrix((0, A.shape[0]))).solve(b)
-    assert lam.size == 0
-    return x
+    """SPD solve through the symmetric factorization."""
+    return SymmetricFactorization(sp.csc_matrix(A)).solve(b)
 
 
 def test_spd_identity():
@@ -66,13 +68,65 @@ def test_saddle_hand_example():
     assert np.allclose(lam, [-1.0])
 
 
-def test_saddle_without_constraints_is_plain_solve():
+def test_symmetric_factorization_is_plain_solve():
     A = random_spd(10, seed=12)
     b = np.random.default_rng(13).standard_normal(10)
-    fact = SaddleFactorization(sp.csc_matrix(A), sp.csc_matrix((0, 10)))
-    x, lam = fact.solve(b, np.zeros(0))
-    assert lam.size == 0
+    x = SymmetricFactorization(sp.csc_matrix(A)).solve(b)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
+
+
+def grid_laplacian(n):
+    """Five-point Laplacian on an n x n grid of interior nodes (CSR)."""
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    return (sp.kron(T, sp.eye(n)) + sp.kron(sp.eye(n), T)).tocsr()
+
+
+def test_symmetric_factorization_of_sparse_spd_against_dense_oracle():
+    # fill-in and a nontrivial ordering, unlike a dense random matrix; the
+    # solves are repeated, since each one writes into the kept factor
+    A = grid_laplacian(20)
+    rng = np.random.default_rng(14)
+    fact = SymmetricFactorization(A)
+    for _ in range(3):
+        b = rng.standard_normal(A.shape[0])
+        x = fact.solve(b)
+        ref = np.linalg.solve(A.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.all(fact.d > 0)
+
+
+def test_symmetric_factorization_keeps_no_superlu_object(monkeypatch):
+    made = []
+    splu = spla.splu
+
+    def recording(*args, **kwargs):
+        made.append(splu(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", recording)
+    fact = SymmetricFactorization(grid_laplacian(10))
+    assert len(made) == 1
+    lu = made.pop()
+    # referenced only by ``lu`` and by the argument of getrefcount
+    refs = sys.getrefcount(lu)
+    assert refs == 2
+    assert fact.solve(np.ones(100)).shape == (100,)
+
+
+def test_indefinite_matrix_raises_solver_error():
+    with pytest.raises(SolverError, match="not positive definite"):
+        SymmetricFactorization(sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_dirichlet_correction_solves_on_the_free_nodes():
+    A = grid_laplacian(8)
+    rng = np.random.default_rng(15)
+    F = rng.standard_normal(A.shape[0])
+    x = rng.standard_normal(A.shape[0])
+    free = np.sort(rng.choice(A.shape[0], 40, replace=False))
+    fact = SymmetricFactorization(A[free][:, free])
+    x[free] += dirichlet_correction(fact, A, F, x, free)
+    assert np.linalg.norm((A @ x - F)[free]) <= 1e-12 * np.linalg.norm(F)
 
 
 def test_saddle_against_dense_kkt_oracle():
@@ -101,19 +155,31 @@ def test_saddle_rank_deficiency_reported():
 
 def test_singular_block_raises_solver_error():
     with pytest.raises(SolverError, match="breakdown"):
-        SaddleFactorization(sp.csc_matrix((3, 3)), sp.csc_matrix((0, 3)))
+        SymmetricFactorization(sp.csc_matrix((3, 3)))
 
 
 def test_non_finite_rhs_raises_solver_error():
     # above 10,000 entries, where BLAS would split a dot product over threads
     n = 12_000
+    K = sp.identity(n, format="csr")
+    free = np.arange(n)
+    fact = SymmetricFactorization(K)
+    F = np.ones(n)
+    assert np.array_equal(dirichlet_correction(fact, K, F, np.zeros(n), free),
+                          F)
+    F[-1] = np.nan
+    with pytest.raises(SolverError, match="residual"):
+        dirichlet_correction(fact, K, F, np.zeros(n), free)
+
+
+def test_non_finite_kkt_rhs_raises_solver_error():
+    n = 12_000
     fact = SaddleFactorization(sp.identity(n, format="csc"),
-                               sp.csc_matrix((0, n)))
+                               sp.csc_matrix(np.eye(1, n)))
     b = np.ones(n)
-    assert np.array_equal(fact.solve(b)[0], b)
     b[-1] = np.nan
     with pytest.raises(SolverError, match="residual"):
-        fact.solve(b)
+        fact.solve(b, np.ones(1))
 
 
 # ---------------------------------------------------------------------------

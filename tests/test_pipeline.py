@@ -7,6 +7,7 @@ import pytest
 
 from ddmcert import flux, linalg, majorant, pipeline, problem
 from ddmcert.pipeline import OPT_ROUNDS, RunConfig, run_case
+from ddmcert.problem import quad_rule
 
 
 @pytest.fixture
@@ -29,6 +30,8 @@ def calls(monkeypatch):
                         counted("rhs_table", pipeline.rhs_table))
     monkeypatch.setattr(flux, "corrector_rhs",
                         counted("corrector_rhs", flux.corrector_rhs))
+    monkeypatch.setattr(flux, "exact_grad_table",
+                        counted("exact_grad_table", flux.exact_grad_table))
     make_problem = pipeline.manufactured_lshape_problem
 
     def counted_problem():
@@ -52,9 +55,12 @@ def test_sweep_invariants_computed_once_per_run(calls):
         # one weight-free table per iterate, weighted once per round
         assert calls["rhs_table"] == sweeps
         assert calls["corrector_rhs"] == sweeps * (1 + OPT_ROUNDS)
-        per_run[sweeps] = (calls["p1_gradients"], calls["exact_grad"])
+        per_run[sweeps] = (calls["p1_gradients"], calls["exact_grad_table"],
+                           calls["exact_grad"])
     assert per_run[2] == per_run[6]
+    # one table per run, filled one degree-5 point at a time
     assert per_run[2][1] == 1
+    assert per_run[2][2] == len(quad_rule(5)[1])
 
 
 def test_eps_opt_rounds_keep_one_other_factorization(monkeypatch):
@@ -65,8 +71,7 @@ def test_eps_opt_rounds_keep_one_other_factorization(monkeypatch):
     pcg = linalg.projected_cg
 
     def recording_init(self, G, C):
-        if C.shape[0]:
-            others_alive.append(len(live))
+        others_alive.append(len(live))
         init(self, G, C)
         live.add(self)
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from ddmcert.linalg import SaddleFactorization
+from ddmcert.linalg import SolverError, SymmetricFactorization
 from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
-from ddmcert.problem import (assemble_load, assemble_stiffness,
-                             manufactured_lshape_problem, solve_dirichlet)
+from ddmcert.problem import (EllipticProblem, assemble_load,
+                             assemble_stiffness, manufactured_lshape_problem,
+                             solve_dirichlet)
 from ddmcert.schwarz import interior_nodes, run_schwarz
 
 from _discrete import contraction, contraction_estimate, run_to_discrete
@@ -67,9 +68,9 @@ def recording_corrections(monkeypatch):
     corrected = []
     correction = ddmcert.linalg.dirichlet_correction
 
-    def recording(block, K, F, x, free):
+    def recording(fact, K, F, x, free):
         corrected.append(np.array(free))
-        return correction(block, K, F, x, free)
+        return correction(fact, K, F, x, free)
 
     monkeypatch.setattr(ddmcert.linalg, "dirichlet_correction", recording)
     return corrected
@@ -112,8 +113,79 @@ def test_fine_subdomain_block_solve_does_not_stall(problem):
     idx = interior_nodes(mesh, decomp, 0)
     b = assemble_load(mesh, problem.f)[idx]
     block = K[idx][:, idx]
-    x, _ = SaddleFactorization(block, sp.csc_matrix((0, len(idx)))).solve(b)
+    x = SymmetricFactorization(block).solve(b)
     assert np.linalg.norm(block @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_one_factorization_per_subdomain_per_run(problem, monkeypatch, mode):
+    made = []
+    init = SymmetricFactorization.__init__
+
+    def counted(self, B):
+        made.append(B.shape[0])
+        init(self, B)
+
+    monkeypatch.setattr(SymmetricFactorization, "__init__", counted)
+    mesh, decomp = build_lshape_mesh(0.25)
+    for sweeps in (2, 6):
+        made.clear()
+        run_schwarz(mesh, decomp, problem, mode, sweeps)
+        assert len(made) == decomp.n_overlap
+
+
+def anisotropic_problem():
+    """A non-diagonal coefficient, so that the blocks are not those of the
+    Laplacian."""
+    return EllipticProblem(A=[[2.0, 0.7], [0.7, 1.3]],
+                           f=lambda p: 1.0 + p[..., 0] * p[..., 1],
+                           u_g=lambda p: p[..., 0] - 0.5 * p[..., 1])
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_kept_factors_match_refactorizing_every_sweep(mode):
+    # the reference makes a fresh general sparse LU of the block in every
+    # sweep, as the sweeps did before the factors were kept
+    prob = anisotropic_problem()
+    mesh, decomp = build_lshape_mesh(1 / 16)
+    sweeps = 6
+    seen = []
+    run_schwarz(mesh, decomp, prob, mode, sweeps,
+                on_sweep=lambda n, v: seen.append(v.values.copy()))
+
+    K = assemble_stiffness(mesh, prob.A)
+    F = assemble_load(mesh, prob.f)
+    bdry = mesh.boundary_vertices
+    v = np.zeros(mesh.n_vertices)
+    v[bdry] = prob.u_g(mesh.vertices[bdry])
+    idx_sets = [interior_nodes(mesh, decomp, j)
+                for j in range(decomp.n_overlap)]
+
+    def fresh_solve(j, x):
+        idx = idx_sets[j]
+        return spla.spsolve(K[idx][:, idx].tocsc(), (F - K @ x)[idx])
+
+    for n in range(1, sweeps + 1):
+        if mode == "multiplicative":
+            j = (n - 1) % decomp.n_overlap
+            v[idx_sets[j]] += fresh_solve(j, v)
+        else:
+            pre = v.copy()
+            for j, idx in enumerate(idx_sets):
+                v[idx] = pre[idx] + fresh_solve(j, pre)
+        scale = np.abs(v).max()
+        assert np.abs(seen[n - 1] - v).max() <= 1e-12 * scale
+
+
+def test_subdomain_factorization_failure_is_typed(problem):
+    # a negative definite coefficient, set past the problem's own check,
+    # makes the first block's first pivot negative
+    mesh, decomp = build_lshape_mesh(0.25)
+    bad = manufactured_lshape_problem()
+    bad.A = -bad.A
+    with pytest.raises(SolverError, match="subdomain factorization failed "
+                       "on Omega_1: matrix is not positive definite"):
+        run_schwarz(mesh, decomp, bad, "multiplicative", 2)
 
 
 def test_additive_mode_runs_and_is_deterministic(problem):
