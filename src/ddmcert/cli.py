@@ -5,8 +5,8 @@ preset experiment (``table1`` .. ``table4``, ``check``).  Artifacts land in
 ``--out``: ``history.csv`` with full-precision per-row data (RFC 4180),
 ``table.md`` with the 3-significant-digit summary, and optional
 ``fields_sweep<N>.vtk``.  Exit codes: 0 ok, 1 config error, 2 solver
-failure, 3 guarantee violation (a bug trap -- the bound fell below the true
-error, which the theory excludes).
+failure or out of memory, 3 guarantee violation (a bug trap -- the bound
+fell below the true error, which the theory excludes).
 """
 
 from __future__ import annotations
@@ -322,6 +322,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _innermost_site(exc: BaseException) -> str:
+    """The innermost function of this package on the traceback of ``exc``,
+    the stage a run was in when it failed."""
+    site = "?"
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if Path(code.co_filename).parent == Path(__file__).parent:
+            site = getattr(code, "co_qualname", code.co_name)   # 3.11+
+        tb = tb.tb_next
+    return site
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -332,6 +345,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (MeshError, SolverError) as exc:
         print(f"ddmcert: solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print("ddmcert: solver error: out of memory in "
+              f"{_innermost_site(exc)}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -12,20 +12,14 @@ make the field weakly admissible:
     c1:  the mean of div y + f vanishes on every omega_k,
     c2:  the mean normal-flux jump vanishes on every interface gamma_kj.
 
-Inside each cell the corrector is the RT0 extension of its edge fluxes.
-Quadrilateral cells are split by their lower-left/upper-right diagonal into
-two triangles; the splitting diagonal carries an ordinary interior
-coefficient of the minimization (it never meets an interface or the
-boundary, so it enters the volume terms only).  On triangle-celled coarse
-meshes (in particular the fine triangulation itself when H = h) every fine
-edge is a degree of freedom.
-
-Internally every cell contributes its triangle(s) to the coarse mesh's
-list of "cell-triangles", each with three slots (its sides) tied to coarse
-edges with an orientation sign.  One vectorized path serves triangle and
-quad cells alike: dofs are numbered edge by edge, a sparse matrix Q maps
-coefficients to the three local outward fluxes (slots) of each
-cell-triangle, and all volume terms are assembled in slot space.
+Every coarse cell is a triangle, and inside it the corrector is the RT0
+extension of its three edge fluxes.  At H = h the cells are the fine
+triangles, so every fine edge is a degree of freedom; at H > h each H x H
+square is split by its lower-left/upper-right diagonal, and the diagonal
+carries an ordinary interior coefficient of the minimization.  Dofs are
+numbered edge by edge, a sparse matrix Q maps coefficients to the three
+local outward fluxes (slots) of each cell-triangle, and all volume terms
+are assembled in slot space.
 
 Certification reads its sweep-invariant tables from their owners and
 never recomputes them: the P1 gradients, edge lengths and side midpoints
@@ -249,15 +243,13 @@ class CorrectorSpace:
 
     Degrees of freedom are numbered edge by edge over the coarse edges: two
     per interface edge (the omega_k side, then the omega_j side), one per
-    interior or Dirichlet edge (quad diagonals included), none on inactive
-    edges.  A dof is the total flux across its edge along the edge normal.
-    ``dof_edge``/``dof_side``/``dof_cell`` give each dof's coarse edge, its
-    subdomain side (-1 off interfaces) and, for a quad diagonal, its cell
-    (-1 otherwise); ``edge_dof`` is the first dof of every coarse edge (-1
-    on inactive edges).  ``iface_edges[m]`` lists the coarse edges of
-    interface m in the traversal order of its fine edges, and
-    ``iface_signs[m]`` their orientation: +1 where the coarse edge normal
-    points along the interface normal n_kj, -1 otherwise.
+    interior or Dirichlet edge, none on inactive edges.  A dof is the total
+    flux across its edge along the edge normal.  ``edge_dof`` is the first
+    dof of every coarse edge (-1 on inactive edges).  ``iface_edges[m]``
+    lists the coarse edges of interface m in the traversal order of its
+    fine edges, and ``iface_signs[m]`` their orientation: +1 where the
+    coarse edge normal points along the interface normal n_kj, -1
+    otherwise.
 
     ``Q`` maps the coefficient vector to the three local outward fluxes of
     every cell-triangle; ``C`` holds the admissibility constraint rows (one
@@ -272,9 +264,6 @@ class CorrectorSpace:
     ct_area: np.ndarray           # (CT,)
     Q: sp.csr_matrix              # (3 CT, n_dofs)
     n_dofs: int
-    dof_edge: np.ndarray
-    dof_side: np.ndarray
-    dof_cell: np.ndarray
     edge_dof: np.ndarray
     iface_edges: list
     iface_signs: list
@@ -294,7 +283,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     MeshError when the coarse mesh fails the solvability count.
     """
     ok, slack = compatibility_check(coarse.N_cells, coarse.N_f,
-                                    coarse.N_fD, coarse.ell)
+                                    coarse.N_fD, 3)
     if not ok:
         raise MeshError(
             f"coarse mesh cannot carry the constraints (slack {slack})")
@@ -306,25 +295,16 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     per_edge = np.select([kind == INTERFACE, kind == INACTIVE], [2, 0], 1)
     n_dofs = int(per_edge.sum())
     edge_dof = np.where(per_edge > 0, np.cumsum(per_edge) - per_edge, -1)
-    dof_edge = np.repeat(np.arange(len(kind)), per_edge)
-    on_iface = np.flatnonzero(kind == INTERFACE)
-    iface_sides = np.array([(g.k, g.j) for g in decomp.interfaces],
-                           dtype=np.int64).reshape(-1, 2)
-    edge_sides = np.full((len(kind), 2), -1, dtype=np.int64)
-    edge_sides[on_iface] = iface_sides[coarse.edge_iface[on_iface]]
-    dof_side = np.full(n_dofs, -1, dtype=np.int64)
-    dof_side[edge_dof[on_iface]] = edge_sides[on_iface, 0]
-    dof_side[edge_dof[on_iface] + 1] = edge_sides[on_iface, 1]
-    dof_cell = np.where(dof_edge >= coarse.N_f, dof_edge - coarse.N_f, -1)
 
     # --- the slot map Q -----------------------------------------------------
-    # A slot takes its edge's dof, the omega_j one on the omega_j side.
+    # A slot takes its edge's dof, the omega_j one on the omega_j side; the
+    # appended -1 is the omega_j of edges off interfaces (edge_iface -1).
+    iface_j = np.array([g.j for g in decomp.interfaces] + [-1])
     ct_verts = coarse.ct_verts
     n_ct = len(ct_verts)
-    ct_sub = np.repeat(coarse.cell_sub, coarse.ell - 2)
     slot_edge = coarse.ct_edge.ravel()
-    slot_dof = edge_dof[slot_edge] + (edge_sides[slot_edge, 1]
-                                      == np.repeat(ct_sub, 3))
+    slot_dof = edge_dof[slot_edge] + (iface_j[coarse.edge_iface[slot_edge]]
+                                      == np.repeat(coarse.cell_sub, 3))
     live = np.flatnonzero(edge_dof[slot_edge] >= 0)
     Q = sp.coo_matrix((coarse.ct_sign.ravel()[live], (live, slot_dof[live])),
                       shape=(3 * n_ct, n_dofs)).tocsr()
@@ -353,7 +333,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     n_basic = decomp.n_basic
     r1 = sp.coo_matrix(
         (np.ones(3 * n_ct),
-         (np.repeat(ct_sub, 3), np.arange(3 * n_ct))),
+         (np.repeat(coarse.cell_sub, 3), np.arange(3 * n_ct))),
         shape=(n_basic, 3 * n_ct)).tocsr()
     areas_k = np.array([sub.area for sub in decomp.basic])
     C_rows = [sp.diags(1.0 / areas_k) @ (r1 @ Q)]
@@ -378,9 +358,8 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
             shape=(1, n_dofs)))
     C = sp.vstack(C_rows).tocsr()
 
-    return CorrectorSpace(mesh, decomp, coarse, ct_area, Q, n_dofs, dof_edge,
-                          dof_side, dof_cell, edge_dof, iface_edges,
-                          iface_signs, C, M_hat, D_hat, J_hats)
+    return CorrectorSpace(mesh, decomp, coarse, ct_area, Q, n_dofs, edge_dof,
+                          iface_edges, iface_signs, C, M_hat, D_hat, J_hats)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ Dirichlet-boundary grouping.
 
 Geometry is stored as arrays, never as one object per element.  A
 ``TriMesh`` numbers its edges by first occurrence in the triangle list.  A
-``CoarseMesh`` keeps per-edge arrays (kind, normal, length, midpoint,
-interface), per-cell arrays (vertices, subdomain) and one cell-triangle
-incidence: every cell is split into ``ell - 2`` cell-triangles, numbered
-cell by cell, and slot ``i`` of a cell-triangle is its side opposite local
+``CoarseMesh`` is a triangulation too, built one way for every H: the fine
+mesh itself at H = h, else the one-diagonal triangulation of the H x H
+lattice squares of each basic subdomain.  It keeps per-edge arrays (kind,
+normal, length, midpoint, interface) and per-cell arrays; its cells are
+called cell-triangles, and slot ``i`` of one is its side opposite local
 vertex ``i``, with the coarse edge it lies on (``ct_edge``) and the sign of
 its outward normal against that edge's normal (``ct_sign``).
 
@@ -434,7 +435,6 @@ def _rect_grid(m: int, n: int, h: float) -> tuple[TriMesh, DomainDecomposition]:
 
 
 def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
-                                  cell_type: str = "triangle",
                                   dirichlet_boundary: bool = False):
     """Regular m x n grid of coarse cells over (0, m*h) x (0, n*h).
 
@@ -442,17 +442,14 @@ def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
     diagonal only (one diagonal per square, not a criss-cross).  The
     decomposition is trivial (one basic subdomain covering everything, one
     overlapping subdomain equal to it); the interesting output is the coarse
-    mesh: 2*m*n triangular cells for ``cell_type='triangle'`` or m*n
-    quadrilateral cells for ``'quad'``.  ``dirichlet_boundary`` marks all
-    boundary coarse edges as Dirichlet (otherwise N_fD = 0).
+    mesh at H = h, whose 2*m*n cells are the fine triangles.
+    ``dirichlet_boundary`` marks all boundary coarse edges as Dirichlet
+    (otherwise N_fD = 0).
 
     Returns (TriMesh, DomainDecomposition, CoarseMesh).
     """
-    if cell_type not in ("triangle", "quad"):
-        raise MeshError(f"unknown cell_type {cell_type!r}")
     mesh, decomp = _rect_grid(m, n, h)
-    kind = "tri" if cell_type == "triangle" else "quad"
-    coarse = build_coarse_mesh(mesh, decomp, h, cells=kind,
+    coarse = build_coarse_mesh(mesh, decomp, h,
                                dirichlet_boundary=dirichlet_boundary)
     return mesh, decomp, coarse
 
@@ -464,28 +461,28 @@ def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
 
 @dataclass
 class CoarseMesh:
-    """Cell mesh of nominal size H carrying the flux-corrector space.
+    """Triangulation of nominal size H carrying the flux-corrector space.
 
-    ``N_cells``, ``N_v``, ``N_f`` and ``N_fD`` count its cells, vertices,
-    sides and Dirichlet sides; each cell has ``ell`` sides.
+    At H = h its cells are the fine triangles.  At H > h every H x H lattice
+    square of a basic subdomain is split by its lower-left/upper-right
+    diagonal into a lower (ll, lr, ur) and an upper (ll, ur, ul) triangle,
+    square by square.  ``N_cells``, ``N_v``, ``N_f`` and ``N_fD`` count its
+    triangles, vertices, edges and Dirichlet edges.
 
     Array layout:
 
     - edges ``e``: ``edge_kind`` (INTERIOR / INTERFACE / DIRICHLET /
       INACTIVE), ``edge_normal`` (fixed unit normal), ``edge_length``,
       ``edge_mid`` and ``edge_iface`` (index into ``decomp.interfaces``, -1
-      off interfaces).  The first ``N_f`` edges are the cell sides; a quad
-      mesh appends the splitting diagonal of cell ``c`` as edge
-      ``N_f + c``, an interior edge with normal (-1, 1)/sqrt(2);
-    - cells ``c``: ``cell_verts`` ((N_cells, ell, 2); quads in the order
-      ll, lr, ur, ul), ``cell_sub`` (basic subdomain); ``tri_cell`` gives
-      the containing cell of every fine triangle;
-    - cell-triangles (``ell - 2`` per cell, numbered cell by cell; a quad
-      gives its lower (ll, lr, ur) then its upper (ll, ur, ul) triangle):
-      ``ct_verts`` (CT, 3, 2), and per slot ``i`` (the side opposite
-      vertex ``i``) the edge ``ct_edge`` and the sign ``ct_sign`` of the
-      outward normal against ``edge_normal``; ``fine_tri_ct`` gives the
-      containing cell-triangle of every fine triangle.
+      off interfaces);
+    - cell-triangles ``c``: ``ct_verts`` (CT, 3, 2), ``cell_sub`` (basic
+      subdomain), and per slot ``i`` (the side opposite vertex ``i``) the
+      edge ``ct_edge`` and the sign ``ct_sign`` of the outward normal
+      against ``edge_normal``; ``fine_tri_ct`` gives the containing
+      cell-triangle of every fine triangle.
+
+    At H = h the edge lengths, ``ct_edge`` and ``cell_sub`` are the fine
+    mesh's and the decomposition's own arrays.
     """
 
     H: float
@@ -493,15 +490,12 @@ class CoarseMesh:
     N_v: int
     N_f: int
     N_fD: int
-    ell: int
     edge_kind: np.ndarray
     edge_normal: np.ndarray
     edge_length: np.ndarray
     edge_mid: np.ndarray
     edge_iface: np.ndarray
-    cell_verts: np.ndarray
     cell_sub: np.ndarray
-    tri_cell: np.ndarray
     ct_verts: np.ndarray
     ct_edge: np.ndarray
     ct_sign: np.ndarray
@@ -526,171 +520,97 @@ def compatibility_check(N_cells: int, N_f: int, N_fD: int,
     return slack >= 0, int(slack)
 
 
-def _coarse_mesh(H: float, ell: int, n_v: int, n_f: int,
-                 **arrays) -> CoarseMesh:
-    """Assemble a coarse mesh from its arrays; the slot signs follow from
-    the cell-triangle geometry and the edge normals."""
-    ct_verts = arrays["ct_verts"]
-    side = ct_verts[:, [2, 0, 1]] - ct_verts[:, [1, 2, 0]]
-    outward = np.stack([side[..., 1], -side[..., 0]], axis=-1)
-    normal = arrays["edge_normal"][arrays["ct_edge"]]
-    arrays["ct_sign"] = np.where(
-        np.einsum("csd,csd->cs", outward, normal) > 0, 1.0, -1.0)
-    n_cells = len(arrays["cell_verts"])
-    n_fd = int(np.count_nonzero(arrays["edge_kind"] == DIRICHLET))
-    return CoarseMesh(H=H, N_cells=n_cells, N_v=n_v, N_f=n_f, N_fD=n_fd,
-                      ell=ell, **arrays)
-
-
-def _coarse_from_fine_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
-                                    dirichlet_boundary: bool) -> CoarseMesh:
-    """Coarse mesh whose cells are the fine triangles themselves (H = h)."""
-    edge_iface = np.full(mesh.n_edges, -1, dtype=np.int64)
-    for m, g in enumerate(decomp.interfaces):
-        edge_iface[g.edges] = m
-    kind = np.where(mesh.boundary_edge_flags,
-                    DIRICHLET if dirichlet_boundary else INACTIVE,
-                    np.where(edge_iface >= 0, INTERFACE, INTERIOR))
-    pa = mesh.vertices[mesh.edges[:, 0]]
-    pb = mesh.vertices[mesh.edges[:, 1]]
-    lengths = mesh.edge_lengths
-    tangent = (pb - pa) / lengths[:, None]
-    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-    cell_verts = mesh.vertices[mesh.triangles]
-    every_tri = np.arange(mesh.n_triangles)
-    return _coarse_mesh(
-        mesh.mesh_size_h, 3, mesh.n_vertices, mesh.n_edges,
-        edge_kind=kind, edge_normal=normal, edge_length=lengths,
-        edge_mid=0.5 * (pa + pb), edge_iface=edge_iface,
-        cell_verts=cell_verts, cell_sub=decomp.tri_subdomain,
-        tri_cell=every_tri, ct_verts=cell_verts, ct_edge=mesh.tri_edges,
-        fine_tri_ct=every_tri)
-
-
-def _coarse_quads(mesh: TriMesh, decomp: DomainDecomposition, H: float,
-                  dirichlet_boundary: bool) -> CoarseMesh:
-    """Coarse mesh of H x H square cells tiling the basic subdomains."""
-    h = mesh.mesh_size_h
-    ratio = H / h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise MeshError(f"H={H} is not an integer multiple of h={h}")
-
+def _lattice_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
+                           H: float, ratio: int):
+    """One-diagonal triangulation of the H x H lattice squares tiling the
+    basic subdomains (subdomain by subdomain, row by row), ``ratio`` = H/h;
+    returns it with the coarse triangle of every fine triangle and the
+    subdomain of every coarse one."""
     def lat(x):
         i = int(round(x / H))
         if abs(x - i * H) > 1e-9 * max(1.0, H):
             raise MeshError(f"subdomain corner {x} not on the H={H} lattice")
         return i
 
-    # cells (I, J) = [I H, (I+1) H] x [J H, (J+1) H], subdomain by
-    # subdomain and row by row
     blocks = []
     for sub in decomp.basic:
-        (x0, y0), (x1, y1) = sub.bbox
-        J, I = np.mgrid[lat(y0):lat(y1), lat(x0):lat(x1)]
-        blocks.append((I.ravel(), J.ravel(), np.full(I.size, sub.index)))
-    I, J, cell_sub = (np.concatenate(col) for col in zip(*blocks))
-    n_cells = len(I)
-    cell_verts = np.stack([np.stack([I * H, J * H], axis=1),
-                           np.stack([(I + 1) * H, J * H], axis=1),
-                           np.stack([(I + 1) * H, (J + 1) * H], axis=1),
-                           np.stack([I * H, (J + 1) * H], axis=1)], axis=1)
+        (i0, j0), (i1, j1) = [[lat(x) for x in corner] for corner in sub.bbox]
+        blocks.append(_lattice_cells(i1 - i0, j1 - j0) + [i0, j0])
+    squares = np.concatenate(blocks)
+    square_sub = np.repeat(np.arange(decomp.n_basic), [len(b) for b in blocks])
+    tri = TriMesh.from_arrays(*_one_diagonal_grid(squares, H), H)
 
-    n_i, n_j = int(I.max()) + 1, int(J.max()) + 1
-    cell_at = np.full((n_i + 2, n_j + 2), -1, dtype=np.int64)
-    cell_at[I + 1, J + 1] = np.arange(n_cells)
+    # a fine triangle lies in the square of its centroid, and in that
+    # square's lower or upper triangle by the side of the diagonal
+    n_i, n_j = squares.max(axis=0) + 3
+    square_at = np.full((n_i, n_j), -1, dtype=np.int64)
+    square_at[squares[:, 0] + 1, squares[:, 1] + 1] = np.arange(len(squares))
     cent = mesh.centroids()
-    bin_i = np.floor(cent[:, 0] / H + 1e-12).astype(np.int64)
-    bin_j = np.floor(cent[:, 1] / H + 1e-12).astype(np.int64)
-    tri_cell = cell_at[np.clip(bin_i + 1, 0, n_i + 1),
-                       np.clip(bin_j + 1, 0, n_j + 1)]
-    if np.any(tri_cell < 0):
+    b = np.floor(cent / H + 1e-12).astype(np.int64) + 1
+    square = square_at[np.clip(b[:, 0], 0, n_i - 1),
+                       np.clip(b[:, 1], 0, n_j - 1)]
+    if np.any(square < 0):
         raise MeshError("fine triangle outside every coarse cell")
-    fine_per_cell = 2 * int(round(ratio)) ** 2
-    if np.any(np.bincount(tri_cell, minlength=n_cells) != fine_per_cell):
+    if np.any(np.bincount(square, minlength=len(squares)) != 2 * ratio ** 2):
         raise MeshError("coarse cell does not tile into fine triangles")
-
-    # Cell sides keyed on the lattice: horizontal edges (normal +y) first,
-    # then vertical ones (normal +x), each sorted by (J, I).
-    width = n_i + 1
-    n_keys = width * (n_j + 1)
-    corner = J * width + I
-    side_key = np.stack([corner, corner + width,               # bottom, top
-                         n_keys + corner, n_keys + corner + 1],  # left, right
-                        axis=1)
-    keys, side_edge, adjacent = np.unique(side_key.ravel(), return_inverse=True,
-                                          return_counts=True)
-    side_edge = side_edge.reshape(-1, 4)
-    n_f = len(keys)
-    vertical = keys >= n_keys
-    e_j, e_i = np.divmod(keys % n_keys, width)
-    p0 = np.stack([e_i * H, e_j * H], axis=1)
-    p1 = np.stack([np.where(vertical, e_i, e_i + 1) * H,
-                   np.where(vertical, e_j + 1, e_j) * H], axis=1)
-
-    n_basic = decomp.n_basic
-    sub_lo = np.full(n_f, n_basic, dtype=np.int64)
-    sub_hi = np.full(n_f, -1, dtype=np.int64)
-    np.minimum.at(sub_lo, side_edge.ravel(), np.repeat(cell_sub, 4))
-    np.maximum.at(sub_hi, side_edge.ravel(), np.repeat(cell_sub, 4))
-    iface_of_pair = np.full((n_basic, n_basic), -1, dtype=np.int64)
-    for m, g in enumerate(decomp.interfaces):
-        iface_of_pair[g.k, g.j] = m
-    crossing = (adjacent == 2) & (sub_lo != sub_hi)
-    edge_iface = np.where(crossing, iface_of_pair[sub_lo, np.maximum(sub_hi, 0)],
-                          -1)
-    if np.any(crossing & (edge_iface < 0)):
-        raise MeshError("coarse edge between subdomains without an interface")
-    kind = np.where(adjacent == 1,
-                    DIRICHLET if dirichlet_boundary else INACTIVE,
-                    np.where(crossing, INTERFACE, INTERIOR))
-    normal = np.where(vertical[:, None], [1.0, 0.0], [0.0, 1.0])
-    n_v = len(np.unique(np.concatenate([corner, corner + 1, corner + width,
-                                        corner + width + 1])))
-
-    # the splitting diagonals follow as edges n_f + c
-    diag = n_f + np.arange(n_cells)
-    ll, ur = cell_verts[:, 0], cell_verts[:, 2]
-    bottom, top, left, right = side_edge.T
-    x0 = ll[tri_cell]
-    upper = (cent[:, 0] - x0[:, 0]) <= (cent[:, 1] - x0[:, 1])
-    return _coarse_mesh(
-        H, 4, n_v, n_f,
-        edge_kind=np.concatenate([kind, np.full(n_cells, INTERIOR)]),
-        edge_normal=np.concatenate(
-            [normal, np.tile([-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
-                             (n_cells, 1))]),
-        edge_length=np.concatenate([np.full(n_f, H),
-                                    np.full(n_cells, np.hypot(H, H))]),
-        edge_mid=np.concatenate([0.5 * (p0 + p1), 0.5 * (ll + ur)]),
-        edge_iface=np.concatenate([edge_iface, np.full(n_cells, -1)]),
-        cell_verts=cell_verts, cell_sub=cell_sub, tri_cell=tri_cell,
-        ct_verts=cell_verts[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2),
-        ct_edge=np.stack([np.stack([right, diag, bottom], axis=1),
-                          np.stack([top, left, diag], axis=1)],
-                         axis=1).reshape(-1, 3),
-        fine_tri_ct=2 * tri_cell + upper)
+    offset = cent - squares[square] * H
+    upper = offset[:, 0] <= offset[:, 1]
+    return tri, 2 * square + upper, np.repeat(square_sub, 2)
 
 
 def build_coarse_mesh(mesh: TriMesh, decomp: DomainDecomposition, H: float,
-                      cells: str = "auto",
                       dirichlet_boundary: bool = True) -> CoarseMesh:
-    """Coarse corrector mesh of size H on top of a fine triangulation.
+    """Coarse corrector triangulation of size H on top of a fine one.
 
-    ``cells='quad'`` tiles each basic subdomain with H x H squares;
-    ``cells='tri'`` (requires H equal to the fine spacing) uses the fine
-    triangles themselves, so every fine edge carries a flux degree of
-    freedom.  ``'auto'`` picks 'tri' when H == h and 'quad' otherwise.
+    At H = h it is the fine mesh itself, so every fine edge carries a flux
+    degree of freedom; at H > h it is the one-diagonal triangulation of the
+    H x H squares tiling each basic subdomain.  A coarse edge between
+    triangles of two basic subdomains lies on their interface; a boundary
+    edge is Dirichlet, or inactive without ``dirichlet_boundary``.
     """
     h = mesh.mesh_size_h
     if H < h - 1e-12:
         raise MeshError(f"coarse size H={H} smaller than fine size h={h}")
     _as_int_reciprocal(H, "H")
-    if cells == "auto":
-        cells = "tri" if abs(H - h) <= 1e-12 * h else "quad"
-    if cells == "tri":
-        if abs(H - h) > 1e-12 * h:
-            raise MeshError("cells='tri' requires H == h")
-        return _coarse_from_fine_triangulation(mesh, decomp, dirichlet_boundary)
-    if cells == "quad":
-        return _coarse_quads(mesh, decomp, H, dirichlet_boundary)
-    raise MeshError(f"unknown coarse cell style {cells!r}")
+    ratio = int(round(H / h))
+    if abs(H / h - ratio) > 1e-9:
+        raise MeshError(f"H={H} is not an integer multiple of h={h}")
+    if ratio == 1:
+        tri, fine_tri_ct = mesh, np.arange(mesh.n_triangles)
+        cell_sub = decomp.tri_subdomain
+    else:
+        tri, fine_tri_ct, cell_sub = _lattice_triangulation(mesh, decomp, H,
+                                                            ratio)
+
+    # t1 is -1 on the boundary, which the mask leaves out
+    boundary = tri.boundary_edge_flags
+    t0, t1 = tri.edge_tris.T
+    crossing = np.flatnonzero(~boundary & (cell_sub[t0] != cell_sub[t1]))
+    s0, s1 = cell_sub[t0[crossing]], cell_sub[t1[crossing]]
+    iface_of_pair = np.full((decomp.n_basic, decomp.n_basic), -1,
+                            dtype=np.int64)
+    for m, g in enumerate(decomp.interfaces):
+        iface_of_pair[g.k, g.j] = m
+    edge_iface = np.full(tri.n_edges, -1, dtype=np.int64)
+    edge_iface[crossing] = iface_of_pair[np.minimum(s0, s1),
+                                         np.maximum(s0, s1)]
+    if np.any(edge_iface[crossing] < 0):
+        raise MeshError("coarse edge between subdomains without an interface")
+    kind = np.where(boundary, DIRICHLET if dirichlet_boundary else INACTIVE,
+                    np.where(edge_iface >= 0, INTERFACE, INTERIOR))
+
+    pa = tri.vertices[tri.edges[:, 0]]
+    pb = tri.vertices[tri.edges[:, 1]]
+    lengths = tri.edge_lengths
+    tangent = (pb - pa) / lengths[:, None]
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    ct_verts = tri.vertices[tri.triangles]
+    side = ct_verts[:, [2, 0, 1]] - ct_verts[:, [1, 2, 0]]
+    outward = np.stack([side[..., 1], -side[..., 0]], axis=-1)
+    ct_sign = np.where(np.einsum("csd,csd->cs", outward,
+                                 normal[tri.tri_edges]) > 0, 1.0, -1.0)
+    n_fd = int(np.count_nonzero(kind == DIRICHLET))
+    return CoarseMesh(tri.mesh_size_h, tri.n_triangles, tri.n_vertices,
+                      tri.n_edges, n_fd, kind, normal, lengths,
+                      0.5 * (pa + pb), edge_iface, cell_sub, ct_verts,
+                      tri.tri_edges, ct_sign, fine_tri_ct)

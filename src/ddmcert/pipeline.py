@@ -316,7 +316,7 @@ def table2_rows(configs):
     v = run_schwarz(mesh, decomp, problem, fine.mode, fine.sweeps)
     rows = []
     for cfg in configs:
-        coarse = build_coarse_mesh(mesh, decomp, cfg.H, cells="quad")
+        coarse = build_coarse_mesh(mesh, decomp, cfg.H)
         space = build_corrector_space(coarse, decomp, problem.A)
         solver = CorrectorSolver(space, problem, constants)
         _, rep = certify_iterate(v, solver, "fixed")
@@ -376,7 +376,7 @@ def run_checks(h: float = 0.25):
         (not ok_a0) and ok_a1 and slack_a1 == 0)
     _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)
     _, _, c22 = build_rect_grid_decomposition(2, 2, 1.0)
-    ok_b1, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, c11.ell)
-    ok_b2, _ = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, c22.ell)
+    ok_b1, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, 3)
+    ok_b2, _ = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, 3)
     add("compatibility verdicts (grids)", (not ok_b1) and ok_b2)
     return out

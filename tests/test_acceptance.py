@@ -316,8 +316,7 @@ def test_criterion_08_constants():
     case_b = True
     for n, m in ((1, 1), (1, 4), (3, 1), (2, 2), (2, 3), (4, 4)):
         _, _, coarse = build_rect_grid_decomposition(n, m, 1.0)
-        ok, _ = compatibility_check(coarse.N_cells, coarse.N_f, coarse.N_fD,
-                                    coarse.ell)
+        ok, _ = compatibility_check(coarse.N_cells, coarse.N_f, coarse.N_fD, 3)
         case_b = case_b and (ok == (n > 1 and m > 1))
     verdict(8, cp_ok and case_a and case_b,
             f"poincare_edge_constant(1)={poincare_edge_constant(1.0):.6f} "
@@ -454,37 +453,26 @@ class _DenseOracle:
 
     def _index_corrector(self, coarse, space):
         """Resolve every cell-triangle slot to (dof, sign) from geometry and
-        the published dof meanings (total flux along each edge's normal,
-        diagonals along the up-left normal)."""
-        table = list(zip(range(space.n_dofs), space.dof_edge,
-                         space.dof_side, space.dof_cell))
-        diag_normal = np.array([-1.0, 1.0]) / math.sqrt(2.0)
+        the published dof meanings (total flux along each edge's normal; an
+        interface edge's omega_k dof, then its omega_j dof)."""
         self.slots = []          # per cell-triangle: (verts, [(dof, sign)*3])
-        for c, (verts, subdomain) in enumerate(zip(coarse.cell_verts,
-                                                   coarse.cell_sub)):
-            ll, lr, ur, ul = verts
-            for tri in (np.array([ll, lr, ur]), np.array([ll, ur, ul])):
-                entries = []
-                for loc in range(3):
-                    a, b = tri[(loc + 1) % 3], tri[(loc + 2) % 3]
-                    mid = 0.5 * (a + b)
-                    d = b - a
-                    out = np.array([d[1], -d[0]])
-                    out /= np.linalg.norm(out)
-                    if np.allclose(mid, 0.5 * (ll + ur), atol=1e-12):
-                        dof = next(i for i, _, _, cc in table if cc == c)
-                        sign = 1.0 if out @ diag_normal > 0 else -1.0
-                    else:
-                        ce = next(
-                            i for i, e_mid in enumerate(coarse.edge_mid)
-                            if np.allclose(e_mid, mid, atol=1e-12))
-                        dof = next(
-                            i for i, de, side, _ in table
-                            if de == ce and side in (-1, subdomain))
-                        nrm = coarse.edge_normal[ce]
-                        sign = 1.0 if out @ nrm > 0 else -1.0
-                    entries.append((dof, sign))
-                self.slots.append((tri, entries))
+        for verts, subdomain in zip(coarse.ct_verts, coarse.cell_sub):
+            entries = []
+            for loc in range(3):
+                a, b = verts[(loc + 1) % 3], verts[(loc + 2) % 3]
+                d = b - a
+                out = np.array([d[1], -d[0]])
+                ce = next(i for i, e_mid in enumerate(coarse.edge_mid)
+                          if np.allclose(e_mid, 0.5 * (a + b), atol=1e-12))
+                dof = int(space.edge_dof[ce])
+                m = coarse.edge_iface[ce]
+                if m >= 0:
+                    g = self.decomp.interfaces[m]
+                    assert subdomain in (g.k, g.j)
+                    dof += int(subdomain == g.j)
+                sign = 1.0 if out @ coarse.edge_normal[ce] > 0 else -1.0
+                entries.append((dof, sign))
+            self.slots.append((verts, entries))
 
     def corrector_field(self, x):
         """Vertex values of the RT0 field with coefficients x, per fine
@@ -617,7 +605,7 @@ class _DenseOracle:
 def test_criterion_10_dense_oracle():
     problem = manufactured_lshape_problem()
     mesh, decomp = build_lshape_mesh(1.0)
-    coarse = build_coarse_mesh(mesh, decomp, 1.0, cells="quad")
+    coarse = build_coarse_mesh(mesh, decomp, 1.0)
     from ddmcert.flux import build_corrector_space
     space = build_corrector_space(coarse, decomp, problem.A)
     f_tri, f_sq = f_cell_integrals(mesh, problem.f)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddmcert import flux, linalg
+from ddmcert import cli, flux, linalg
 from ddmcert.cli import (CSV_HEADER, _ratio, build_config, fmt_ieff, frac,
                          main, markdown_table, parse_config_file, sci3)
 from ddmcert.pipeline import ConfigError
@@ -372,6 +372,17 @@ def test_subdomain_factorization_failure_exits_solver(monkeypatch, capsys):
     assert main(["run", "--h", "1/4", "--sweeps", "2"]) == 2
     err = capsys.readouterr().err
     assert "subdomain factorization failed on Omega_1" in err
+
+
+def test_out_of_memory_exits_solver(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_case", exhausted)
+    assert main(["run", "--h", "1/4", "--sweeps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ddmcert: solver error: out of memory in cmd_run")
+    assert err.count("\n") == 1
 
 
 # history.csv of these runs as an earlier version of the code wrote them;

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from ddmcert import flux, linalg
 from ddmcert.flux import (KAPPA_MAX, BrokenFluxField, CorrectorSolver,
@@ -12,9 +11,7 @@ from ddmcert.majorant import (MajorantConstants, alpha_weights,
                               evaluate_majorant)
 from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
                           build_lshape_mesh, build_rect_grid_decomposition)
-from ddmcert.pipeline import certify_iterate
 from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
-from ddmcert.schwarz import run_schwarz
 
 from _iterate import a_grad
 
@@ -92,14 +89,13 @@ def test_interface_values_are_one_sided():
 
 def test_space_counts_lshape_H1():
     mesh, decomp = build_lshape_mesh(1.0)
-    coarse = build_coarse_mesh(mesh, decomp, 1.0, cells="quad")
+    coarse = build_coarse_mesh(mesh, decomp, 1.0)
     space = build_corrector_space(coarse, decomp, np.eye(2))
     # 8 Dirichlet edges + 2 interface edges x 2 sides, plus one diagonal
-    # DOF per square cell
-    assert np.count_nonzero(space.dof_cell < 0) == 12
+    # DOF per unit square
+    assert coarse.N_cells == 6 and coarse.N_f == 13
     assert space.n_dofs == 15
     assert space.C.shape[0] == 5        # 3 subdomains + 2 interfaces
-    assert coarse.ell * coarse.N_cells == 12     # 3 cells x 4 edges
 
 
 def test_space_fine_mesh_every_edge_is_a_dof():
@@ -109,49 +105,28 @@ def test_space_fine_mesh_every_edge_is_a_dof():
     space = build_corrector_space(coarse, decomp, np.eye(2))
     # no interfaces: one DOF per fine edge, no duplication
     assert space.n_dofs == mesh.n_edges
-    assert coarse.ell == 3 and coarse.N_cells == mesh.n_triangles
-    assert coarse.ell * coarse.N_cells == 3 * mesh.n_triangles
+    assert coarse.N_cells == mesh.n_triangles
 
 
 def test_single_cell_represents_constants():
     mesh, decomp, coarse = build_rect_grid_decomposition(
-        1, 1, 1.0, cell_type="quad", dirichlet_boundary=True)
+        1, 1, 1.0, dirichlet_boundary=True)
     space = build_corrector_space(coarse, decomp, np.eye(2))
     target = np.array([1.0, 0.0])
     # each dof is the total flux across its edge along the edge normal;
-    # the diagonal from (0,0) to (1,1) has length sqrt2, normal (-1,1)/sqrt2
-    edge = space.dof_edge
-    diagonal = space.dof_cell >= 0
-    assert np.allclose(coarse.edge_mid[edge[diagonal]], [[0.5, 0.5]])
+    # the diagonal from (0,0) to (1,1) has length sqrt2, normal
+    # +-(1,-1)/sqrt2, so it carries a flux of +-1
+    edge = np.flatnonzero(space.edge_dof >= 0)
+    assert (space.edge_dof[edge] == np.arange(space.n_dofs)).all()
     coeffs = coarse.edge_length[edge] * (coarse.edge_normal[edge] @ target)
-    assert np.allclose(coeffs[diagonal], -1.0)
+    diagonal = np.all(np.isclose(coarse.edge_mid[edge], 0.5), axis=1)
+    assert np.count_nonzero(diagonal) == 1
+    assert np.allclose(np.abs(coeffs[diagonal]), 1.0)
     zero = np.zeros((mesh.n_triangles, 3, 2))
     y = BrokenFluxField(mesh, decomp, zero, space, coeffs)
     vals = y.values(BARY)
     assert np.allclose(vals, target, atol=1e-13)
     assert np.allclose(y.divergence(), 0.0, atol=1e-13)
-
-
-@pytest.mark.parametrize("eps_policy", ["fixed", "opt"])
-@pytest.mark.parametrize("h", [1 / 4, 1 / 8])
-def test_tri_and_quad_cells_agree_at_H_equal_h(h, eps_policy, problem):
-    # at H = h a quad cell is one fine square split by the fine diagonal,
-    # so both cell kinds span the same RT0 space on the fine triangulation
-    mesh, decomp = build_lshape_mesh(h)
-    v = run_schwarz(mesh, decomp, problem, "multiplicative", 4)
-    constants = MajorantConstants.default(decomp, problem)
-    reports, n_dofs = [], []
-    for cells in ("tri", "quad"):
-        coarse = build_coarse_mesh(mesh, decomp, h, cells=cells)
-        space = build_corrector_space(coarse, decomp, problem.A)
-        solver = CorrectorSolver(space, problem, constants)
-        reports.append(certify_iterate(v, solver, eps_policy)[1])
-        n_dofs.append(space.n_dofs)
-    assert n_dofs[0] == n_dofs[1]
-    tri, quad = reports
-    for name in ("total_sq", "M1_sq", "M2_sq", "M3_sq"):
-        a, b = getattr(tri, name), getattr(quad, name)
-        assert abs(a - b) <= 1e-12 * abs(a), name
 
 
 def test_incompatible_coarse_mesh_rejected():
@@ -205,7 +180,7 @@ def test_single_cell_divergence_balance():
     # one unit square, exactly one Dirichlet edge active, ytilde = 0, f = 1:
     # the constraint forces  int div q = -1  over the cell
     mesh, decomp, coarse = build_rect_grid_decomposition(
-        1, 1, 1.0, cell_type="quad", dirichlet_boundary=True)
+        1, 1, 1.0, dirichlet_boundary=True)
     dirichlet = np.flatnonzero(coarse.edge_kind == DIRICHLET)
     coarse.edge_kind[dirichlet[1:]] = INACTIVE
     coarse.N_fD = 1

@@ -6,9 +6,9 @@ written-out array arithmetic; they are kept here only to check the
 package's kernels.  The preset coefficient is the identity, under which a
 transposed A, or A swapped for its inverse, gives the same numbers, so
 these tests use the h = 1/8 L-shape with a full symmetric A, on the fine
-triangulation (H = h) and on quad cells (H = 1/4).  The exact gradient of
-the preset stands in for that of this A's solution: the kernels only
-integrate the difference.
+triangulation (H = h) and on the coarse one at H = 1/4.  The exact
+gradient of the preset stands in for that of this A's solution: the
+kernels only integrate the difference.
 """
 
 from types import SimpleNamespace

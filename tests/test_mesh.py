@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ddmcert.mesh import (MeshError, build_coarse_mesh, build_lshape_mesh,
-                          build_rect_grid_decomposition, compatibility_check)
+from ddmcert.flux import build_corrector_space
+from ddmcert.mesh import (INTERFACE, MeshError, build_coarse_mesh,
+                          build_lshape_mesh, build_rect_grid_decomposition,
+                          compatibility_check)
 
 
 def test_lshape_quarter_counts():
@@ -100,13 +102,6 @@ def test_rect_triangle_counts():
     assert decomp.n_basic == 1
 
 
-def test_rect_quad_counts():
-    _, _, c1 = build_rect_grid_decomposition(1, 1, 1.0, cell_type="quad")
-    assert (c1.N_cells, c1.N_v, c1.N_f) == (1, 4, 4)
-    _, _, c2 = build_rect_grid_decomposition(2, 2, 1.0, cell_type="quad")
-    assert (c2.N_cells, c2.N_v, c2.N_f) == (4, 9, 12)
-
-
 def test_compatibility_fig3_hexagon():
     # triangulated hexagon: 6 cells, 8 vertices, 13 edges
     ok, slack = compatibility_check(6, 13, 0, 3)
@@ -117,46 +112,80 @@ def test_compatibility_fig3_hexagon():
 
 def test_compatibility_regular_grids():
     _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)
-    ok, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, c11.ell)
+    ok, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, 3)
     assert not ok
     _, _, c22 = build_rect_grid_decomposition(2, 2, 1.0)
-    ok, slack = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, c22.ell)
+    ok, slack = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, 3)
     assert ok and slack == 0
 
 
-@pytest.mark.parametrize("mn,cell_type", [((2, 3), "triangle"),
-                                          ((3, 3), "quad"),
-                                          ((1, 4), "triangle"),
-                                          ((5, 2), "quad")])
-def test_compatibility_closed_form(mn, cell_type):
+@pytest.mark.parametrize("mn,cells", [((2, 3), "triangle"),
+                                      ((3, 3), "quad"),
+                                      ((1, 4), "triangle"),
+                                      ((5, 2), "quad")])
+def test_compatibility_closed_form(mn, cells):
     # uniform ell-gon meshes: satisfied <=> N(ell-2) + N_fD >= N_v - 1
     m, n = mn
+    n_v = (m + 1) * (n + 1)
+    if cells == "quad":
+        # the m x n lattice of squares itself
+        ell, n_cells, n_f = 4, m * n, m * (n + 1) + n * (m + 1)
+    else:
+        _, _, c = build_rect_grid_decomposition(m, n, 1.0)
+        assert c.N_v == n_v
+        ell, n_cells, n_f = 3, c.N_cells, c.N_f
     for n_fd in (0, 1, 2, 5):
-        _, _, c = build_rect_grid_decomposition(m, n, 1.0,
-                                                cell_type=cell_type)
-        ok, _ = compatibility_check(c.N_cells, c.N_f, n_fd, c.ell)
-        closed = c.N_cells * (c.ell - 2) + n_fd >= c.N_v - 1
+        ok, _ = compatibility_check(n_cells, n_f, n_fd, ell)
+        closed = n_cells * (ell - 2) + n_fd >= n_v - 1
         assert ok == closed
 
 
-def test_coarse_quad_mesh_tiles_domain():
+@pytest.mark.parametrize("H", [1 / 4, 1 / 2, 1.0])
+def test_coarse_triangulation_above_fine_size(H):
     mesh, decomp = build_lshape_mesh(1 / 8)
-    coarse = build_coarse_mesh(mesh, decomp, 0.25)
-    cell_area = np.bincount(coarse.tri_cell, mesh.areas)
-    assert np.isclose(cell_area.sum(), 3.0)      # |Omega| = 3
-    assert np.allclose(cell_area, 0.0625)
-    side = coarse.cell_verts[:, 2] - coarse.cell_verts[:, 0]
-    assert np.allclose(side, 0.25)
-    # each cell lives in exactly one basic subdomain
-    assert (decomp.tri_subdomain == coarse.cell_sub[coarse.tri_cell]).all()
-    assert (coarse.tri_cell >= 0).all()
+    coarse = build_coarse_mesh(mesh, decomp, H)
+    n = round(1 / H)
+    assert coarse.N_cells == 2 * 3 * n * n
+    # every fine centroid lies in its coarse triangle
+    v = coarse.ct_verts[coarse.fine_tri_ct]
+    cent = mesh.centroids()
+    for i in range(3):
+        a, b = v[:, (i + 1) % 3], v[:, (i + 2) % 3]
+        cross = ((b[:, 0] - a[:, 0]) * (cent[:, 1] - a[:, 1])
+                 - (b[:, 1] - a[:, 1]) * (cent[:, 0] - a[:, 0]))
+        assert (cross > 0).all()
+    # each coarse triangle is tiled by its fine triangles
+    e1 = coarse.ct_verts[:, 1] - coarse.ct_verts[:, 0]
+    e2 = coarse.ct_verts[:, 2] - coarse.ct_verts[:, 0]
+    ct_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert np.allclose(ct_area, 0.5 * H * H)
+    assert np.allclose(np.bincount(coarse.fine_tri_ct, mesh.areas,
+                                   coarse.N_cells), ct_area)
+    assert (decomp.tri_subdomain
+            == coarse.cell_sub[coarse.fine_tri_ct]).all()
+    # the interface edges are the coarse edges on gamma_12 (y = 1, x <= 1)
+    # and gamma_23 (x = 1, y <= 1)
+    x, y = coarse.edge_mid.T
+    on = [np.isclose(y, 1.0) & (x < 1.0), np.isclose(x, 1.0) & (y < 1.0)]
+    assert (coarse.edge_iface == np.select(on, [0, 1], -1)).all()
+    assert ((coarse.edge_kind == INTERFACE) == (on[0] | on[1])).all()
+    # one dof per lattice side and per square (its diagonal), plus one per
+    # interface side: H x H squares with a free diagonal count the same
+    space = build_corrector_space(coarse, decomp, np.eye(2))
+    sides = 3 * 2 * n * (n + 1) - 2 * n
+    assert space.n_dofs == sides + 3 * n * n + 2 * n
+    if H == 1.0:
+        assert space.n_dofs == 15
 
 
 def test_coarse_fine_identity_mesh():
     mesh, decomp = build_lshape_mesh(0.5)
     coarse = build_coarse_mesh(mesh, decomp, 0.5)
-    assert coarse.ell == 3
     assert coarse.N_cells == mesh.n_triangles
+    # the fine mesh is the coarse triangulation: its arrays are shared
+    assert coarse.ct_edge is mesh.tri_edges
+    assert coarse.edge_length is mesh.edge_lengths
+    assert coarse.cell_sub is decomp.tri_subdomain
     with pytest.raises(MeshError):
         build_coarse_mesh(mesh, decomp, 0.25)   # H finer than h
 
@@ -165,3 +194,9 @@ def test_coarse_h_must_divide():
     mesh, decomp = build_lshape_mesh(1 / 8)
     with pytest.raises(MeshError):
         build_coarse_mesh(mesh, decomp, 0.3)
+    mesh, decomp = build_lshape_mesh(1 / 6)
+    with pytest.raises(MeshError, match="multiple"):
+        build_coarse_mesh(mesh, decomp, 0.25)
+    mesh, decomp, _ = build_rect_grid_decomposition(3, 2, 0.25)
+    with pytest.raises(MeshError, match="lattice"):
+        build_coarse_mesh(mesh, decomp, 0.5)    # corner x = 0.75
