@@ -36,9 +36,10 @@ the weight-free terms of the corrector's right-hand side, and every eps
 round only weights them in ``corrector_rhs``.  ``CorrectorSolver.solve``
 solves an eps round by projected CG from the round before, preconditioned
 by a factorization it keeps: the fixed-weight one or that of the last eps
-round it had to factorize.  The P1 layer at the side midpoints and its
-divergence are kept by the averaged flux and shared with every corrected
-flux built from it.  The kernels are plain array arithmetic: 2x2 products
+round it had to factorize.  CG stops once the round's majorant exceeds
+its minimum by at most ``PCG_GAP`` times the start's.  The P1 layer at the
+side midpoints and its divergence are kept by the averaged flux and shared
+with every corrected flux built from it.  The kernels are plain array arithmetic: 2x2 products
 written out, sums over triangles by ``np.bincount`` over a key, the
 interface endpoint corners (``Interface.corners``) found once per run.
 """
@@ -465,16 +466,18 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
 
 # An eps round's weights alphas differ from a kept factorization's p only
 # in the positive factors of the same three pieces of G = a1 M_hat +
-# a2 D_hat + a3 sum beta^2 J_hat, so min(a/p) G_P <= G <= max(a/p) G_P,
-# and kappa = max(a/p) / min(a/p) bounds the condition number of G
-# preconditioned by G_P.  Within KAPPA_MAX, projected CG reduces the
-# G-norm error e_n at least as fast as 2 ((sqrt(4) - 1) / (sqrt(4) + 1))^n
-# = 2 / 3^n.  It stops at r'g <= PCG_RTOL r0'g0, 1e-10 in the energy norm
-# of the correction (1e-16 moved the certified values of pinned --eps opt
-# histories beyond 1e-12).  Since r'g <= kappa |e_n|^2 r0'g0 / |e_0|^2,
-# the bound gets there by n = 23; PCG_MAXITER leaves two steps of slack.
+# a2 D_hat + a3 sum beta^2 J_hat, so mu G_P <= G <= kappa mu G_P with
+# mu = min(a/p), and kappa = max(a/p) / min(a/p) bounds the condition
+# number of G preconditioned by G_P.  Projected CG stops at r'g <= PCG_GAP
+# mu ref_sq, ref_sq the majorant M^2 of the round's start under the round's
+# weights.  The error e of its q then has e'G e <= r'g / mu <= PCG_GAP
+# ref_sq, and e'G e is exactly what the round's M^2 exceeds its minimum by.
+# Within KAPPA_MAX, CG reduces the G-norm error at least as fast as
+# 2 ((sqrt(4) - 1) / (sqrt(4) + 1))^n = 2 / 3^n from |e_0|^2 <= ref_sq, and
+# r'g <= kappa mu |e_n|^2, so the stop holds once 9^n >= 4 kappa / PCG_GAP,
+# by n = 14; PCG_MAXITER leaves slack for roundoff.
 KAPPA_MAX = 4.0
-PCG_RTOL = 1e-20
+PCG_GAP = 1e-12
 PCG_MAXITER = 25
 
 
@@ -494,7 +497,8 @@ class CorrectorSolver:
     run's tables of the problem on the fine mesh: the cell integrals
     ``f_tri``/``f_sq`` of f and f^2 and ``exact_grad``, the exact gradient
     at the degree-5 points, filled on first use.  ``solve`` takes an
-    iterate's ``rhs_table``, the weights of its round and a start.
+    iterate's ``rhs_table``, the weights of its round, a start and the
+    start's majorant under those weights.
 
     Besides the fixed-weight factor the solver keeps at most one other:
     that of the last eps round it factorized, kept across iterates, since
@@ -523,7 +527,7 @@ class CorrectorSolver:
         out.flags.writeable = False
         return out
 
-    def solve(self, table: RhsTable, alphas, start=None):
+    def solve(self, table: RhsTable, alphas, start=None, ref_sq=None):
         """(q, lam) for the iterate whose weight-free terms are ``table``,
         under ``alphas``.
 
@@ -532,14 +536,20 @@ class CorrectorSolver:
         smallest ``weight_ratio_bound``, if that is at most ``KAPPA_MAX``.
         CG starts from ``start``, a q of the same iterate (which meets the
         same constraints), or else from the preconditioner's own solution.
-        Weights with no kept factor near enough, or whose CG does not
-        converge, are factorized; that factor replaces the kept one.
+        It stops once the majorant of its q exceeds the round's minimum by
+        at most ``PCG_GAP`` ``ref_sq``, where ``ref_sq`` is the majorant M^2
+        of ``start`` under ``alphas``; weights other than the solver's own
+        need it.  Weights with no kept factor near enough, or whose CG does
+        not converge, are factorized; that factor replaces the kept one.
         """
         alphas = tuple(alphas)
         if alphas == self.alphas:
             fact = self.fact
         else:
-            solved = self._iterate(table, alphas, start)
+            if ref_sq is None:
+                raise ValueError("weights other than the solver's own "
+                                 "need ref_sq")
+            solved = self._iterate(table, alphas, start, ref_sq)
             if solved is not None:
                 return solved
             # released before the next factorization is made, so that no
@@ -551,21 +561,24 @@ class CorrectorSolver:
         b, d = corrector_rhs(self.space, table, alphas, self.constants.beta)
         return fact.solve(b, d)
 
-    def _iterate(self, table, alphas, start):
-        """(q, lam) by projected CG, or None if no kept factor is near
-        enough or CG does not converge within ``PCG_MAXITER`` steps."""
+    def _iterate(self, table, alphas, start, ref_sq):
+        """(q, lam) by projected CG to the gap ``PCG_GAP`` ``ref_sq``, or
+        None if no kept factor is near enough or CG does not converge
+        within ``PCG_MAXITER`` steps."""
         kept = [(self.alphas, self.fact)]
         if self._round is not None:
             kept.append(self._round)
-        kappa, fact = min(((weight_ratio_bound(alphas, p), f)
-                           for p, f in kept), key=lambda kf: kf[0])
+        kappa, p, fact = min(((weight_ratio_bound(alphas, p), p, f)
+                              for p, f in kept), key=lambda kpf: kpf[0])
         if kappa > KAPPA_MAX:
             return None
+        mu = min(a / w for a, w in zip(alphas, p))
         b, d = corrector_rhs(self.space, table, alphas, self.constants.beta)
         x0 = fact.solve(b, d)[0] if start is None else start
         try:
             q, lam, _ = linalg.projected_cg(self._matrix(alphas), b, x0, fact,
-                                            self.space.C, PCG_RTOL,
+                                            self.space.C,
+                                            PCG_GAP * mu * ref_sq,
                                             PCG_MAXITER)
         except linalg.SolverError:
             return None

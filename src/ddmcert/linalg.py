@@ -3,11 +3,14 @@
 Two kinds of factorization are made.  A ``SymmetricFactorization`` of each
 Schwarz subdomain block is made once per run by ``schwarz.run_schwarz``
 (and of the whole interior by ``problem.solve_dirichlet``); every
-``dirichlet_correction`` solves with one.  A ``SaddleFactorization`` of the
-corrector KKT system is made by ``flux.CorrectorSolver``.
-``projected_cg`` solves a KKT system whose leading block differs from a
-factorized one's: conjugate gradients in the null space of the
-constraints, preconditioned by that factorization.
+``dirichlet_correction`` solves with one, by two calls of SuperLU's
+triangular solve ``gstrs`` on the kept unit factor.  A
+``SaddleFactorization`` of the corrector KKT system is made by
+``flux.CorrectorSolver``.  ``projected_cg`` solves a KKT system whose
+leading block differs from a factorized one's: conjugate gradients in the
+null space of the constraints, preconditioned by that factorization.  It
+stops on an absolute test, r'g <= ``gap``, which its caller sets from the
+bound on the G-norm error that it wants to certify.
 """
 
 from __future__ import annotations
@@ -16,13 +19,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 RANK_TOL = 1e-12     # relative pivot size below which constraint rows fold
 RESID_TOL = 1e-10    # residual bound of a solve, relative to 1 + ||rhs||
-# A start x0 whose r0'g0 is at most PCG_FLOOR x0'G x0 already solves the
-# system to about 13 digits in the G-norm; CG then takes no step, since
-# r'g <= rtol r0'g0 is below what roundoff in r lets it reach.
-PCG_FLOOR = 1e-26
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -83,26 +83,33 @@ class SymmetricFactorization:
             raise SolverError(
                 f"matrix is not positive definite: pivot {self.d.min():.3e}")
         U.data /= self.d[U.indices]
-        # canonical order now, which every solve would otherwise sort into
+        # canonical order, and a stored zero diagonal: with the identity as
+        # its L, ``gstrs`` then solves with the unit factor, the form that
+        # ``spla.spsolve_triangular`` passes it
         U.sum_duplicates()
-        self._unit_upper = U
+        U.setdiag(0.0)
+        self._upper = _superlu_csc(U)
+        self._identity = _superlu_csc(sp.identity(U.shape[0], format="csc"))
         self._inv_perm = np.argsort(self._perm)
 
     def solve(self, b) -> np.ndarray:
         """x with B x = b, by two unit triangular solves and a scaling.
 
-        ``overwrite_A`` spares a copy of the factor per solve:
-        ``spsolve_triangular`` writes only into the stored diagonal, which
-        no solve reads, since the diagonal is taken as unit.
+        Both are SuperLU's ``gstrs`` with the kept identity and factor,
+        transposed for the lower solve: the kernel that
+        ``spla.spsolve_triangular`` wraps, without the copy of the diagonal
+        and the identity that it makes per call.
         """
-        U = self._unit_upper
-        z = spla.spsolve_triangular(U.T, b[self._inv_perm], lower=True,
-                                    unit_diagonal=True, overwrite_A=True,
-                                    overwrite_b=True)
+        z, _ = gstrs("T", *self._identity, *self._upper, b[self._inv_perm])
         z /= self.d
-        y = spla.spsolve_triangular(U, z, lower=False, unit_diagonal=True,
-                                    overwrite_A=True, overwrite_b=True)
+        y, _ = gstrs("N", *self._identity, *self._upper, z)
         return y[self._perm]
+
+
+def _superlu_csc(A) -> tuple:
+    """A csc matrix as the (n, nnz, data, indices, indptr) of ``gstrs``."""
+    return (A.shape[0], A.nnz, A.data, A.indices.astype(np.intc, copy=False),
+            A.indptr.astype(np.intc, copy=False))
 
 
 class SaddleFactorization:
@@ -167,7 +174,7 @@ def dirichlet_correction(fact: SymmetricFactorization, K, F, x,
     return delta
 
 
-def projected_cg(G, b, x0, fact: SaddleFactorization, C, rtol: float,
+def projected_cg(G, b, x0, fact: SaddleFactorization, C, gap: float,
                  maxiter: int):
     """(x, lam, iterations) solving [[G, C'], [C, 0]] [x; lam] = [b; d]
     from an ``x0`` with C x0 = d, by conjugate gradients in the null space
@@ -178,28 +185,28 @@ def projected_cg(G, b, x0, fact: SaddleFactorization, C, rtol: float,
     x0.  After each preconditioner solve the residual r = G x - b drops the
     part C'w that the solve's multiplier w attributes to the constraints;
     without this residual update the steps drift off the null space at tight
-    tolerances.  Stops once r'g <= rtol r0'g0, g the preconditioned
-    residual, or at once if r0'g0 <= ``PCG_FLOOR`` x0'G x0; SolverError if
-    that takes more than ``maxiter`` steps, so an unconverged x is never
-    returned.
+    tolerances.
+
+    Stops once r'g <= ``gap``, g the preconditioned residual: an absolute
+    energy-norm stop (Arioli, Numer. Math. 97, 2004).  With mu G_P <= G on
+    the null space, the error e of x then has e'G e <= r'g / mu.  The test
+    runs before the first step too, so a start within the gap takes none.
+    SolverError if the stop takes more than ``maxiter`` steps, so an
+    unconverged x is never returned.
     """
     x = np.array(x0, dtype=float)
     r = G @ x - b
-    start_sq = _dot(x, r) + _dot(x, b)      # x0'G x0
     g, w = fact.solve(r, np.zeros(fact.m))
     r -= C.T @ w
     lam = -w
-    rg = rg0 = _dot(r, g)
-    if rg0 <= PCG_FLOOR * start_sq:
-        return x, lam, 0
+    rg = _dot(r, g)
     p = -g
     it = 0
-    while rg > rtol * rg0:
+    while rg > gap:
         if it == maxiter:
             raise SolverError(
                 f"projected CG did not converge in {maxiter} iterations "
-                f"(r'g at {rg / rg0:.3e} of its start, not {rtol:.0e})",
-                residual=rg)
+                f"(r'g {rg:.3e}, not {gap:.3e})", residual=rg)
         it += 1
         Gp = G @ p
         step = rg / _dot(p, Gp)

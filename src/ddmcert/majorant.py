@@ -194,6 +194,13 @@ def optimize_eps(S1, S2, S3, constants: MajorantConstants):
     return ratio(t2, t1), ratio(t3, t1), ratio(t3, t2)
 
 
+def weighted_parts(S1, S2, S3, alphas,
+                   constants: MajorantConstants) -> tuple[float, float, float]:
+    """The parts a1 sum S1, a2 sum S2 and a3 sum beta^2 S3 of M^2."""
+    return (alphas[0] * float(S1.sum()), alphas[1] * float(S2.sum()),
+            alphas[2] * float(np.sum(constants.beta ** 2 * S3)))
+
+
 def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
                       problem: EllipticProblem,
                       constants: MajorantConstants,
@@ -234,9 +241,7 @@ def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
         a, b = res.jumps[m][:, 0], res.jumps[m][:, 1]
         S3[m] = float(np.sum(lens[g.edges] * (a * a + a * b + b * b) / 3.0))
 
-    M1_sq = alphas[0] * float(S1.sum())
-    M2_sq = alphas[1] * float(S2.sum())
-    M3_sq = alphas[2] * float(np.sum(constants.beta ** 2 * S3))
+    M1_sq, M2_sq, M3_sq = weighted_parts(S1, S2, S3, alphas, constants)
     t1, t2, t3 = _term_sums(S1, S2, S3, constants.beta, constants)
     D11 = math.sqrt(t1) + math.sqrt(t2) + math.sqrt(t3)
 

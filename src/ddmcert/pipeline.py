@@ -7,12 +7,13 @@ built from the majorant constants, factorizes the corrector saddle system
 once for the fixed weights.  ``certify_iterate`` runs one loop of rounds:
 the fixed-weight one and, under ``--eps opt``, ``OPT_ROUNDS`` more with the
 closed-form weights, each started from the round before; the solver solves
-them by projected CG preconditioned by a factorization it keeps, and
-factorizes only weights too far from both kept ones.  ``output_dir`` makes
-a run's artifact directory before anything is computed, and a table command
-checks every configuration of its runs (``table_configs``) before that;
-``table1_rows`` and the other table functions then run exactly those
-configurations.  A run returns its geometry, its problem and one
+them by projected CG preconditioned by a factorization it keeps, stopped
+once the round's majorant exceeds its minimum by at most a fixed fraction
+of its start's, and factorizes only weights too far from both kept ones.
+``output_dir`` makes a run's artifact directory before anything is
+computed, and a table command checks every configuration of its runs
+(``table_configs``) before that; ``table1_rows`` and the other table
+functions then run exactly those configurations.  A run returns its geometry, its problem and one
 ``SweepRow`` per certified sweep, which reads its error from its report.
 
 What does not change from sweep to sweep is computed once per run: the
@@ -49,7 +50,7 @@ from .flux import (CorrectorSolver, average_gradient, build_corrector_space,
 from .linalg import SolverError
 from . import majorant
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
-                       evaluate_majorant, optimize_eps)
+                       evaluate_majorant, optimize_eps, weighted_parts)
 from .mesh import (DomainDecomposition, TriMesh, _rect_grid,
                    build_coarse_mesh, build_lshape_mesh,
                    build_rect_grid_decomposition, compatibility_check)
@@ -179,10 +180,12 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
 
     The first round uses the solver's fixed weights; with
     ``eps_policy='opt'`` ``OPT_ROUNDS`` more re-solve under the closed-form
-    optimal weights of the round before, starting from its q.  The report
-    carries the eps its weights used and the energy error of v.  The
-    constants and tables come from ``solver``; grad v, A grad v, the energy
-    error and the weight-free ``rhs_table`` are formed once.
+    optimal weights of the round before, starting from its q, whose
+    majorant under the new weights sets how closely the round is solved
+    (``CorrectorSolver.solve``'s ``ref_sq``).  The report carries the eps
+    its weights used and the energy error of v.  The constants and tables
+    come from ``solver``; grad v, A grad v, the energy error and the
+    weight-free ``rhs_table`` are formed once.
     Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
@@ -195,11 +198,17 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     # module, so that a probe wrapping it there sees it
     err = majorant.energy_error(v.mesh, problem.A, grad_v, solver.exact_grad)
     table = rhs_table(space, yt, a_grad_v, problem, solver.f_tri)
-    eps, rep, q = (1.0, 1.0, 1.0), None, None
+    eps, rep, q, ref_sq = (1.0, 1.0, 1.0), None, None, None
     for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
         if rep is not None:
             eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
-        q, _ = solver.solve(table, alpha_weights(eps, constants), start=q)
+            # the start's M^2 (D11^2 unless optimize_eps clamps), from sums
+            # already made
+            ref_sq = sum(weighted_parts(rep.S1, rep.S2, rep.S3,
+                                        alpha_weights(eps, constants),
+                                        constants))
+        q, _ = solver.solve(table, alpha_weights(eps, constants), start=q,
+                            ref_sq=ref_sq)
         y = corrected_flux(yt, q, space)
         rep = evaluate_majorant(y, a_grad_v, problem, constants, solver.f_tri,
                                 solver.f_sq, eps)

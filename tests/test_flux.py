@@ -335,6 +335,13 @@ def g_norm(G, x):
     return float(np.sqrt(x @ (G @ x)))
 
 
+def near_majorant_sq(cert4, solver, q):
+    """M^2 of the iterate's flux corrected by q, under NEAR_EPS."""
+    return evaluate_majorant(corrected_flux(cert4.yt, q, cert4.space),
+                             cert4.a_grad_v, cert4.problem, cert4.constants,
+                             solver.f_tri, solver.f_sq, NEAR_EPS).total_sq
+
+
 def test_eps_round_by_projected_cg_matches_a_fresh_factorization(
         cert4, monkeypatch):
     solver, table, alphas, q_ref, G = eps_round(cert4)
@@ -348,15 +355,24 @@ def test_eps_round_by_projected_cg_matches_a_fresh_factorization(
         return out
 
     monkeypatch.setattr(linalg, "projected_cg", counted)
-    q, _ = solver.solve(table, alphas, start=cert4.q)
+    ref_sq = near_majorant_sq(cert4, solver, cert4.q)
+    q, _ = solver.solve(table, alphas, start=cert4.q, ref_sq=ref_sq)
     assert len(steps) == 1 and steps[0] > 1
-    assert g_norm(G, q - q_ref) <= 1e-10 * g_norm(G, q_ref)
     assert np.linalg.norm(cert4.space.C @ (q - q_ref)) <= 1e-12
-    m_sq = [evaluate_majorant(corrected_flux(cert4.yt, x, cert4.space),
-                              cert4.a_grad_v, cert4.problem, cert4.constants,
-                              solver.f_tri, solver.f_sq, NEAR_EPS).total_sq
-            for x in (q, q_ref)]
-    assert abs(m_sq[0] - m_sq[1]) <= 1e-12 * m_sq[1]
+    # the stop's contract: the round's M^2 exceeds its minimum, the freshly
+    # factorized round's, by e'G e <= PCG_GAP ref_sq, up to roundoff
+    m_cg, m_fresh = (near_majorant_sq(cert4, solver, x) for x in (q, q_ref))
+    e_sq = g_norm(G, q - q_ref) ** 2
+    roundoff = 1e-14 * m_fresh
+    assert e_sq <= flux.PCG_GAP * ref_sq
+    assert m_cg - m_fresh >= -roundoff
+    assert abs((m_cg - m_fresh) - e_sq) <= roundoff
+
+
+def test_eps_round_needs_the_start_majorant(cert4):
+    solver, table, alphas, _, _ = eps_round(cert4)
+    with pytest.raises(ValueError, match="ref_sq"):
+        solver.solve(table, alphas, start=cert4.q)
 
 
 def test_eps_round_factorizes_when_cg_hits_its_cap(cert4, monkeypatch):
@@ -371,7 +387,8 @@ def test_eps_round_factorizes_when_cg_hits_its_cap(cert4, monkeypatch):
     monkeypatch.setattr(linalg.SaddleFactorization, "__init__",
                         recording_init)
     monkeypatch.setattr(flux, "PCG_MAXITER", 1)
-    q, _ = solver.solve(table, alphas, start=cert4.q)
+    q, _ = solver.solve(table, alphas, start=cert4.q,
+                        ref_sq=near_majorant_sq(cert4, solver, cert4.q))
     # never the unconverged iterate: the round is factorized instead
     assert made == [cert4.space.C.shape[0]]
     assert g_norm(G, q - q_ref) <= 1e-12 * g_norm(G, q_ref)

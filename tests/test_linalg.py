@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -83,7 +84,7 @@ def grid_laplacian(n):
 
 def test_symmetric_factorization_of_sparse_spd_against_dense_oracle():
     # fill-in and a nontrivial ordering, unlike a dense random matrix; the
-    # solves are repeated, since each one writes into the kept factor
+    # solves are repeated on the one kept factor
     A = grid_laplacian(20)
     rng = np.random.default_rng(14)
     fact = SymmetricFactorization(A)
@@ -93,6 +94,32 @@ def test_symmetric_factorization_of_sparse_spd_against_dense_oracle():
         ref = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     assert np.all(fact.d > 0)
+
+
+def spsolve_triangular_solve(B, b):
+    """B x = b as ``SymmetricFactorization`` solved before it called
+    ``gstrs`` itself: the same factor, two ``spsolve_triangular`` calls."""
+    lu = spla.splu(sp.csc_matrix(B), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+    perm, U = lu.perm_c.copy(), lu.U
+    d = U.diagonal()
+    U.data /= d[U.indices]
+    U.sum_duplicates()
+    z = spla.spsolve_triangular(U.T, b[np.argsort(perm)], lower=True,
+                                unit_diagonal=True)
+    z /= d
+    y = spla.spsolve_triangular(U, z, lower=False, unit_diagonal=True)
+    return y[perm]
+
+
+def test_symmetric_solve_equals_the_spsolve_triangular_form():
+    rng = np.random.default_rng(15)
+    R = sp.random(300, 300, density=0.02, random_state=rng, format="csr")
+    B = (R @ R.T + sp.diags(rng.uniform(1.0, 2.0, 300))).tocsc()
+    fact = SymmetricFactorization(B)
+    for _ in range(2):
+        b = rng.standard_normal(300)
+        assert np.array_equal(fact.solve(b), spsolve_triangular_solve(B, b))
 
 
 def test_symmetric_factorization_keeps_no_superlu_object(monkeypatch):
@@ -205,12 +232,17 @@ def kkt_factor(G, C):
     return SaddleFactorization(sp.csc_matrix(G), sp.csc_matrix(C))
 
 
+def tight_gap(G, x_ref):
+    """A stop gap far below what the accuracy asserts need."""
+    return 1e-24 * float(x_ref @ (G @ x_ref))
+
+
 def test_projected_cg_matches_dense_kkt_and_keeps_constraints():
     G, C, b, d, x_ref, lam_ref, x0 = constrained_problem()
     # a preconditioner with a different leading block
     G_P = G + sp.diags(np.linspace(1.0, 40.0, G.shape[0]))
     x, lam, its = projected_cg(G, b, x0, kkt_factor(G_P, C), C,
-                               rtol=1e-24, maxiter=100)
+                               tight_gap(G, x_ref), maxiter=100)
     assert 1 < its <= G.shape[0] - C.shape[0]
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert np.linalg.norm(lam - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
@@ -220,27 +252,45 @@ def test_projected_cg_matches_dense_kkt_and_keeps_constraints():
 def test_projected_cg_with_the_exact_factor_takes_at_most_one_step():
     G, C, b, d, x_ref, _, x0 = constrained_problem(seed=31)
     fact = kkt_factor(G, C)
-    x, _, its = projected_cg(G, b, x0, fact, C, rtol=1e-20, maxiter=25)
+    x, _, its = projected_cg(G, b, x0, fact, C, tight_gap(G, x_ref),
+                             maxiter=25)
     assert its <= 1
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
 def test_projected_cg_restart_from_its_own_output_takes_at_most_one_step():
-    # at a converged x, r'g is roundoff, which r'g <= rtol r0'g0 cannot
-    # reduce: without the floor this restart runs 17 steps
+    # the stop is tested before the first step: a start already within the
+    # gap takes none
     G, C, b, d, x_ref, _, x0 = constrained_problem(seed=31)
+    gap = tight_gap(G, x_ref)
     for G_P in (G, 2.0 * G):
         fact = kkt_factor(G_P, C)
-        x, _, _ = projected_cg(G, b, x0, fact, C, rtol=1e-20, maxiter=25)
-        x2, _, its = projected_cg(G, b, x, fact, C, rtol=1e-20, maxiter=25)
-        assert its <= 1
+        x, _, _ = projected_cg(G, b, x0, fact, C, gap, maxiter=25)
+        x2, _, its = projected_cg(G, b, x, fact, C, gap, maxiter=25)
+        assert its == 0
+        assert np.array_equal(x2, x)
         assert np.linalg.norm(x2 - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
         assert np.linalg.norm(C @ x2 - d) <= 1e-12
 
 
+def test_projected_cg_stop_bounds_the_energy_error():
+    # mu G_P <= G, so the stop r'g <= gap leaves e'G e <= gap / mu
+    G, C, b, d, x_ref, _, x0 = constrained_problem(seed=33)
+    G_P = G + sp.diags(np.linspace(1.0, 40.0, G.shape[0]))
+    mu = scipy.linalg.eigh(G.toarray(), G_P.toarray(), eigvals_only=True)[0]
+    for rel in (1e-4, 1e-8, 1e-12):
+        gap = rel * float(x_ref @ (G @ x_ref))
+        x, _, its = projected_cg(G, b, x0, kkt_factor(G_P, C), C, gap,
+                                 maxiter=100)
+        e = x - x_ref
+        assert its >= 1
+        assert float(e @ (G @ e)) <= gap / mu
+        assert np.linalg.norm(C @ x - d) <= 1e-12
+
+
 def test_projected_cg_raises_when_the_cap_is_hit():
-    G, C, b, d, _, _, x0 = constrained_problem(seed=32)
+    G, C, b, d, x_ref, _, x0 = constrained_problem(seed=32)
     G_P = G + sp.diags(np.linspace(1.0, 40.0, G.shape[0]))
     with pytest.raises(SolverError, match="did not converge"):
-        projected_cg(G, b, x0, kkt_factor(G_P, C), C, rtol=1e-20,
+        projected_cg(G, b, x0, kkt_factor(G_P, C), C, tight_gap(G, x_ref),
                      maxiter=2)

@@ -91,3 +91,56 @@ def test_eps_opt_rounds_keep_one_other_factorization(monkeypatch):
     assert cg_rounds["runs"] == sweeps * OPT_ROUNDS - 2
     # each factorization is made next to at most one other factor
     assert max(others_alive) <= 1
+
+
+def test_eps_opt_rows_match_factorized_rounds_within_their_gap(monkeypatch):
+    # With KAPPA_MAX = 0 every eps round is factorized, so solved exactly.
+    # The exact run replays the CG run's eps: a round's q also sets the
+    # next round's eps, which moves M^2 by more than the round's own gap.
+    kkt_solves = Counter()
+    rounds = []               # per corrector solve: (ref_sq, KKT solves)
+    eps_made = []
+    saddle_solve = linalg.SaddleFactorization.solve
+    corrector_solve = flux.CorrectorSolver.solve
+    optimize_eps = pipeline.optimize_eps
+
+    def counted_saddle_solve(self, b, d):
+        kkt_solves["n"] += 1
+        return saddle_solve(self, b, d)
+
+    def recording_solve(self, table, alphas, start=None, ref_sq=None):
+        before = kkt_solves["n"]
+        out = corrector_solve(self, table, alphas, start, ref_sq)
+        rounds.append((ref_sq, kkt_solves["n"] - before))
+        return out
+
+    def recording_optimize_eps(*args):
+        eps_made.append(optimize_eps(*args))
+        return eps_made[-1]
+
+    monkeypatch.setattr(linalg.SaddleFactorization, "solve",
+                        counted_saddle_solve)
+    monkeypatch.setattr(flux.CorrectorSolver, "solve", recording_solve)
+    monkeypatch.setattr(pipeline, "optimize_eps", recording_optimize_eps)
+    config = RunConfig(h=1 / 16, sweeps=4, eps_policy="opt")
+    cg = run_case(config)
+    per_row = [rounds[i:i + 1 + OPT_ROUNDS]
+               for i in range(0, len(rounds), 1 + OPT_ROUNDS)]
+
+    replay = iter(eps_made)
+    monkeypatch.setattr(pipeline, "optimize_eps", lambda *args: next(replay))
+    monkeypatch.setattr(flux, "KAPPA_MAX", 0.0)
+    exact = run_case(config)
+    assert len(cg.rows) == len(exact.rows) == len(per_row) == 4
+    for row, ref, row_rounds in zip(cg.rows, exact.rows, per_row):
+        assert row.report.eps == ref.report.eps
+        excess = row.report.total_sq - ref.report.total_sq
+        ref_sq = row_rounds[-1][0]
+        assert -1e-14 * ref.report.total_sq <= excess <= flux.PCG_GAP * ref_sq
+        for r in (row, ref):
+            assert r.report.guaranteed
+            assert r.error <= r.report.total
+    # KKT solves per certified sweep; CG stopped relative to its own start
+    # took [11, 17, 25, 8]
+    per_sweep = [sum(n for _, n in row_rounds) for row_rounds in per_row]
+    assert all(n <= cap for n, cap in zip(per_sweep, [8, 10, 14, 5]))
