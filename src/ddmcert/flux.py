@@ -17,9 +17,9 @@ extension of its three edge fluxes.  At H = h the cells are the fine
 triangles, so every fine edge is a degree of freedom; at H > h each H x H
 square is split by its lower-left/upper-right diagonal, and the diagonal
 carries an ordinary interior coefficient of the minimization.  Dofs are
-numbered edge by edge, a sparse matrix Q maps coefficients to the three
-local outward fluxes (slots) of each cell-triangle, and all volume terms
-are assembled in slot space.
+numbered edge by edge; two (CT, 3) arrays give the dof and sign of the
+three local outward fluxes (slots) of each cell-triangle, and the volume
+forms are assembled from the cells' 3 x 3 blocks straight into dof space.
 
 Certification reads its sweep-invariant tables from their owners and
 never recomputes them: the P1 gradients, edge lengths and side midpoints
@@ -39,9 +39,10 @@ by a factorization it keeps: the fixed-weight one or that of the last eps
 round it had to factorize.  CG stops once the round's majorant exceeds
 its minimum by at most ``PCG_GAP`` times the start's.  The P1 layer at the
 side midpoints and its divergence are kept by the averaged flux and shared
-with every corrected flux built from it.  The kernels are plain array arithmetic: 2x2 products
-written out, sums over triangles by ``np.bincount`` over a key, the
-interface endpoint corners (``Interface.corners``) found once per run.
+with every corrected flux built from it.  The kernels are plain array
+arithmetic: 2x2 products written out, sums over triangles by
+``np.bincount`` over a key, the interface endpoint corners
+(``Interface.corners``) found once per run.
 """
 
 from __future__ import annotations
@@ -112,14 +113,15 @@ class BrokenFluxField:
                 self._affine = (np.zeros((T, 2)), np.zeros(T))
             else:
                 s = self.space
-                f = (s.Q @ self.coeffs).reshape(-1, 3)           # (CT, 3)
-                v = s.coarse.ct_verts
+                f = np.take(self.coeffs, s.slot_dof)             # (CT, 3)
+                f *= s.slot_sign
+                v = s.ct_verts
                 scale = 1.0 / (2.0 * s.ct_area)
                 a_ct = np.stack([-(f[:, 0] * v[:, 0, d] + f[:, 1] * v[:, 1, d]
                                    + f[:, 2] * v[:, 2, d]) * scale
                                  for d in range(2)], axis=1)
                 g_ct = (f[:, 0] + f[:, 1] + f[:, 2]) * scale
-                ct = s.coarse.fine_tri_ct
+                ct = s.fine_tri_ct
                 self._affine = (a_ct[ct], g_ct[ct])
         return self._affine
 
@@ -240,34 +242,36 @@ def constraint_residuals(y: BrokenFluxField, f_tri: np.ndarray) -> FluxResiduals
 
 @dataclass
 class CorrectorSpace:
-    """Assembled RT0 corrector space over a coarse cell mesh.
+    """Assembled RT0 corrector space over a coarse triangulation.
 
     Degrees of freedom are numbered edge by edge over the coarse edges: two
     per interface edge (the omega_k side, then the omega_j side), one per
     interior or Dirichlet edge, none on inactive edges.  A dof is the total
-    flux across its edge along the edge normal.  ``edge_dof`` is the first
-    dof of every coarse edge (-1 on inactive edges).  ``iface_edges[m]``
-    lists the coarse edges of interface m in the traversal order of its
-    fine edges, and ``iface_signs[m]`` their orientation: +1 where the
-    coarse edge normal points along the interface normal n_kj, -1
-    otherwise.
+    flux across its edge along the edge normal.  Slot ``i`` of a
+    cell-triangle is its side opposite vertex ``i``, with outward flux
+    ``slot_sign * q[slot_dof]``: ``slot_dof`` is the dof of the side's edge
+    on the cell's side and ``slot_sign`` the sign of the outward normal
+    against the edge normal (0, with dof 0, on inactive edges).
+    ``ifaces[m]`` holds, for the coarse edges of interface m in the
+    traversal order of its fine edges, their omega_k dofs (each omega_j dof
+    is the next one), their orientation (+1 where the edge normal points
+    along n_kj, else -1) and their lengths.  Of the coarse mesh the space
+    keeps only the cell-triangles' vertices and ``fine_tri_ct``.
 
-    ``Q`` maps the coefficient vector to the three local outward fluxes of
-    every cell-triangle; ``C`` holds the admissibility constraint rows (one
-    per basic subdomain, then one per interface), each normalized by the
-    measure it averages over.  ``M_hat``/``D_hat``/``J_hat`` are the
-    weight-independent pieces of the minimization's quadratic form.
+    ``C`` holds the admissibility constraint rows (one per basic subdomain,
+    then one per interface), each normalized by the measure it averages
+    over.  ``M_hat``/``D_hat``/``J_hat`` are the weight-independent pieces
+    of the minimization's quadratic form.
     """
 
-    mesh: TriMesh
     decomp: DomainDecomposition
-    coarse: CoarseMesh
+    ct_verts: np.ndarray          # (CT, 3, 2)
     ct_area: np.ndarray           # (CT,)
-    Q: sp.csr_matrix              # (3 CT, n_dofs)
+    fine_tri_ct: np.ndarray       # (T,)
+    slot_dof: np.ndarray          # (CT, 3)
+    slot_sign: np.ndarray         # (CT, 3)
     n_dofs: int
-    edge_dof: np.ndarray
-    iface_edges: list
-    iface_signs: list
+    ifaces: list                  # per interface: (dofs, signs, lengths)
     C: sp.csr_matrix              # constraints
     M_hat: sp.csr_matrix
     D_hat: sp.csr_matrix
@@ -288,79 +292,81 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     if not ok:
         raise MeshError(
             f"coarse mesh cannot carry the constraints (slack {slack})")
-    mesh = decomp.mesh
     A_inv = np.linalg.inv(np.asarray(A, dtype=float))
 
-    # --- degrees of freedom ------------------------------------------------
+    # --- degrees of freedom and the slot map --------------------------------
     kind = coarse.edge_kind
     per_edge = np.select([kind == INTERFACE, kind == INACTIVE], [2, 0], 1)
     n_dofs = int(per_edge.sum())
-    edge_dof = np.where(per_edge > 0, np.cumsum(per_edge) - per_edge, -1)
-
-    # --- the slot map Q -----------------------------------------------------
+    edge_dof = np.cumsum(per_edge) - per_edge
     # A slot takes its edge's dof, the omega_j one on the omega_j side; the
     # appended -1 is the omega_j of edges off interfaces (edge_iface -1).
     iface_j = np.array([g.j for g in decomp.interfaces] + [-1])
+    ct_edge = coarse.ct_edge
+    live = per_edge[ct_edge] > 0
+    slot_dof = np.where(live, edge_dof[ct_edge]
+                        + (iface_j[coarse.edge_iface[ct_edge]]
+                           == coarse.cell_sub[:, None]), 0)
+    slot_sign = np.where(live, coarse.ct_sign, 0.0)
     ct_verts = coarse.ct_verts
-    n_ct = len(ct_verts)
-    slot_edge = coarse.ct_edge.ravel()
-    slot_dof = edge_dof[slot_edge] + (iface_j[coarse.edge_iface[slot_edge]]
-                                      == np.repeat(coarse.cell_sub, 3))
-    live = np.flatnonzero(edge_dof[slot_edge] >= 0)
-    Q = sp.coo_matrix((coarse.ct_sign.ravel()[live], (live, slot_dof[live])),
-                      shape=(3 * n_ct, n_dofs)).tocsr()
     e1 = ct_verts[:, 1] - ct_verts[:, 0]
     e2 = ct_verts[:, 2] - ct_verts[:, 0]
     ct_area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
     # --- static quadratic-form pieces ---------------------------------------
+    # a dof touches at most two slots and the signs are +-1, so every entry
+    # is exact; exact zeros are dropped, as a sparse product drops them
+    rows = np.repeat(slot_dof, 3, axis=1).ravel()
+    cols = np.tile(slot_dof, 3).ravel()
+    sign_pair = (slot_sign[:, :, None] * slot_sign[:, None, :]).ravel()
+
+    def assemble(local):
+        out = sp.coo_matrix((sign_pair * local.ravel(), (rows, cols)),
+                            shape=(n_dofs, n_dofs)).tocsr()
+        out.eliminate_zeros()
+        return out
+
     mids = 0.5 * (ct_verts[:, [1, 2, 0]] + ct_verts[:, [2, 0, 1]])  # (CT,3,2)
     diff = mids[:, :, None, :] - ct_verts[:, None, :, :]            # m, i
     adiff = np.einsum("de,cmie->cmid", A_inv, diff)
-    m_loc = np.einsum("cmid,cmjd->cij", adiff, diff) / (12.0 * ct_area)[:, None, None]
-    blk_rows = (3 * np.arange(n_ct)[:, None, None]
-                + np.arange(3)[None, :, None] * np.ones(3, dtype=int))
-    blk_cols = (3 * np.arange(n_ct)[:, None, None]
-                + np.ones(3, dtype=int)[None, :, None] * np.arange(3))
-    M_blk = sp.coo_matrix((m_loc.ravel(), (blk_rows.ravel(), blk_cols.ravel())),
-                          shape=(3 * n_ct, 3 * n_ct)).tocsr()
-    d_loc = np.repeat(1.0 / ct_area, 9).reshape(n_ct, 3, 3)
-    D_blk = sp.coo_matrix((d_loc.ravel(), (blk_rows.ravel(), blk_cols.ravel())),
-                          shape=(3 * n_ct, 3 * n_ct)).tocsr()
-    M_hat = (Q.T @ M_blk @ Q).tocsr()
-    D_hat = (Q.T @ D_blk @ Q).tocsr()
+    M_hat = assemble(np.einsum("cmid,cmjd->cij", adiff, diff)
+                     / (12.0 * ct_area)[:, None, None])
+    del mids, diff, adiff          # (CT, 3, 3, 2): not alive through D_hat
+    D_hat = assemble(np.repeat(1.0 / ct_area, 9))
+    del rows, cols, sign_pair
 
     # --- constraint rows and interface jump pieces ---------------------------
-    n_basic = decomp.n_basic
-    r1 = sp.coo_matrix(
-        (np.ones(3 * n_ct),
-         (np.repeat(coarse.cell_sub, 3), np.arange(3 * n_ct))),
-        shape=(n_basic, 3 * n_ct)).tocsr()
-    areas_k = np.array([sub.area for sub in decomp.basic])
-    C_rows = [sp.diags(1.0 / areas_k) @ (r1 @ Q)]
-    J_hats, iface_edges, iface_signs = [], [], []
+    inv_area_k = 1.0 / np.array([sub.area for sub in decomp.basic])
+    c1 = sp.coo_matrix(
+        ((slot_sign * inv_area_k[coarse.cell_sub][:, None]).ravel(),
+         (np.repeat(coarse.cell_sub, 3), slot_dof.ravel())),
+        shape=(decomp.n_basic, n_dofs)).tocsr()
+    c1.eliminate_zeros()        # the two slots of an interior edge cancel
+    C_rows = [c1]
+    J_hats, ifaces = [], []
     for m, g in enumerate(decomp.interfaces):
         ce = np.flatnonzero(coarse.edge_iface == m)
         ce = ce[np.lexsort((coarse.edge_mid[ce, 1], coarse.edge_mid[ce, 0]))]
-        iface_edges.append(ce)
         dk = edge_dof[ce]
         dj = dk + 1
-        w = 1.0 / coarse.edge_length[ce]
+        length = coarse.edge_length[ce]
+        w = 1.0 / length
         J_hats.append(sp.coo_matrix(
             (np.concatenate([w, -w, -w, w]),
              (np.concatenate([dk, dk, dj, dj]),
               np.concatenate([dk, dj, dk, dj]))),
             shape=(n_dofs, n_dofs)).tocsr())
         sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
-        iface_signs.append(sign)
+        ifaces.append((dk, sign, length))
         C_rows.append(sp.coo_matrix(
             (np.concatenate([sign / g.length, -sign / g.length]),
              (np.zeros(2 * len(ce), dtype=np.int64), np.concatenate([dk, dj]))),
             shape=(1, n_dofs)))
     C = sp.vstack(C_rows).tocsr()
 
-    return CorrectorSpace(mesh, decomp, coarse, ct_area, Q, n_dofs, edge_dof,
-                          iface_edges, iface_signs, C, M_hat, D_hat, J_hats)
+    return CorrectorSpace(decomp, ct_verts, ct_area, coarse.fine_tri_ct,
+                          slot_dof, slot_sign, n_dofs, ifaces, C, M_hat, D_hat,
+                          J_hats)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +409,7 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
     . V_i, ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m and V_i
     the cell-triangle's vertices.
     """
-    mesh = space.mesh
-    coarse = space.coarse
+    mesh = space.decomp.mesh
 
     mid = ytilde.p1_midpoint_values()
     pts = mesh.side_midpoints
@@ -414,12 +419,12 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
                for m, (r0, r1) in enumerate(ra))
     ra_sum = [ra[0][d] + ra[1][d] + ra[2][d] for d in range(2)]
 
-    ct = coarse.fine_tri_ct
+    ct = space.fine_tri_ct
     scale = mesh.areas / (6.0 * space.ct_area[ct])               # w/(2 S_ct)
     cross = np.empty((len(ct), 3))
     for i in range(3):
-        cross[:, i] = (ra_p - ra_sum[0] * coarse.ct_verts[ct, i, 0]
-                       - ra_sum[1] * coarse.ct_verts[ct, i, 1]) * scale
+        cross[:, i] = (ra_p - ra_sum[0] * space.ct_verts[ct, i, 0]
+                       - ra_sum[1] * space.ct_verts[ct, i, 1]) * scale
 
     res = constraint_residuals(ytilde, f_tri)
     per_ct = np.bincount(ct, res.cell, len(space.ct_area))
@@ -439,25 +444,24 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
     negated means of the uncorrected residuals.  Both come from ``table``,
     weighted here by the round's ``alphas`` and ``betas``.
     """
-    coarse = space.coarse
     a1, a2, a3 = alphas
 
-    ct = coarse.fine_tri_ct
+    ct = space.fine_tri_ct
     n_ct = len(space.ct_area)
-    slot_c = np.empty(3 * n_ct)
+    slot_c = np.empty((n_ct, 3))
     # weighted before the slot sums, which keeps the certified values'
     # rounding; summing once per iterate and scaling by a1 would change it
     for i in range(3):
-        slot_c[i::3] = np.bincount(ct, a1 * table.cross[:, i], n_ct)
-    slot_c += np.repeat(a2 * table.per_ct / space.ct_area, 3)
+        slot_c[:, i] = np.bincount(ct, a1 * table.cross[:, i], n_ct)
+    slot_c += (a2 * table.per_ct / space.ct_area)[:, None]
+    slot_c *= space.slot_sign
 
     res = table.residuals
-    c = space.Q.T @ slot_c
-    for m, (ce, sign) in enumerate(zip(space.iface_edges, space.iface_signs)):
+    c = np.bincount(space.slot_dof.ravel(), slot_c.ravel(), space.n_dofs)
+    for m, (dk, sign, length) in enumerate(space.ifaces):
         # every coarse edge covers an equal run of consecutive fine edges
-        ie = res.edge_int[m].reshape(len(ce), -1).sum(axis=1)
-        w = a3 * betas[m] ** 2 * sign * ie / coarse.edge_length[ce]
-        dk = space.edge_dof[ce]
+        ie = res.edge_int[m].reshape(len(dk), -1).sum(axis=1)
+        w = a3 * betas[m] ** 2 * sign * ie / length
         c[dk] += w
         c[dk + 1] -= w
     d = -np.concatenate([res.means.subdomain, res.means.interface])
@@ -511,7 +515,7 @@ class CorrectorSolver:
         self.space = space
         self.problem = problem
         self.constants = constants
-        self.f_tri, self.f_sq = f_cell_integrals(space.mesh, problem.f)
+        self.f_tri, self.f_sq = f_cell_integrals(space.decomp.mesh, problem.f)
         self.alphas = tuple(alpha_weights((1.0, 1.0, 1.0), constants))
         self.fact = linalg.SaddleFactorization(self._matrix(self.alphas),
                                                space.C)
@@ -523,7 +527,7 @@ class CorrectorSolver:
     @cached_property
     def exact_grad(self) -> np.ndarray:
         """``exact_grad_table`` on the fine mesh (T, 7, 2)."""
-        out = exact_grad_table(self.space.mesh, self.problem)
+        out = exact_grad_table(self.space.decomp.mesh, self.problem)
         out.flags.writeable = False
         return out
 
@@ -535,20 +539,20 @@ class CorrectorSolver:
         weights run projected CG preconditioned by the kept factor of the
         smallest ``weight_ratio_bound``, if that is at most ``KAPPA_MAX``.
         CG starts from ``start``, a q of the same iterate (which meets the
-        same constraints), or else from the preconditioner's own solution.
-        It stops once the majorant of its q exceeds the round's minimum by
-        at most ``PCG_GAP`` ``ref_sq``, where ``ref_sq`` is the majorant M^2
-        of ``start`` under ``alphas``; weights other than the solver's own
-        need it.  Weights with no kept factor near enough, or whose CG does
-        not converge, are factorized; that factor replaces the kept one.
+        same constraints).  It stops once the majorant of its q exceeds the
+        round's minimum by at most ``PCG_GAP`` ``ref_sq``, where ``ref_sq``
+        is the majorant M^2 of ``start`` under ``alphas``; weights other
+        than the solver's own need both, else ValueError.  Weights with no
+        kept factor near enough, or whose CG does not converge, are
+        factorized; that factor replaces the kept one.
         """
         alphas = tuple(alphas)
         if alphas == self.alphas:
             fact = self.fact
         else:
-            if ref_sq is None:
+            if start is None or ref_sq is None:
                 raise ValueError("weights other than the solver's own "
-                                 "need ref_sq")
+                                 "need a start and its ref_sq")
             solved = self._iterate(table, alphas, start, ref_sq)
             if solved is not None:
                 return solved
@@ -573,13 +577,11 @@ class CorrectorSolver:
         if kappa > KAPPA_MAX:
             return None
         mu = min(a / w for a, w in zip(alphas, p))
-        b, d = corrector_rhs(self.space, table, alphas, self.constants.beta)
-        x0 = fact.solve(b, d)[0] if start is None else start
+        b, _ = corrector_rhs(self.space, table, alphas, self.constants.beta)
         try:
-            q, lam, _ = linalg.projected_cg(self._matrix(alphas), b, x0, fact,
-                                            self.space.C,
-                                            PCG_GAP * mu * ref_sq,
-                                            PCG_MAXITER)
+            q, lam, _ = linalg.projected_cg(self._matrix(alphas), b, start,
+                                            fact, self.space.C,
+                                            PCG_GAP * mu * ref_sq, PCG_MAXITER)
         except linalg.SolverError:
             return None
         return q, lam

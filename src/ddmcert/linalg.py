@@ -15,6 +15,8 @@ bound on the G-norm error that it wants to certify.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -42,6 +44,23 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(_dot(x, x)))
 
 
+try:        # glibc's; with other C libraries the heap is left as it is
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS before a factorization.
+
+    SuperLU's arrays otherwise land in free heap blocks, resident or not,
+    as the heap's layout falls, and that layout differs between runs: the
+    peak RSS of ``run --h 1/64 --sweeps 16 --eps opt`` read 148 or 159 MB.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 class SolverError(RuntimeError):
     """Solver failure; carries the achieved residual when available."""
 
@@ -63,6 +82,7 @@ class SymmetricFactorization:
     """
 
     def __init__(self, B):
+        _release_free_heap()
         try:
             lu = spla.splu(sp.csc_matrix(B), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0,
@@ -137,6 +157,7 @@ class SaddleFactorization:
                 f"constraint block is rank deficient (rank {rank} of "
                 f"{self.m}); redundant constraint indices {bad}")
         kkt = sp.bmat([[G, C.T], [C, None]], format="csc")
+        _release_free_heap()
         try:
             # every matrix factorized here is symmetric
             self._lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A")

@@ -466,8 +466,8 @@ class CoarseMesh:
     At H = h its cells are the fine triangles.  At H > h every H x H lattice
     square of a basic subdomain is split by its lower-left/upper-right
     diagonal into a lower (ll, lr, ur) and an upper (ll, ur, ul) triangle,
-    square by square.  ``N_cells``, ``N_v``, ``N_f`` and ``N_fD`` count its
-    triangles, vertices, edges and Dirichlet edges.
+    square by square.  ``N_cells``, ``N_f`` and ``N_fD`` count its
+    triangles, edges and Dirichlet edges.
 
     Array layout:
 
@@ -485,9 +485,7 @@ class CoarseMesh:
     mesh's and the decomposition's own arrays.
     """
 
-    H: float
     N_cells: int
-    N_v: int
     N_f: int
     N_fD: int
     edge_kind: np.ndarray
@@ -610,7 +608,6 @@ def build_coarse_mesh(mesh: TriMesh, decomp: DomainDecomposition, H: float,
     ct_sign = np.where(np.einsum("csd,csd->cs", outward,
                                  normal[tri.tri_edges]) > 0, 1.0, -1.0)
     n_fd = int(np.count_nonzero(kind == DIRICHLET))
-    return CoarseMesh(tri.mesh_size_h, tri.n_triangles, tri.n_vertices,
-                      tri.n_edges, n_fd, kind, normal, lengths,
-                      0.5 * (pa + pb), edge_iface, cell_sub, ct_verts,
+    return CoarseMesh(tri.n_triangles, tri.n_edges, n_fd, kind, normal,
+                      lengths, 0.5 * (pa + pb), edge_iface, cell_sub, ct_verts,
                       tri.tri_edges, ct_sign, fine_tri_ct)

@@ -243,8 +243,8 @@ def run_case(config: RunConfig,
     out = output_dir(config.out)
     mesh, decomp, problem = build_preset(config)
     constants = MajorantConstants.default(decomp, problem)
-    coarse = build_coarse_mesh(mesh, decomp, config.H)
-    space = build_corrector_space(coarse, decomp, problem.A)
+    space = build_corrector_space(build_coarse_mesh(mesh, decomp, config.H),
+                                  decomp, problem.A)
     solver = CorrectorSolver(space, problem, constants)
     wanted = (set(range(1, config.sweeps + 1)) if majorant_sweeps is None
               else {int(n) for n in majorant_sweeps})
@@ -325,8 +325,8 @@ def table2_rows(configs):
     v = run_schwarz(mesh, decomp, problem, fine.mode, fine.sweeps)
     rows = []
     for cfg in configs:
-        coarse = build_coarse_mesh(mesh, decomp, cfg.H)
-        space = build_corrector_space(coarse, decomp, problem.A)
+        space = build_corrector_space(build_coarse_mesh(mesh, decomp, cfg.H),
+                                      decomp, problem.A)
         solver = CorrectorSolver(space, problem, constants)
         _, rep = certify_iterate(v, solver, "fixed")
         rows.append((cfg.H, SweepRow(cfg.sweeps, rep)))

@@ -16,8 +16,9 @@ from ddmcert.flux import (CorrectorSolver, average_gradient, corrected_flux,
                           rhs_table)
 from ddmcert.majorant import (MajorantConstants, evaluate_majorant,
                               optimize_eps, poincare_edge_constant)
-from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
-                          build_rect_grid_decomposition, compatibility_check)
+from ddmcert.mesh import (INACTIVE, INTERFACE, build_coarse_mesh,
+                          build_lshape_mesh, build_rect_grid_decomposition,
+                          compatibility_check)
 from ddmcert.pipeline import (RunConfig, run_case, table1_rows, table2_rows,
                               table_configs)
 from ddmcert.problem import (assemble_load, assemble_stiffness,
@@ -385,8 +386,8 @@ class _DenseOracle:
                                for v in self.tverts])
         self.beta_sq = 1.0 / (PI * math.tanh(PI))
         self.alphas = (3.0, 6.0 / PI ** 2, 6.0)
-        self.n_dofs = space.n_dofs
-        self._index_corrector(coarse, space)
+        self._index_corrector(coarse)
+        assert self.n_dofs == space.n_dofs
 
     # -- assembly -----------------------------------------------------------
 
@@ -451,10 +452,16 @@ class _DenseOracle:
 
     # -- corrector field reconstruction --------------------------------------
 
-    def _index_corrector(self, coarse, space):
+    def _index_corrector(self, coarse):
         """Resolve every cell-triangle slot to (dof, sign) from geometry and
-        the published dof meanings (total flux along each edge's normal; an
-        interface edge's omega_k dof, then its omega_j dof)."""
+        the published dof meanings (numbered edge by edge; total flux along
+        each edge's normal; an interface edge's omega_k dof, then its
+        omega_j dof; none on an inactive edge)."""
+        first_dof, n = [], 0
+        for kind in coarse.edge_kind:
+            first_dof.append(n)
+            n += 2 if kind == INTERFACE else 0 if kind == INACTIVE else 1
+        self.n_dofs = n
         self.slots = []          # per cell-triangle: (verts, [(dof, sign)*3])
         for verts, subdomain in zip(coarse.ct_verts, coarse.cell_sub):
             entries = []
@@ -464,7 +471,7 @@ class _DenseOracle:
                 out = np.array([d[1], -d[0]])
                 ce = next(i for i, e_mid in enumerate(coarse.edge_mid)
                           if np.allclose(e_mid, 0.5 * (a + b), atol=1e-12))
-                dof = int(space.edge_dof[ce])
+                dof = first_dof[ce]
                 m = coarse.edge_iface[ce]
                 if m >= 0:
                     g = self.decomp.interfaces[m]

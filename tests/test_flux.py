@@ -116,8 +116,12 @@ def test_single_cell_represents_constants():
     # each dof is the total flux across its edge along the edge normal;
     # the diagonal from (0,0) to (1,1) has length sqrt2, normal
     # +-(1,-1)/sqrt2, so it carries a flux of +-1
-    edge = np.flatnonzero(space.edge_dof >= 0)
-    assert (space.edge_dof[edge] == np.arange(space.n_dofs)).all()
+    # one interior or Dirichlet dof per edge, numbered edge by edge, so a
+    # slot's dof is its edge
+    edge = np.flatnonzero(coarse.edge_kind != INACTIVE)
+    assert (edge == np.arange(space.n_dofs)).all()
+    assert (space.slot_dof == coarse.ct_edge).all()
+    assert (space.slot_sign == coarse.ct_sign).all()
     coeffs = coarse.edge_length[edge] * (coarse.edge_normal[edge] @ target)
     diagonal = np.all(np.isclose(coarse.edge_mid[edge], 0.5), axis=1)
     assert np.count_nonzero(diagonal) == 1
@@ -373,6 +377,9 @@ def test_eps_round_needs_the_start_majorant(cert4):
     solver, table, alphas, _, _ = eps_round(cert4)
     with pytest.raises(ValueError, match="ref_sq"):
         solver.solve(table, alphas, start=cert4.q)
+    ref_sq = near_majorant_sq(cert4, solver, cert4.q)
+    with pytest.raises(ValueError, match="start"):
+        solver.solve(table, alphas, ref_sq=ref_sq)
 
 
 def test_eps_round_factorizes_when_cg_hits_its_cap(cert4, monkeypatch):

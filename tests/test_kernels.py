@@ -2,7 +2,9 @@
 
 The references below are the kernels written with ``einsum`` and
 ``np.add.at``, the forms the package used before its kernels became
-written-out array arithmetic; they are kept here only to check the
+written-out array arithmetic, and the corrector space's forms as products
+through the slot matrix Q, which maps the dofs to the three outward side
+fluxes of every cell-triangle; they are kept here only to check the
 package's kernels.  The preset coefficient is the identity, under which a
 transposed A, or A swapped for its inverse, gives the same numbers, so
 these tests use the h = 1/8 L-shape with a full symmetric A, on the fine
@@ -15,12 +17,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddmcert.flux import (CorrectorSolver, average_gradient,
                           build_corrector_space, corrected_flux, rhs_table)
 from ddmcert.majorant import (MajorantConstants, energy_error,
                               evaluate_majorant)
-from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
+from ddmcert.mesh import (INACTIVE, INTERFACE, build_coarse_mesh,
+                          build_lshape_mesh)
+from ddmcert.pipeline import RunConfig, build_preset
 from ddmcert.problem import (EllipticProblem, manufactured_lshape_problem,
                              mat_vec, p1_gradients, quad_form, quad_rule)
 from ddmcert.schwarz import run_schwarz
@@ -65,37 +70,87 @@ def ref_average_gradient(v, decomp, A):
     return p1_part
 
 
-def ref_affine(y):
+def ref_slot_matrix(coarse, decomp):
+    """Q (3 CT x n_dofs): row 3c + i holds the outward flux of side i of
+    cell-triangle c.  Dofs are numbered edge by edge, two per interface
+    edge (omega_k side, then omega_j side), none on inactive edges."""
+    kind = coarse.edge_kind
+    per_edge = np.select([kind == INTERFACE, kind == INACTIVE], [2, 0], 1)
+    edge_dof = np.where(per_edge > 0, np.cumsum(per_edge) - per_edge, -1)
+    iface_j = np.array([g.j for g in decomp.interfaces] + [-1])
+    slot_edge = coarse.ct_edge.ravel()
+    slot_dof = edge_dof[slot_edge] + (iface_j[coarse.edge_iface[slot_edge]]
+                                      == np.repeat(coarse.cell_sub, 3))
+    live = np.flatnonzero(edge_dof[slot_edge] >= 0)
+    return sp.coo_matrix(
+        (coarse.ct_sign.ravel()[live], (live, slot_dof[live])),
+        shape=(3 * coarse.N_cells, int(per_edge.sum()))).tocsr()
+
+
+def ref_slot_blocks(coarse, A):
+    """The mass and divergence forms (3 CT x 3 CT) of the cell-triangles'
+    outward side fluxes, block diagonal."""
+    v = coarse.ct_verts
+    n_ct = len(v)
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    mids = 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])
+    diff = mids[:, :, None, :] - v[:, None, :, :]
+    adiff = np.einsum("de,cmie->cmid", np.linalg.inv(A), diff)
+    m_loc = (np.einsum("cmid,cmjd->cij", adiff, diff)
+             / (12.0 * area)[:, None, None])
+    d_loc = np.repeat(1.0 / area, 9).reshape(n_ct, 3, 3)
+    rows = 3 * np.arange(n_ct)[:, None, None] + np.arange(3)[None, :, None]
+    cols = 3 * np.arange(n_ct)[:, None, None] + np.arange(3)[None, None, :]
+    rows, cols = [np.broadcast_to(a, (n_ct, 3, 3)).ravel()
+                  for a in (rows, cols)]
+    return [sp.coo_matrix((loc.ravel(), (rows, cols)),
+                          shape=(3 * n_ct, 3 * n_ct)).tocsr()
+            for loc in (m_loc, d_loc)]
+
+
+def ref_c1_rows(coarse, decomp, Q):
+    """The c1 constraint rows: per basic subdomain, the mean of the
+    corrector's divergence, through Q."""
+    n_slots = Q.shape[0]
+    r1 = sp.coo_matrix((np.ones(n_slots),
+                        (np.repeat(coarse.cell_sub, 3), np.arange(n_slots))),
+                       shape=(decomp.n_basic, n_slots)).tocsr()
+    areas_k = np.array([sub.area for sub in decomp.basic])
+    return sp.diags(1.0 / areas_k) @ (r1 @ Q)
+
+
+def ref_affine(y, Q):
     """Per fine triangle, the corrector as a + g x, or zero without one."""
     T = y.mesh.n_triangles
     if y.space is None:
         return np.zeros((T, 2)), np.zeros(T)
     s = y.space
-    fluxes = (s.Q @ y.coeffs).reshape(-1, 3)
-    moment = np.einsum("ci,cid->cd", fluxes, s.coarse.ct_verts)
+    fluxes = (Q @ y.coeffs).reshape(-1, 3)
+    moment = np.einsum("ci,cid->cd", fluxes, s.ct_verts)
     scale = 1.0 / (2.0 * s.ct_area)
-    ct = s.coarse.fine_tri_ct
+    ct = s.fine_tri_ct
     return (-moment * scale[:, None])[ct], (fluxes.sum(axis=1) * scale)[ct]
 
 
-def ref_midpoint_values(y):
+def ref_midpoint_values(y, Q):
     mesh = y.mesh
     bary, _ = quad_rule(2)
     p1 = np.einsum("qi,tid->tqd", bary, y.p1_part)
     pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
-    a, g = ref_affine(y)
+    a, g = ref_affine(y, Q)
     return p1 + (a[:, None, :] + g[:, None, None] * pts)
 
 
-def ref_divergence(y):
-    _, g = ref_affine(y)
+def ref_divergence(y, Q):
+    _, g = ref_affine(y, Q)
     return (np.einsum("tid,tid->t", y.p1_part, p1_gradients(y.mesh))
             + 2.0 * g)
 
 
-def ref_jumps(y, m):
+def ref_jumps(y, m, Q):
     g = y.decomp.interfaces[m]
-    a, slope = ref_affine(y)
+    a, slope = ref_affine(y, Q)
     out = np.zeros((len(g.edges), 2))
     for side, sgn in ((0, 1.0), (1, -1.0)):
         tris = g.side_tris[:, side]
@@ -110,20 +165,20 @@ def ref_jumps(y, m):
     return out
 
 
-def ref_rhs_table(space, yt, v, problem, f_tri):
+def ref_rhs_table(space, yt, v, problem, f_tri, Q):
     """(cross, per_ct, a_grad_v) of the averaged flux ``yt`` of v."""
-    mesh = space.mesh
+    mesh = space.decomp.mesh
     gv = np.einsum("de,te->td", problem.A, ref_gradient(v))
-    r = ref_midpoint_values(yt) - gv[:, None, :]
+    r = ref_midpoint_values(yt, Q) - gv[:, None, :]
     ra = np.einsum("de,tqe->tqd", np.linalg.inv(problem.A), r)
-    ct = space.coarse.fine_tri_ct
+    ct = space.fine_tri_ct
     bary, _ = quad_rule(2)
     pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
-    diff = pts[:, :, None, :] - space.coarse.ct_verts[ct][:, None, :, :]
+    diff = pts[:, :, None, :] - space.ct_verts[ct][:, None, :, :]
     cross = np.einsum("tmd,tmid->ti", ra, diff)
     cross *= (mesh.areas / (6.0 * space.ct_area[ct]))[:, None]
     per_ct = np.zeros(len(space.ct_area))
-    np.add.at(per_ct, ct, ref_divergence(yt) * mesh.areas + f_tri)
+    np.add.at(per_ct, ct, ref_divergence(yt, Q) * mesh.areas + f_tri)
     return cross, per_ct, gv
 
 
@@ -137,24 +192,24 @@ def ref_energy_error(v, problem):
                                    mesh.areas[:, None] * w, d, ad)))
 
 
-def ref_term_sums(y, v, problem, f_tri, f_sq):
+def ref_term_sums(y, v, problem, f_tri, f_sq, Q):
     """S1, S2 per basic subdomain and S3 per interface."""
     mesh, decomp = y.mesh, y.decomp
     _, w = quad_rule(2)
     gv = np.einsum("de,te->td", problem.A, ref_gradient(v))
-    r = ref_midpoint_values(y) - gv[:, None, :]
+    r = ref_midpoint_values(y, Q) - gv[:, None, :]
     ra = np.einsum("de,tqe->tqd", np.linalg.inv(problem.A), r)
     S1 = np.zeros(decomp.n_basic)
     np.add.at(S1, decomp.tri_subdomain,
               mesh.areas * np.einsum("tqd,tqd,q->t", ra, r, w))
-    c = ref_divergence(y)
+    c = ref_divergence(y, Q)
     S2 = np.zeros(decomp.n_basic)
     np.add.at(S2, decomp.tri_subdomain,
               c ** 2 * mesh.areas + 2.0 * c * f_tri + f_sq)
     S3 = np.array([
         np.sum(mesh.edge_lengths[g.edges] * (a * a + a * b + b * b) / 3.0)
         for m, g in enumerate(decomp.interfaces)
-        for a, b in [ref_jumps(y, m).T]])
+        for a, b in [ref_jumps(y, m, Q).T]])
     return S1, S2, S3
 
 
@@ -185,7 +240,8 @@ def full_a(request):
     return SimpleNamespace(problem=problem, decomp=decomp, v=v,
                            constants=constants, space=space, solver=solver,
                            a_grad_v=gv, yt=yt, table=table,
-                           y=corrected_flux(yt, q, space))
+                           y=corrected_flux(yt, q, space),
+                           Q=ref_slot_matrix(coarse, decomp))
 
 
 def test_average_gradient_matches_reference(full_a):
@@ -195,7 +251,8 @@ def test_average_gradient_matches_reference(full_a):
 
 def test_rhs_table_matches_reference(full_a):
     cross, per_ct, gv = ref_rhs_table(full_a.space, full_a.yt, full_a.v,
-                                      full_a.problem, full_a.solver.f_tri)
+                                      full_a.problem, full_a.solver.f_tri,
+                                      full_a.Q)
     assert_close(full_a.table.cross, cross)
     assert_close(full_a.table.per_ct, per_ct)
     assert_close(full_a.a_grad_v, gv)
@@ -214,10 +271,42 @@ def test_term_sums_match_reference(full_a):
     rep = evaluate_majorant(full_a.y, full_a.a_grad_v, full_a.problem,
                             full_a.constants, s.f_tri, s.f_sq)
     S1, S2, S3 = ref_term_sums(full_a.y, full_a.v, full_a.problem,
-                               s.f_tri, s.f_sq)
+                               s.f_tri, s.f_sq, full_a.Q)
     assert_close(rep.S1, S1)
     assert_close(rep.S2, S2)
     assert_close(rep.S3, S3)
+
+
+def assert_same_csr(got, want):
+    """Equal in structure and values, bit for bit."""
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+@pytest.mark.parametrize("preset", ["lshape", "rect"])
+@pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
+def test_space_forms_match_slot_products(preset, H):
+    # M_hat, D_hat and the c1 rows, assembled straight into dof space, are
+    # the products through Q to the bit: a dof touches at most two slots
+    # and the signs are +-1
+    mesh, decomp, _ = build_preset(RunConfig(h=1 / 8, H=H, preset=preset))
+    coarse = build_coarse_mesh(mesh, decomp, H)
+    space = build_corrector_space(coarse, decomp, A_FULL)
+    Q = ref_slot_matrix(coarse, decomp)
+    M_blk, D_blk = ref_slot_blocks(coarse, A_FULL)
+    assert space.n_dofs == Q.shape[1]
+    assert_same_csr(space.M_hat, (Q.T @ M_blk @ Q).tocsr())
+    assert_same_csr(space.D_hat, (Q.T @ D_blk @ Q).tocsr())
+    # stacked on the interface rows as coo, as the package stacked them
+    iface_rows = space.C[decomp.n_basic:].tocoo()
+    assert_same_csr(space.C, sp.vstack([ref_c1_rows(coarse, decomp, Q),
+                                        iface_rows]).tocsr())
+    # the slot map is Q's rows
+    dense = np.zeros(Q.shape)
+    dense[np.arange(Q.shape[0]),
+          space.slot_dof.ravel()] = space.slot_sign.ravel()
+    assert np.array_equal(dense, Q.toarray())
 
 
 def test_quad_form_rounds_as_mat_vec():

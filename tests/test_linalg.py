@@ -1,3 +1,4 @@
+import platform
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ddmcert import linalg
 from ddmcert.linalg import (SaddleFactorization, SolverError,
                             SymmetricFactorization, dirichlet_correction,
                             projected_cg)
@@ -138,6 +140,28 @@ def test_symmetric_factorization_keeps_no_superlu_object(monkeypatch):
     refs = sys.getrefcount(lu)
     assert refs == 2
     assert fact.solve(np.ones(100)).shape == (100,)
+
+
+def test_factorizations_release_the_free_heap_first(monkeypatch):
+    events = []
+    splu = spla.splu
+
+    def recording(*args, **kwargs):
+        events.append("splu")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_release_free_heap",
+                        lambda: events.append("release"))
+    monkeypatch.setattr(spla, "splu", recording)
+    SymmetricFactorization(grid_laplacian(4))
+    SaddleFactorization(grid_laplacian(4), sp.csc_matrix(np.ones((1, 16))))
+    assert events == ["release", "splu"] * 2
+
+
+def test_free_heap_release_is_glibc_malloc_trim():
+    if platform.libc_ver()[0] == "glibc":
+        assert linalg._malloc_trim is not None
+    linalg._release_free_heap()     # a no-op elsewhere
 
 
 def test_indefinite_matrix_raises_solver_error():

@@ -1,5 +1,6 @@
 """What a certified run computes once and what it keeps alive."""
 
+import gc
 import weakref
 from collections import Counter
 
@@ -61,6 +62,32 @@ def test_sweep_invariants_computed_once_per_run(calls):
     # one table per run, filled one degree-5 point at a time
     assert per_run[2][1] == 1
     assert per_run[2][2] == len(quad_rule(5)[1])
+
+
+@pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
+def test_run_drops_the_coarse_mesh_before_the_sweeps(monkeypatch, H):
+    coarse_refs, dead = [], []
+    build = pipeline.build_coarse_mesh
+    schwarz = pipeline.run_schwarz
+
+    def recorded_build(*args, **kwargs):
+        coarse = build(*args, **kwargs)
+        coarse_refs.append(weakref.ref(coarse))
+        return coarse
+
+    def checked_schwarz(*args, on_sweep, **kwargs):
+        def check(n, v):
+            gc.collect()
+            dead.append(all(ref() is None for ref in coarse_refs))
+            on_sweep(n, v)
+        return schwarz(*args, on_sweep=check, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_coarse_mesh", recorded_build)
+    monkeypatch.setattr(pipeline, "run_schwarz", checked_schwarz)
+    res = run_case(RunConfig(h=1 / 8, H=H, sweeps=2))
+    assert len(res.rows) == 2 and len(coarse_refs) == 1
+    # the corrector space keeps the arrays it reads, not the coarse mesh
+    assert dead == [True, True]
 
 
 def test_eps_opt_rounds_keep_one_other_factorization(monkeypatch):
