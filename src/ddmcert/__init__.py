@@ -6,7 +6,7 @@ from .mesh import (
     CoarseMesh,
     MeshError,
     build_lshape_mesh,
-    build_rect_grid_decomposition,
+    build_rect_mesh,
     build_coarse_mesh,
     compatibility_check,
 )

@@ -16,10 +16,14 @@ Every coarse cell is a triangle, and inside it the corrector is the RT0
 extension of its three edge fluxes.  At H = h the cells are the fine
 triangles, so every fine edge is a degree of freedom; at H > h each H x H
 square is split by its lower-left/upper-right diagonal, and the diagonal
-carries an ordinary interior coefficient of the minimization.  Dofs are
-numbered edge by edge; two (CT, 3) arrays give the dof and sign of the
-three local outward fluxes (slots) of each cell-triangle, and the volume
-forms are assembled from the cells' 3 x 3 blocks straight into dof space.
+carries an ordinary interior coefficient of the minimization.
+``build_corrector_space`` is the one place that classifies and orients
+the coarse ``TriMesh``'s edges: an edge between cells of two basic
+subdomains lies on their interface, and a side's sign compares its two
+vertex indices.  Dofs are numbered edge by edge; two (CT, 3) arrays give
+the dof and sign of the three local outward fluxes (slots) of each
+cell-triangle, and the volume forms are assembled from the cells' 3 x 3
+blocks straight into dof space.
 
 Certification reads its sweep-invariant tables from their owners and
 never recomputes them: the P1 gradients, edge lengths and side midpoints
@@ -55,8 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .mesh import (CoarseMesh, DomainDecomposition, MeshError, TriMesh,
-                   INACTIVE, INTERFACE, compatibility_check)
+from .mesh import CoarseMesh, DomainDecomposition, TriMesh
 from .problem import (EllipticProblem, exact_grad_table, f_cell_integrals,
                       mat_vec)
 
@@ -246,12 +249,13 @@ class CorrectorSpace:
 
     Degrees of freedom are numbered edge by edge over the coarse edges: two
     per interface edge (the omega_k side, then the omega_j side), one per
-    interior or Dirichlet edge, none on inactive edges.  A dof is the total
-    flux across its edge along the edge normal.  Slot ``i`` of a
-    cell-triangle is its side opposite vertex ``i``, with outward flux
-    ``slot_sign * q[slot_dof]``: ``slot_dof`` is the dof of the side's edge
-    on the cell's side and ``slot_sign`` the sign of the outward normal
-    against the edge normal (0, with dof 0, on inactive edges).
+    other edge.  A dof is the total flux across its edge along the edge
+    normal, the tangent from the lower to the higher vertex index turned
+    clockwise.  Slot ``i`` of a cell-triangle is its side opposite vertex
+    ``i``, with outward flux ``slot_sign * q[slot_dof]``: ``slot_dof`` is
+    the dof of the side's edge on the cell's side and ``slot_sign`` +1
+    where the counter-clockwise side runs from its lower vertex index to
+    its higher one, so that the edge normal points outward, else -1.
     ``ifaces[m]`` holds, for the coarse edges of interface m in the
     traversal order of its fine edges, their omega_k dofs (each omega_j dof
     is the next one), their orientation (+1 where the edge normal points
@@ -282,33 +286,33 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
                           A) -> CorrectorSpace:
     """Enumerate corrector degrees of freedom and assemble all static parts.
 
-    One coefficient per coarse edge interior to a basic subdomain or on the
-    Dirichlet boundary; two per interface edge (one per side).  ``A`` is
-    the problem's coefficient, whose inverse weights the flux term.  Raises
-    MeshError when the coarse mesh fails the solvability count.
+    A coarse edge whose two cell-triangles lie in different basic
+    subdomains is an interface edge and carries two coefficients (one per
+    side); every other edge, boundary edges included, carries one.  ``A``
+    is the problem's coefficient, whose inverse weights the flux term.
     """
-    ok, slack = compatibility_check(coarse.N_cells, coarse.N_f,
-                                    coarse.N_fD, 3)
-    if not ok:
-        raise MeshError(
-            f"coarse mesh cannot carry the constraints (slack {slack})")
+    tri, cell_sub = coarse.tri, coarse.cell_sub
     A_inv = np.linalg.inv(np.asarray(A, dtype=float))
 
     # --- degrees of freedom and the slot map --------------------------------
-    kind = coarse.edge_kind
-    per_edge = np.select([kind == INTERFACE, kind == INACTIVE], [2, 0], 1)
+    # t1 is -1 on the boundary, which the mask leaves out
+    t0, t1 = tri.edge_tris.T
+    crossing = np.flatnonzero(~tri.boundary_edge_flags
+                              & (cell_sub[t0] != cell_sub[t1]))
+    s0, s1 = cell_sub[t0[crossing]], cell_sub[t1[crossing]]
+    per_edge = np.ones(tri.n_edges, dtype=np.int64)
+    per_edge[crossing] = 2
     n_dofs = int(per_edge.sum())
     edge_dof = np.cumsum(per_edge) - per_edge
-    # A slot takes its edge's dof, the omega_j one on the omega_j side; the
-    # appended -1 is the omega_j of edges off interfaces (edge_iface -1).
-    iface_j = np.array([g.j for g in decomp.interfaces] + [-1])
-    ct_edge = coarse.ct_edge
-    live = per_edge[ct_edge] > 0
-    slot_dof = np.where(live, edge_dof[ct_edge]
-                        + (iface_j[coarse.edge_iface[ct_edge]]
-                           == coarse.cell_sub[:, None]), 0)
-    slot_sign = np.where(live, coarse.ct_sign, 0.0)
-    ct_verts = coarse.ct_verts
+    # A slot takes its edge's dof, the omega_j one (j the higher subdomain)
+    # on the omega_j side; -1 is the omega_j of edges off interfaces.
+    edge_j = np.full(tri.n_edges, -1, dtype=np.int64)
+    edge_j[crossing] = np.maximum(s0, s1)
+    slot_dof = (edge_dof[tri.tri_edges]
+                + (edge_j[tri.tri_edges] == cell_sub[:, None]))
+    slot_sign = np.where(tri.triangles[:, [1, 2, 0]]
+                         < tri.triangles[:, [2, 0, 1]], 1.0, -1.0)
+    ct_verts = tri.vertices[tri.triangles]
     e1 = ct_verts[:, 1] - ct_verts[:, 0]
     e2 = ct_verts[:, 2] - ct_verts[:, 0]
     ct_area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -338,25 +342,30 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     # --- constraint rows and interface jump pieces ---------------------------
     inv_area_k = 1.0 / np.array([sub.area for sub in decomp.basic])
     c1 = sp.coo_matrix(
-        ((slot_sign * inv_area_k[coarse.cell_sub][:, None]).ravel(),
-         (np.repeat(coarse.cell_sub, 3), slot_dof.ravel())),
+        ((slot_sign * inv_area_k[cell_sub][:, None]).ravel(),
+         (np.repeat(cell_sub, 3), slot_dof.ravel())),
         shape=(decomp.n_basic, n_dofs)).tocsr()
     c1.eliminate_zeros()        # the two slots of an interior edge cancel
     C_rows = [c1]
     J_hats, ifaces = [], []
-    for m, g in enumerate(decomp.interfaces):
-        ce = np.flatnonzero(coarse.edge_iface == m)
-        ce = ce[np.lexsort((coarse.edge_mid[ce, 1], coarse.edge_mid[ce, 0]))]
+    pair = np.minimum(s0, s1) * decomp.n_basic + np.maximum(s0, s1)
+    for g in decomp.interfaces:
+        ce = crossing[pair == g.k * decomp.n_basic + g.j]
+        a, b = tri.vertices[tri.edges[ce].T]
+        mid = 0.5 * (a + b)
+        order = np.lexsort((mid[:, 1], mid[:, 0]))
+        ce, d = ce[order], (b - a)[order]
         dk = edge_dof[ce]
         dj = dk + 1
-        length = coarse.edge_length[ce]
+        length = tri.edge_lengths[ce]
         w = 1.0 / length
         J_hats.append(sp.coo_matrix(
             (np.concatenate([w, -w, -w, w]),
              (np.concatenate([dk, dk, dj, dj]),
               np.concatenate([dk, dj, dk, dj]))),
             shape=(n_dofs, n_dofs)).tocsr())
-        sign = np.where(coarse.edge_normal[ce] @ g.normal > 0, 1.0, -1.0)
+        # the edge normal is d turned clockwise
+        sign = np.where(d @ [-g.normal[1], g.normal[0]] > 0, 1.0, -1.0)
         ifaces.append((dk, sign, length))
         C_rows.append(sp.coo_matrix(
             (np.concatenate([sign / g.length, -sign / g.length]),

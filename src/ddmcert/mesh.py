@@ -10,13 +10,12 @@ Dirichlet-boundary grouping.
 
 Geometry is stored as arrays, never as one object per element.  A
 ``TriMesh`` numbers its edges by first occurrence in the triangle list.  A
-``CoarseMesh`` is a triangulation too, built one way for every H: the fine
-mesh itself at H = h, else the one-diagonal triangulation of the H x H
-lattice squares of each basic subdomain.  It keeps per-edge arrays (kind,
-normal, length, midpoint, interface) and per-cell arrays; its cells are
-called cell-triangles, and slot ``i`` of one is its side opposite local
-vertex ``i``, with the coarse edge it lies on (``ct_edge``) and the sign of
-its outward normal against that edge's normal (``ct_sign``).
+``CoarseMesh`` is a ``TriMesh`` plus two maps, built one way for every H:
+the fine mesh itself at H = h, else the one-diagonal triangulation of the
+H x H lattice squares of each basic subdomain.  ``fine_tri_ct`` gives the
+coarse triangle of every fine one and ``cell_sub`` the basic subdomain of
+every coarse one; ``flux.build_corrector_space`` derives the corrector's
+edge classification and orientation from them.
 
 All objects are treated as immutable once built; nothing in the package
 mutates a mesh after construction, so concurrent reads are safe.  That lets
@@ -31,11 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-# Coarse-edge classification codes (values of ``CoarseMesh.edge_kind``).
-# INACTIVE marks boundary edges outside the Dirichlet part; they carry no
-# flux degree of freedom.
-INTERIOR, INTERFACE, DIRICHLET, INACTIVE = 0, 1, 2, 3
 
 
 class MeshError(ValueError):
@@ -92,20 +86,18 @@ class TriMesh:
     boundary_edge_flags: np.ndarray
     tri_edges: np.ndarray
     mesh_size_h: float
-    areas: np.ndarray = field(default=None, repr=False)
-    boundary_vertex_mask: np.ndarray = field(default=None, repr=False)
+    areas: np.ndarray = field(init=False, repr=False)
+    boundary_vertex_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.areas is None:
-            p = self.vertices[self.triangles]
-            self.areas = 0.5 * np.abs(
-                (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-            )
-        if self.boundary_vertex_mask is None:
-            mask = np.zeros(len(self.vertices), dtype=bool)
-            mask[self.edges[self.boundary_edge_flags].ravel()] = True
-            self.boundary_vertex_mask = mask
+        p = self.vertices[self.triangles]
+        self.areas = 0.5 * np.abs(
+            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+        )
+        mask = np.zeros(len(self.vertices), dtype=bool)
+        mask[self.edges[self.boundary_edge_flags].ravel()] = True
+        self.boundary_vertex_mask = mask
 
     # -- basic counts -------------------------------------------------------
 
@@ -422,9 +414,11 @@ def build_lshape_mesh(h: float) -> tuple[TriMesh, DomainDecomposition]:
     return mesh, _decomposition(mesh, tri_subdomain, [[0, 1], [1, 2]])
 
 
-def _rect_grid(m: int, n: int, h: float) -> tuple[TriMesh, DomainDecomposition]:
-    """One-diagonal mesh of (0, m*h) x (0, n*h) with the trivial
-    decomposition (one basic subdomain, one overlapping subdomain)."""
+def build_rect_mesh(m: int, n: int,
+                    h: float) -> tuple[TriMesh, DomainDecomposition]:
+    """One-diagonal mesh of the m x n lattice of squares of side h over
+    (0, m*h) x (0, n*h), with the trivial decomposition (one basic
+    subdomain, one overlapping subdomain)."""
     if m < 1 or n < 1:
         raise MeshError(f"grid must be at least 1x1, got {m}x{n}")
     vertices, triangles = _one_diagonal_grid(_lattice_cells(m, n), h)
@@ -434,26 +428,6 @@ def _rect_grid(m: int, n: int, h: float) -> tuple[TriMesh, DomainDecomposition]:
     return mesh, _decomposition(mesh, tri_subdomain, [[0]])
 
 
-def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
-                                  dirichlet_boundary: bool = False):
-    """Regular m x n grid of coarse cells over (0, m*h) x (0, n*h).
-
-    The fine mesh splits every grid square by its lower-left/upper-right
-    diagonal only (one diagonal per square, not a criss-cross).  The
-    decomposition is trivial (one basic subdomain covering everything, one
-    overlapping subdomain equal to it); the interesting output is the coarse
-    mesh at H = h, whose 2*m*n cells are the fine triangles.
-    ``dirichlet_boundary`` marks all boundary coarse edges as Dirichlet
-    (otherwise N_fD = 0).
-
-    Returns (TriMesh, DomainDecomposition, CoarseMesh).
-    """
-    mesh, decomp = _rect_grid(m, n, h)
-    coarse = build_coarse_mesh(mesh, decomp, h,
-                               dirichlet_boundary=dirichlet_boundary)
-    return mesh, decomp, coarse
-
-
 # ---------------------------------------------------------------------------
 # Coarse meshes
 # ---------------------------------------------------------------------------
@@ -461,43 +435,20 @@ def build_rect_grid_decomposition(m: int, n: int, h: float = 1.0,
 
 @dataclass
 class CoarseMesh:
-    """Triangulation of nominal size H carrying the flux-corrector space.
+    """Triangulation ``tri`` of nominal size H carrying the flux corrector.
 
-    At H = h its cells are the fine triangles.  At H > h every H x H lattice
+    At H = h ``tri`` is the fine mesh itself.  At H > h every H x H lattice
     square of a basic subdomain is split by its lower-left/upper-right
     diagonal into a lower (ll, lr, ur) and an upper (ll, ur, ul) triangle,
-    square by square.  ``N_cells``, ``N_f`` and ``N_fD`` count its
-    triangles, edges and Dirichlet edges.
-
-    Array layout:
-
-    - edges ``e``: ``edge_kind`` (INTERIOR / INTERFACE / DIRICHLET /
-      INACTIVE), ``edge_normal`` (fixed unit normal), ``edge_length``,
-      ``edge_mid`` and ``edge_iface`` (index into ``decomp.interfaces``, -1
-      off interfaces);
-    - cell-triangles ``c``: ``ct_verts`` (CT, 3, 2), ``cell_sub`` (basic
-      subdomain), and per slot ``i`` (the side opposite vertex ``i``) the
-      edge ``ct_edge`` and the sign ``ct_sign`` of the outward normal
-      against ``edge_normal``; ``fine_tri_ct`` gives the containing
-      cell-triangle of every fine triangle.
-
-    At H = h the edge lengths, ``ct_edge`` and ``cell_sub`` are the fine
-    mesh's and the decomposition's own arrays.
+    square by square.  Its triangles are called cell-triangles;
+    ``fine_tri_ct`` gives the cell-triangle of every fine triangle and
+    ``cell_sub`` the basic subdomain of every cell-triangle (at H = h,
+    ``decomp.tri_subdomain`` itself).
     """
 
-    N_cells: int
-    N_f: int
-    N_fD: int
-    edge_kind: np.ndarray
-    edge_normal: np.ndarray
-    edge_length: np.ndarray
-    edge_mid: np.ndarray
-    edge_iface: np.ndarray
-    cell_sub: np.ndarray
-    ct_verts: np.ndarray
-    ct_edge: np.ndarray
-    ct_sign: np.ndarray
+    tri: TriMesh
     fine_tri_ct: np.ndarray
+    cell_sub: np.ndarray
 
 
 def compatibility_check(N_cells: int, N_f: int, N_fD: int,
@@ -556,15 +507,13 @@ def _lattice_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
     return tri, 2 * square + upper, np.repeat(square_sub, 2)
 
 
-def build_coarse_mesh(mesh: TriMesh, decomp: DomainDecomposition, H: float,
-                      dirichlet_boundary: bool = True) -> CoarseMesh:
+def build_coarse_mesh(mesh: TriMesh, decomp: DomainDecomposition,
+                      H: float) -> CoarseMesh:
     """Coarse corrector triangulation of size H on top of a fine one.
 
     At H = h it is the fine mesh itself, so every fine edge carries a flux
     degree of freedom; at H > h it is the one-diagonal triangulation of the
-    H x H squares tiling each basic subdomain.  A coarse edge between
-    triangles of two basic subdomains lies on their interface; a boundary
-    edge is Dirichlet, or inactive without ``dirichlet_boundary``.
+    H x H squares tiling each basic subdomain.
     """
     h = mesh.mesh_size_h
     if H < h - 1e-12:
@@ -574,40 +523,6 @@ def build_coarse_mesh(mesh: TriMesh, decomp: DomainDecomposition, H: float,
     if abs(H / h - ratio) > 1e-9:
         raise MeshError(f"H={H} is not an integer multiple of h={h}")
     if ratio == 1:
-        tri, fine_tri_ct = mesh, np.arange(mesh.n_triangles)
-        cell_sub = decomp.tri_subdomain
-    else:
-        tri, fine_tri_ct, cell_sub = _lattice_triangulation(mesh, decomp, H,
-                                                            ratio)
-
-    # t1 is -1 on the boundary, which the mask leaves out
-    boundary = tri.boundary_edge_flags
-    t0, t1 = tri.edge_tris.T
-    crossing = np.flatnonzero(~boundary & (cell_sub[t0] != cell_sub[t1]))
-    s0, s1 = cell_sub[t0[crossing]], cell_sub[t1[crossing]]
-    iface_of_pair = np.full((decomp.n_basic, decomp.n_basic), -1,
-                            dtype=np.int64)
-    for m, g in enumerate(decomp.interfaces):
-        iface_of_pair[g.k, g.j] = m
-    edge_iface = np.full(tri.n_edges, -1, dtype=np.int64)
-    edge_iface[crossing] = iface_of_pair[np.minimum(s0, s1),
-                                         np.maximum(s0, s1)]
-    if np.any(edge_iface[crossing] < 0):
-        raise MeshError("coarse edge between subdomains without an interface")
-    kind = np.where(boundary, DIRICHLET if dirichlet_boundary else INACTIVE,
-                    np.where(edge_iface >= 0, INTERFACE, INTERIOR))
-
-    pa = tri.vertices[tri.edges[:, 0]]
-    pb = tri.vertices[tri.edges[:, 1]]
-    lengths = tri.edge_lengths
-    tangent = (pb - pa) / lengths[:, None]
-    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-    ct_verts = tri.vertices[tri.triangles]
-    side = ct_verts[:, [2, 0, 1]] - ct_verts[:, [1, 2, 0]]
-    outward = np.stack([side[..., 1], -side[..., 0]], axis=-1)
-    ct_sign = np.where(np.einsum("csd,csd->cs", outward,
-                                 normal[tri.tri_edges]) > 0, 1.0, -1.0)
-    n_fd = int(np.count_nonzero(kind == DIRICHLET))
-    return CoarseMesh(tri.n_triangles, tri.n_edges, n_fd, kind, normal,
-                      lengths, 0.5 * (pa + pb), edge_iface, cell_sub, ct_verts,
-                      tri.tri_edges, ct_sign, fine_tri_ct)
+        return CoarseMesh(mesh, np.arange(mesh.n_triangles),
+                          decomp.tri_subdomain)
+    return CoarseMesh(*_lattice_triangulation(mesh, decomp, H, ratio))

@@ -51,9 +51,8 @@ from .linalg import SolverError
 from . import majorant
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
                        evaluate_majorant, optimize_eps, weighted_parts)
-from .mesh import (DomainDecomposition, TriMesh, _rect_grid,
-                   build_coarse_mesh, build_lshape_mesh,
-                   build_rect_grid_decomposition, compatibility_check)
+from .mesh import (DomainDecomposition, TriMesh, build_coarse_mesh,
+                   build_lshape_mesh, build_rect_mesh, compatibility_check)
 from .problem import (EllipticProblem, ScalarFieldP1,
                       manufactured_lshape_problem, mat_vec)
 from .schwarz import run_schwarz
@@ -169,7 +168,7 @@ def build_preset(config: RunConfig):
         mesh, decomp = build_lshape_mesh(config.h)
     else:
         k = int(round(1.0 / config.h))
-        mesh, decomp = _rect_grid(k, k, config.h)
+        mesh, decomp = build_rect_mesh(k, k, config.h)
     problem = manufactured_lshape_problem()
     return mesh, decomp, problem
 
@@ -383,9 +382,10 @@ def run_checks(h: float = 0.25):
     ok_a1, slack_a1 = compatibility_check(6, 13, 1, 3)
     add("compatibility verdicts (triangulated hexagon)",
         (not ok_a0) and ok_a1 and slack_a1 == 0)
-    _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)
-    _, _, c22 = build_rect_grid_decomposition(2, 2, 1.0)
-    ok_b1, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, 3)
-    ok_b2, _ = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, 3)
+    # the 1 x 1 and 2 x 2 grids, with no Dirichlet edge
+    m11, _ = build_rect_mesh(1, 1, 1.0)
+    m22, _ = build_rect_mesh(2, 2, 1.0)
+    ok_b1, _ = compatibility_check(m11.n_triangles, m11.n_edges, 0, 3)
+    ok_b2, _ = compatibility_check(m22.n_triangles, m22.n_edges, 0, 3)
     add("compatibility verdicts (grids)", (not ok_b1) and ok_b2)
     return out

@@ -120,15 +120,16 @@ class ScalarFieldP1:
 
 @dataclass
 class EllipticProblem:
-    """Coefficient matrix A (its inverse ``A_inv`` formed once, read-only),
-    source, boundary datum, optional exact solution."""
+    """Coefficient matrix A (its inverse ``A_inv`` formed once, read-only,
+    and its smallest eigenvalue ``C_min``), source, boundary datum,
+    optional exact solution."""
 
     A: np.ndarray
     f: Callable
     u_g: Callable
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
-    C_min: float = field(default=None)
+    C_min: float = field(init=False)
     A_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -138,8 +139,7 @@ class EllipticProblem:
         eigs = np.linalg.eigvalsh(self.A)
         if eigs[0] <= 0:
             raise ValueError("A must be positive definite")
-        if self.C_min is None:
-            self.C_min = float(eigs[0])
+        self.C_min = float(eigs[0])
         self.A_inv = np.linalg.inv(self.A)
         self.A_inv.flags.writeable = False
 

@@ -16,9 +16,8 @@ from ddmcert.flux import (CorrectorSolver, average_gradient, corrected_flux,
                           rhs_table)
 from ddmcert.majorant import (MajorantConstants, evaluate_majorant,
                               optimize_eps, poincare_edge_constant)
-from ddmcert.mesh import (INACTIVE, INTERFACE, build_coarse_mesh,
-                          build_lshape_mesh, build_rect_grid_decomposition,
-                          compatibility_check)
+from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
+                          build_rect_mesh, compatibility_check)
 from ddmcert.pipeline import (RunConfig, run_case, table1_rows, table2_rows,
                               table_configs)
 from ddmcert.problem import (assemble_load, assemble_stiffness,
@@ -316,8 +315,8 @@ def test_criterion_08_constants():
     case_a = (not hex_no) and hex_yes
     case_b = True
     for n, m in ((1, 1), (1, 4), (3, 1), (2, 2), (2, 3), (4, 4)):
-        _, _, coarse = build_rect_grid_decomposition(n, m, 1.0)
-        ok, _ = compatibility_check(coarse.N_cells, coarse.N_f, coarse.N_fD, 3)
+        grid, _ = build_rect_mesh(n, m, 1.0)     # no Dirichlet edge
+        ok, _ = compatibility_check(grid.n_triangles, grid.n_edges, 0, 3)
         case_b = case_b and (ok == (n > 1 and m > 1))
     verdict(8, cp_ok and case_a and case_b,
             f"poincare_edge_constant(1)={poincare_edge_constant(1.0):.6f} "
@@ -455,29 +454,38 @@ class _DenseOracle:
     def _index_corrector(self, coarse):
         """Resolve every cell-triangle slot to (dof, sign) from geometry and
         the published dof meanings (numbered edge by edge; total flux along
-        each edge's normal; an interface edge's omega_k dof, then its
-        omega_j dof; none on an inactive edge)."""
-        first_dof, n = [], 0
-        for kind in coarse.edge_kind:
+        each edge's normal, its tangent from ``edges[:, 0]`` to
+        ``edges[:, 1]`` turned clockwise; an interface edge's omega_k dof,
+        then its omega_j dof)."""
+        tri = coarse.tri
+        ends = tri.vertices[tri.edges]                     # (E, 2, 2)
+        first_dof, iface, n = [], [], 0
+        for e, (t0, t1) in enumerate(tri.edge_tris):
             first_dof.append(n)
-            n += 2 if kind == INTERFACE else 0 if kind == INACTIVE else 1
+            subs = {int(coarse.cell_sub[t]) for t in (t0, t1) if t >= 0}
+            iface.append(next((m for m, g in enumerate(self.decomp.interfaces)
+                               if subs == {g.k, g.j}), -1))
+            n += 2 if iface[-1] >= 0 else 1
         self.n_dofs = n
         self.slots = []          # per cell-triangle: (verts, [(dof, sign)*3])
-        for verts, subdomain in zip(coarse.ct_verts, coarse.cell_sub):
+        for verts, subdomain in zip(tri.vertices[tri.triangles],
+                                    coarse.cell_sub):
             entries = []
             for loc in range(3):
                 a, b = verts[(loc + 1) % 3], verts[(loc + 2) % 3]
                 d = b - a
                 out = np.array([d[1], -d[0]])
-                ce = next(i for i, e_mid in enumerate(coarse.edge_mid)
-                          if np.allclose(e_mid, 0.5 * (a + b), atol=1e-12))
+                ce = next(i for i, (pa, pb) in enumerate(ends)
+                          if np.allclose(0.5 * (pa + pb), 0.5 * (a + b),
+                                         atol=1e-12))
                 dof = first_dof[ce]
-                m = coarse.edge_iface[ce]
+                m = iface[ce]
                 if m >= 0:
                     g = self.decomp.interfaces[m]
                     assert subdomain in (g.k, g.j)
                     dof += int(subdomain == g.j)
-                sign = 1.0 if out @ coarse.edge_normal[ce] > 0 else -1.0
+                t = ends[ce, 1] - ends[ce, 0]
+                sign = 1.0 if out @ np.array([t[1], -t[0]]) > 0 else -1.0
                 entries.append((dof, sign))
             self.slots.append((verts, entries))
 

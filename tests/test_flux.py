@@ -9,8 +9,9 @@ from ddmcert.flux import (KAPPA_MAX, BrokenFluxField, CorrectorSolver,
                           weight_ratio_bound)
 from ddmcert.majorant import (MajorantConstants, alpha_weights,
                               evaluate_majorant)
-from ddmcert.mesh import (DIRICHLET, INACTIVE, MeshError, build_coarse_mesh,
-                          build_lshape_mesh, build_rect_grid_decomposition)
+from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
+                          build_rect_mesh, compatibility_check)
+from ddmcert.pipeline import RunConfig, build_preset
 from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
 
 from _iterate import a_grad
@@ -50,7 +51,7 @@ def test_averaging_preserves_affine_fields():
 def test_averaging_is_arithmetic_mean_on_equal_areas():
     # unit square split by the ll-ur diagonal; v = max(x, y) has
     # grad (1,0) on the lower triangle and (0,1) on the upper one
-    mesh, decomp, _ = build_rect_grid_decomposition(1, 1, 1.0)
+    mesh, decomp = build_rect_mesh(1, 1, 1.0)
     v = ScalarFieldP1(mesh, mesh.vertices.max(axis=1))
     yt = average_gradient(a_grad(v, np.eye(2)), decomp)
     coords = mesh.vertices[mesh.triangles]          # (T, 3, 2)
@@ -93,39 +94,46 @@ def test_space_counts_lshape_H1():
     space = build_corrector_space(coarse, decomp, np.eye(2))
     # 8 Dirichlet edges + 2 interface edges x 2 sides, plus one diagonal
     # DOF per unit square
-    assert coarse.N_cells == 6 and coarse.N_f == 13
+    assert coarse.tri.n_triangles == 6 and coarse.tri.n_edges == 13
     assert space.n_dofs == 15
     assert space.C.shape[0] == 5        # 3 subdomains + 2 interfaces
 
 
 def test_space_fine_mesh_every_edge_is_a_dof():
-    mesh, decomp, _ = build_rect_grid_decomposition(2, 2, 0.5,
-                                                    dirichlet_boundary=True)
+    mesh, decomp = build_rect_mesh(2, 2, 0.5)
     coarse = build_coarse_mesh(mesh, decomp, 0.5)
     space = build_corrector_space(coarse, decomp, np.eye(2))
     # no interfaces: one DOF per fine edge, no duplication
     assert space.n_dofs == mesh.n_edges
-    assert coarse.N_cells == mesh.n_triangles
+    assert coarse.tri.n_triangles == mesh.n_triangles
 
 
 def test_single_cell_represents_constants():
-    mesh, decomp, coarse = build_rect_grid_decomposition(
-        1, 1, 1.0, dirichlet_boundary=True)
+    mesh, decomp = build_rect_mesh(1, 1, 1.0)
+    coarse = build_coarse_mesh(mesh, decomp, 1.0)
+    tri = coarse.tri
     space = build_corrector_space(coarse, decomp, np.eye(2))
     target = np.array([1.0, 0.0])
-    # each dof is the total flux across its edge along the edge normal;
-    # the diagonal from (0,0) to (1,1) has length sqrt2, normal
-    # +-(1,-1)/sqrt2, so it carries a flux of +-1
-    # one interior or Dirichlet dof per edge, numbered edge by edge, so a
-    # slot's dof is its edge
-    edge = np.flatnonzero(coarse.edge_kind != INACTIVE)
-    assert (edge == np.arange(space.n_dofs)).all()
-    assert (space.slot_dof == coarse.ct_edge).all()
-    assert (space.slot_sign == coarse.ct_sign).all()
-    coeffs = coarse.edge_length[edge] * (coarse.edge_normal[edge] @ target)
-    diagonal = np.all(np.isclose(coarse.edge_mid[edge], 0.5), axis=1)
+    # each dof is the total flux across its edge along the edge normal, the
+    # tangent from the lower to the higher vertex turned clockwise; the
+    # diagonal from (0,0) to (1,1) has length sqrt2, normal (1,-1)/sqrt2,
+    # so it carries a flux of 1
+    # one dof per edge, numbered edge by edge, so a slot's dof is its edge
+    assert space.n_dofs == tri.n_edges
+    assert (space.slot_dof == tri.tri_edges).all()
+    a, b = tri.vertices[tri.edges.T]
+    tangent = b - a
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    coeffs = normal @ target
+    diagonal = np.all(np.isclose(0.5 * (a + b), 0.5), axis=1)
     assert np.count_nonzero(diagonal) == 1
-    assert np.allclose(np.abs(coeffs[diagonal]), 1.0)
+    assert np.allclose(coeffs[diagonal], 1.0)
+    # a slot's sign is that of its outward normal against the edge normal
+    v = tri.vertices[tri.triangles]
+    side = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+    outward = np.stack([side[..., 1], -side[..., 0]], axis=-1)
+    dot = np.einsum("csd,csd->cs", outward, normal[tri.tri_edges])
+    assert (space.slot_sign == np.sign(dot)).all()
     zero = np.zeros((mesh.n_triangles, 3, 2))
     y = BrokenFluxField(mesh, decomp, zero, space, coeffs)
     vals = y.values(BARY)
@@ -133,11 +141,17 @@ def test_single_cell_represents_constants():
     assert np.allclose(y.divergence(), 0.0, atol=1e-13)
 
 
-def test_incompatible_coarse_mesh_rejected():
-    mesh, decomp, coarse = build_rect_grid_decomposition(
-        1, 1, 1.0, dirichlet_boundary=False)
-    with pytest.raises(MeshError, match="slack"):
-        build_corrector_space(coarse, decomp, np.eye(2))
+@pytest.mark.parametrize("preset", ["lshape", "rect"])
+@pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
+def test_coarse_mesh_slack(preset, H):
+    # every boundary edge is Dirichlet, and a triangulation with N cells,
+    # N_f edges and N_b boundary edges has 3 N = 2 N_f - N_b, so the
+    # solvability slack 3 N + N_b - N - N_f is (N + N_b) / 2 > 0
+    mesh, decomp, _ = build_preset(RunConfig(h=1 / 8, H=H, preset=preset))
+    tri = build_coarse_mesh(mesh, decomp, H).tri
+    n_b = int(np.count_nonzero(tri.boundary_edge_flags))
+    ok, slack = compatibility_check(tri.n_triangles, tri.n_edges, n_b, 3)
+    assert ok and 2 * slack == tri.n_triangles + n_b
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +195,12 @@ def test_zero_residual_gives_zero_corrector():
 
 
 def test_single_cell_divergence_balance():
-    # one unit square, exactly one Dirichlet edge active, ytilde = 0, f = 1:
+    # one unit square, every boundary edge Dirichlet, ytilde = 0, f = 1:
     # the constraint forces  int div q = -1  over the cell
-    mesh, decomp, coarse = build_rect_grid_decomposition(
-        1, 1, 1.0, dirichlet_boundary=True)
-    dirichlet = np.flatnonzero(coarse.edge_kind == DIRICHLET)
-    coarse.edge_kind[dirichlet[1:]] = INACTIVE
-    coarse.N_fD = 1
-    space = build_corrector_space(coarse, decomp, np.eye(2))
-    assert space.n_dofs == 2 and space.C.shape[0] == 1
+    mesh, decomp = build_rect_mesh(1, 1, 1.0)
+    space = build_corrector_space(build_coarse_mesh(mesh, decomp, 1.0),
+                                  decomp, np.eye(2))
+    assert space.n_dofs == 5 and space.C.shape[0] == 1
 
     unit_source = EllipticProblem(A=np.eye(2),
                                   f=lambda p: np.ones(p.shape[:-1]),

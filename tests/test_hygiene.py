@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and no
+module imports another's private (leading-underscore) names."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddmcert"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,3 +34,23 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """Leading-underscore names the module imports from the package."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("ddmcert"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_import_is_found():
+    source = ("from .mesh import TriMesh, _helper\n"
+              "from os import _exit\n"
+              "def f():\n    from ddmcert.flux import _x\n")
+    assert private_imports(source) == ["_helper", "_x"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_names(path):
+    assert private_imports(path.read_text()) == []

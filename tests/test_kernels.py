@@ -23,8 +23,7 @@ from ddmcert.flux import (CorrectorSolver, average_gradient,
                           build_corrector_space, corrected_flux, rhs_table)
 from ddmcert.majorant import (MajorantConstants, energy_error,
                               evaluate_majorant)
-from ddmcert.mesh import (INACTIVE, INTERFACE, build_coarse_mesh,
-                          build_lshape_mesh)
+from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import RunConfig, build_preset
 from ddmcert.problem import (EllipticProblem, manufactured_lshape_problem,
                              mat_vec, p1_gradients, quad_form, quad_rule)
@@ -70,27 +69,38 @@ def ref_average_gradient(v, decomp, A):
     return p1_part
 
 
-def ref_slot_matrix(coarse, decomp):
+def ref_slot_matrix(coarse):
     """Q (3 CT x n_dofs): row 3c + i holds the outward flux of side i of
     cell-triangle c.  Dofs are numbered edge by edge, two per interface
-    edge (omega_k side, then omega_j side), none on inactive edges."""
-    kind = coarse.edge_kind
-    per_edge = np.select([kind == INTERFACE, kind == INACTIVE], [2, 0], 1)
-    edge_dof = np.where(per_edge > 0, np.cumsum(per_edge) - per_edge, -1)
-    iface_j = np.array([g.j for g in decomp.interfaces] + [-1])
-    slot_edge = coarse.ct_edge.ravel()
-    slot_dof = edge_dof[slot_edge] + (iface_j[coarse.edge_iface[slot_edge]]
-                                      == np.repeat(coarse.cell_sub, 3))
-    live = np.flatnonzero(edge_dof[slot_edge] >= 0)
+    edge (omega_k side, then omega_j side), one per other edge; a dof is
+    the flux along its edge's normal, the tangent from ``edges[:, 0]`` to
+    ``edges[:, 1]`` turned clockwise.  The signs come from that geometry."""
+    tri, cell_sub = coarse.tri, coarse.cell_sub
+    t0, t1 = tri.edge_tris.T
+    s0, s1 = cell_sub[t0], np.where(t1 >= 0, cell_sub[t1], -1)
+    iface = (t1 >= 0) & (s0 != s1)
+    per_edge = np.where(iface, 2, 1)
+    edge_dof = np.cumsum(per_edge) - per_edge
+    edge_j = np.where(iface, np.maximum(s0, s1), -1)
+    slot_edge = tri.tri_edges.ravel()
+    slot_dof = edge_dof[slot_edge] + (edge_j[slot_edge]
+                                      == np.repeat(cell_sub, 3))
+    a, b = tri.vertices[tri.edges.T]
+    normal = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)
+    v = tri.vertices[tri.triangles]
+    side = (v[:, [2, 0, 1]] - v[:, [1, 2, 0]]).reshape(-1, 2)
+    outward = np.stack([side[:, 1], -side[:, 0]], axis=1)
+    sign = np.where(np.einsum("sd,sd->s", outward, normal[slot_edge]) > 0,
+                    1.0, -1.0)
     return sp.coo_matrix(
-        (coarse.ct_sign.ravel()[live], (live, slot_dof[live])),
-        shape=(3 * coarse.N_cells, int(per_edge.sum()))).tocsr()
+        (sign, (np.arange(len(slot_dof)), slot_dof)),
+        shape=(len(slot_dof), int(per_edge.sum()))).tocsr()
 
 
 def ref_slot_blocks(coarse, A):
     """The mass and divergence forms (3 CT x 3 CT) of the cell-triangles'
     outward side fluxes, block diagonal."""
-    v = coarse.ct_verts
+    v = coarse.tri.vertices[coarse.tri.triangles]
     n_ct = len(v)
     e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
     area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -241,7 +251,7 @@ def full_a(request):
                            constants=constants, space=space, solver=solver,
                            a_grad_v=gv, yt=yt, table=table,
                            y=corrected_flux(yt, q, space),
-                           Q=ref_slot_matrix(coarse, decomp))
+                           Q=ref_slot_matrix(coarse))
 
 
 def test_average_gradient_matches_reference(full_a):
@@ -293,7 +303,7 @@ def test_space_forms_match_slot_products(preset, H):
     mesh, decomp, _ = build_preset(RunConfig(h=1 / 8, H=H, preset=preset))
     coarse = build_coarse_mesh(mesh, decomp, H)
     space = build_corrector_space(coarse, decomp, A_FULL)
-    Q = ref_slot_matrix(coarse, decomp)
+    Q = ref_slot_matrix(coarse)
     M_blk, D_blk = ref_slot_blocks(coarse, A_FULL)
     assert space.n_dofs == Q.shape[1]
     assert_same_csr(space.M_hat, (Q.T @ M_blk @ Q).tocsr())

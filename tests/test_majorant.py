@@ -8,7 +8,7 @@ from ddmcert.flux import BrokenFluxField, average_gradient, corrected_flux
 from ddmcert.majorant import (MajorantConstants, alpha_weights, beta_pair,
                               evaluate_majorant, optimize_eps,
                               poincare_edge_constant)
-from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
+from ddmcert.mesh import build_lshape_mesh, build_rect_mesh
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                              manufactured_lshape_problem)
 
@@ -90,8 +90,7 @@ def test_exact_flux_gives_zero_majorant():
 def test_unit_square_hand_value():
     # v = 0, y = 0, f = 1 on the unit square with the preset constants:
     # only the equilibration term survives, M2^2 = alpha2 * |omega|
-    mesh, decomp, _ = build_rect_grid_decomposition(1, 1, 1.0,
-                                                    dirichlet_boundary=True)
+    mesh, decomp = build_rect_mesh(1, 1, 1.0)
     unit_source = EllipticProblem(A=np.eye(2),
                                   f=lambda p: np.ones(p.shape[:-1]),
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
@@ -107,8 +106,7 @@ def test_unit_square_hand_value():
 
 
 def test_inadmissible_candidate_is_flagged():
-    mesh, decomp, _ = build_rect_grid_decomposition(1, 1, 1.0,
-                                                    dirichlet_boundary=True)
+    mesh, decomp = build_rect_mesh(1, 1, 1.0)
     unit_source = EllipticProblem(A=np.eye(2),
                                   f=lambda p: np.ones(p.shape[:-1]),
                                   u_g=lambda p: np.zeros(p.shape[:-1]))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from ddmcert.flux import build_corrector_space
-from ddmcert.mesh import (INTERFACE, MeshError, build_coarse_mesh,
-                          build_lshape_mesh, build_rect_grid_decomposition,
-                          compatibility_check)
+from ddmcert.mesh import (MeshError, build_coarse_mesh, build_lshape_mesh,
+                          build_rect_mesh, compatibility_check)
 
 
 def test_lshape_quarter_counts():
@@ -94,12 +93,10 @@ def test_interface_orientation():
 
 
 def test_rect_triangle_counts():
-    mesh, decomp, coarse = build_rect_grid_decomposition(4, 3, 1.0)
-    n_v = len(np.unique(coarse.ct_verts.reshape(-1, 2), axis=0))
-    assert coarse.N_cells == 24
-    assert n_v == 20
-    assert coarse.N_f == 43            # N_f = N_v + N - 1
+    mesh, decomp = build_rect_mesh(4, 3, 1.0)
     assert mesh.n_triangles == 24
+    assert mesh.n_vertices == 20
+    assert mesh.n_edges == 43          # N_f = N_v + N - 1
     assert decomp.n_basic == 1
 
 
@@ -112,11 +109,12 @@ def test_compatibility_fig3_hexagon():
 
 
 def test_compatibility_regular_grids():
-    _, _, c11 = build_rect_grid_decomposition(1, 1, 1.0)
-    ok, _ = compatibility_check(c11.N_cells, c11.N_f, c11.N_fD, 3)
+    # no Dirichlet edge
+    m11, _ = build_rect_mesh(1, 1, 1.0)
+    ok, _ = compatibility_check(m11.n_triangles, m11.n_edges, 0, 3)
     assert not ok
-    _, _, c22 = build_rect_grid_decomposition(2, 2, 1.0)
-    ok, slack = compatibility_check(c22.N_cells, c22.N_f, c22.N_fD, 3)
+    m22, _ = build_rect_mesh(2, 2, 1.0)
+    ok, slack = compatibility_check(m22.n_triangles, m22.n_edges, 0, 3)
     assert ok and slack == 0
 
 
@@ -132,9 +130,9 @@ def test_compatibility_closed_form(mn, cells):
         # the m x n lattice of squares itself
         ell, n_cells, n_f = 4, m * n, m * (n + 1) + n * (m + 1)
     else:
-        _, _, c = build_rect_grid_decomposition(m, n, 1.0)
-        assert len(np.unique(c.ct_verts.reshape(-1, 2), axis=0)) == n_v
-        ell, n_cells, n_f = 3, c.N_cells, c.N_f
+        mesh, _ = build_rect_mesh(m, n, 1.0)
+        assert mesh.n_vertices == n_v
+        ell, n_cells, n_f = 3, mesh.n_triangles, mesh.n_edges
     for n_fd in (0, 1, 2, 5):
         ok, _ = compatibility_check(n_cells, n_f, n_fd, ell)
         closed = n_cells * (ell - 2) + n_fd >= n_v - 1
@@ -145,10 +143,12 @@ def test_compatibility_closed_form(mn, cells):
 def test_coarse_triangulation_above_fine_size(H):
     mesh, decomp = build_lshape_mesh(1 / 8)
     coarse = build_coarse_mesh(mesh, decomp, H)
+    tri = coarse.tri
     n = round(1 / H)
-    assert coarse.N_cells == 2 * 3 * n * n
+    assert tri.n_triangles == 2 * 3 * n * n
     # every fine centroid lies in its coarse triangle
-    v = coarse.ct_verts[coarse.fine_tri_ct]
+    ct_verts = tri.vertices[tri.triangles]
+    v = ct_verts[coarse.fine_tri_ct]
     cent = mesh.centroids()
     for i in range(3):
         a, b = v[:, (i + 1) % 3], v[:, (i + 2) % 3]
@@ -156,25 +156,30 @@ def test_coarse_triangulation_above_fine_size(H):
                  - (b[:, 1] - a[:, 1]) * (cent[:, 0] - a[:, 0]))
         assert (cross > 0).all()
     # each coarse triangle is tiled by its fine triangles
-    e1 = coarse.ct_verts[:, 1] - coarse.ct_verts[:, 0]
-    e2 = coarse.ct_verts[:, 2] - coarse.ct_verts[:, 0]
+    e1 = ct_verts[:, 1] - ct_verts[:, 0]
+    e2 = ct_verts[:, 2] - ct_verts[:, 0]
     ct_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert np.allclose(ct_area, 0.5 * H * H)
     assert np.allclose(np.bincount(coarse.fine_tri_ct, mesh.areas,
-                                   coarse.N_cells), ct_area)
+                                   tri.n_triangles), ct_area)
     assert (decomp.tri_subdomain
             == coarse.cell_sub[coarse.fine_tri_ct]).all()
-    # the interface edges are the coarse edges on gamma_12 (y = 1, x <= 1)
-    # and gamma_23 (x = 1, y <= 1)
-    x, y = coarse.edge_mid.T
-    on = [np.isclose(y, 1.0) & (x < 1.0), np.isclose(x, 1.0) & (y < 1.0)]
-    assert (coarse.edge_iface == np.select(on, [0, 1], -1)).all()
-    assert ((coarse.edge_kind == INTERFACE) == (on[0] | on[1])).all()
+    # the edges between cells of two subdomains are the coarse edges on
+    # gamma_12 (y = 1, x <= 1) and gamma_23 (x = 1, y <= 1)
+    x, y = 0.5 * (tri.vertices[tri.edges[:, 0]]
+                  + tri.vertices[tri.edges[:, 1]]).T
+    on = np.isclose(y, 1.0) & (x < 1.0) | np.isclose(x, 1.0) & (y < 1.0)
+    t0, t1 = tri.edge_tris.T
+    crossing = (t1 >= 0) & (coarse.cell_sub[t0] != coarse.cell_sub[t1])
+    assert (crossing == on).all()
     # one dof per lattice side and per square (its diagonal), plus one per
     # interface side: H x H squares with a free diagonal count the same
     space = build_corrector_space(coarse, decomp, np.eye(2))
     sides = 3 * 2 * n * (n + 1) - 2 * n
     assert space.n_dofs == sides + 3 * n * n + 2 * n
+    # each interface holds n coarse edges of length H
+    for _, _, length in space.ifaces:
+        assert np.allclose(length, np.full(n, H))
     if H == 1.0:
         assert space.n_dofs == 15
 
@@ -182,10 +187,8 @@ def test_coarse_triangulation_above_fine_size(H):
 def test_coarse_fine_identity_mesh():
     mesh, decomp = build_lshape_mesh(0.5)
     coarse = build_coarse_mesh(mesh, decomp, 0.5)
-    assert coarse.N_cells == mesh.n_triangles
     # the fine mesh is the coarse triangulation: its arrays are shared
-    assert coarse.ct_edge is mesh.tri_edges
-    assert coarse.edge_length is mesh.edge_lengths
+    assert coarse.tri is mesh
     assert coarse.cell_sub is decomp.tri_subdomain
     with pytest.raises(MeshError):
         build_coarse_mesh(mesh, decomp, 0.25)   # H finer than h
@@ -198,6 +201,6 @@ def test_coarse_h_must_divide():
     mesh, decomp = build_lshape_mesh(1 / 6)
     with pytest.raises(MeshError, match="multiple"):
         build_coarse_mesh(mesh, decomp, 0.25)
-    mesh, decomp, _ = build_rect_grid_decomposition(3, 2, 0.25)
+    mesh, decomp = build_rect_mesh(3, 2, 0.25)
     with pytest.raises(MeshError, match="lattice"):
         build_coarse_mesh(mesh, decomp, 0.5)    # corner x = 0.75

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from ddmcert.linalg import SolverError, SymmetricFactorization
-from ddmcert.mesh import build_lshape_mesh, build_rect_grid_decomposition
+from ddmcert.mesh import build_lshape_mesh, build_rect_mesh
 from ddmcert.problem import (EllipticProblem, assemble_load,
                              assemble_stiffness, manufactured_lshape_problem,
                              solve_dirichlet)
@@ -19,8 +19,7 @@ def problem():
 
 
 def test_single_subdomain_is_direct_solve(problem):
-    mesh, decomp, _ = build_rect_grid_decomposition(4, 4, 0.25,
-                                                    dirichlet_boundary=True)
+    mesh, decomp = build_rect_mesh(4, 4, 0.25)
     run = run_to_discrete(mesh, decomp, problem, 2)
     K = assemble_stiffness(mesh, problem.A)
     F = assemble_load(mesh, problem.f)
