@@ -37,16 +37,22 @@ What depends on the iterate but not on the weights is formed once per
 iterate.  ``pipeline.certify_iterate`` forms the flux A grad v, which
 ``average_gradient`` averages and ``rhs_table`` reads; ``rhs_table`` holds
 the weight-free terms of the corrector's right-hand side, and every eps
-round only weights them in ``corrector_rhs``.  ``CorrectorSolver.solve``
-solves an eps round by projected CG from the round before, preconditioned
-by a factorization it keeps: the fixed-weight one or that of the last eps
-round it had to factorize.  CG stops once the round's majorant exceeds
-its minimum by at most ``PCG_GAP`` times the start's.  The P1 layer at the
-side midpoints and its divergence are kept by the averaged flux and shared
-with every corrected flux built from it.  The kernels are plain array
-arithmetic: 2x2 products written out, sums over triangles by
-``np.bincount`` over a key, the interface endpoint corners
-(``Interface.corners``) found once per run.
+round only weights them in ``corrector_rhs``.  For an eps-opt
+certification it also holds the constant and linear terms of the
+majorant's sums S1 and S2 in the corrector q, so that ``steering_sums``
+forms the sums that set the next round's weights from q and the static
+pieces M_hat and D_hat, and S3 from the jumps on the interface triangles
+only, with no pass over the fine mesh.  ``corrector_matrix`` forms G as a
+weighted sum of the pieces' data on their one csc pattern.
+``CorrectorSolver.solve`` solves an eps round by projected CG from the
+round before, preconditioned by a factorization it keeps: the fixed-weight
+one or that of the last eps round it had to factorize.  CG stops once the
+round's majorant exceeds its minimum by at most ``PCG_GAP`` times the
+start's.  The P1 layer at the side midpoints and its divergence are kept
+by the averaged flux and shared with every corrected flux built from it.
+The kernels are plain array arithmetic: 2x2 products written out, sums
+over triangles by ``np.bincount`` over a key, the interface endpoint
+corners (``Interface.corners``) found once per run.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import scipy.sparse as sp
 from . import linalg
 from .mesh import CoarseMesh, DomainDecomposition, TriMesh
 from .problem import (EllipticProblem, exact_grad_table, f_cell_integrals,
-                      mat_vec)
+                      mat_vec, quad_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +121,8 @@ class BrokenFluxField:
             if self.space is None or self.coeffs is None:
                 self._affine = (np.zeros((T, 2)), np.zeros(T))
             else:
-                s = self.space
-                f = np.take(self.coeffs, s.slot_dof)             # (CT, 3)
-                f *= s.slot_sign
-                v = s.ct_verts
-                scale = 1.0 / (2.0 * s.ct_area)
-                a_ct = np.stack([-(f[:, 0] * v[:, 0, d] + f[:, 1] * v[:, 1, d]
-                                   + f[:, 2] * v[:, 2, d]) * scale
-                                 for d in range(2)], axis=1)
-                g_ct = (f[:, 0] + f[:, 1] + f[:, 2]) * scale
-                ct = s.fine_tri_ct
+                a_ct, g_ct = rt0_affine(self.space, self.coeffs, slice(None))
+                ct = self.space.fine_tri_ct
                 self._affine = (a_ct[ct], g_ct[ct])
         return self._affine
 
@@ -165,6 +163,33 @@ class BrokenFluxField:
                + (a_n[:, :, None] + slope[g.side_tris][:, :, None]
                   * x_n[:, None, :]))
         return y_n[:, 0] - y_n[:, 1]
+
+
+def rt0_affine(space: "CorrectorSpace", q: np.ndarray, cts):
+    """The corrector of dofs ``q`` on the cell-triangles ``cts`` (an index
+    array or a slice) as value a + g * x: (a, g) of shapes cts + (2,) and
+    cts."""
+    f = np.take(q, space.slot_dof[cts])                    # (..., 3)
+    f *= space.slot_sign[cts]
+    v = space.ct_verts[cts]
+    scale = 1.0 / (2.0 * space.ct_area[cts])
+    a = np.stack([-(f[..., 0] * v[..., 0, d] + f[..., 1] * v[..., 1, d]
+                    + f[..., 2] * v[..., 2, d]) * scale
+                  for d in range(2)], axis=-1)
+    g = (f[..., 0] + f[..., 1] + f[..., 2]) * scale
+    return a, g
+
+
+def jump_norms_sq(decomp: DomainDecomposition, jumps) -> np.ndarray:
+    """Per interface, the squared L2 norm of the jump whose values at the
+    endpoints of its fine edges are ``jumps[m]`` (n_edges, 2), exact for a
+    jump affine on each edge."""
+    lens = decomp.mesh.edge_lengths
+    return np.array([float(np.sum(lens[g.edges] * (a * a + a * b + b * b)
+                                  / 3.0))
+                     for g, (a, b) in zip(decomp.interfaces,
+                                          (ev.T for ev in jumps))],
+                    dtype=float)
 
 
 def average_gradient(a_grad_v: np.ndarray,
@@ -264,8 +289,12 @@ class CorrectorSpace:
 
     ``C`` holds the admissibility constraint rows (one per basic subdomain,
     then one per interface), each normalized by the measure it averages
-    over.  ``M_hat``/``D_hat``/``J_hat`` are the weight-independent pieces
-    of the minimization's quadratic form.
+    over.  ``M_hat``/``D_hat``/``J_hats`` are the weight-independent pieces
+    of the minimization's quadratic form, on the one csc pattern of their
+    sum: ``M_hat`` and ``D_hat`` share its ``indices`` and ``indptr`` and
+    store zeros where they have no entry, and ``J_hats[m]`` holds the
+    positions in that pattern of interface m's four entries per coarse
+    edge and their values.
     """
 
     decomp: DomainDecomposition
@@ -277,9 +306,9 @@ class CorrectorSpace:
     n_dofs: int
     ifaces: list                  # per interface: (dofs, signs, lengths)
     C: sp.csr_matrix              # constraints
-    M_hat: sp.csr_matrix
-    D_hat: sp.csr_matrix
-    J_hats: list                  # per interface
+    M_hat: sp.csc_matrix          # on D_hat's pattern
+    D_hat: sp.csc_matrix
+    J_hats: list                  # per interface: (positions, values)
 
 
 def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
@@ -317,29 +346,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     e2 = ct_verts[:, 2] - ct_verts[:, 0]
     ct_area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
-    # --- static quadratic-form pieces ---------------------------------------
-    # a dof touches at most two slots and the signs are +-1, so every entry
-    # is exact; exact zeros are dropped, as a sparse product drops them
-    rows = np.repeat(slot_dof, 3, axis=1).ravel()
-    cols = np.tile(slot_dof, 3).ravel()
-    sign_pair = (slot_sign[:, :, None] * slot_sign[:, None, :]).ravel()
-
-    def assemble(local):
-        out = sp.coo_matrix((sign_pair * local.ravel(), (rows, cols)),
-                            shape=(n_dofs, n_dofs)).tocsr()
-        out.eliminate_zeros()
-        return out
-
-    mids = 0.5 * (ct_verts[:, [1, 2, 0]] + ct_verts[:, [2, 0, 1]])  # (CT,3,2)
-    diff = mids[:, :, None, :] - ct_verts[:, None, :, :]            # m, i
-    adiff = np.einsum("de,cmie->cmid", A_inv, diff)
-    M_hat = assemble(np.einsum("cmid,cmjd->cij", adiff, diff)
-                     / (12.0 * ct_area)[:, None, None])
-    del mids, diff, adiff          # (CT, 3, 3, 2): not alive through D_hat
-    D_hat = assemble(np.repeat(1.0 / ct_area, 9))
-    del rows, cols, sign_pair
-
-    # --- constraint rows and interface jump pieces ---------------------------
+    # --- constraint rows and interface edges -------------------------------
     inv_area_k = 1.0 / np.array([sub.area for sub in decomp.basic])
     c1 = sp.coo_matrix(
         ((slot_sign * inv_area_k[cell_sub][:, None]).ravel(),
@@ -347,7 +354,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
         shape=(decomp.n_basic, n_dofs)).tocsr()
     c1.eliminate_zeros()        # the two slots of an interior edge cancel
     C_rows = [c1]
-    J_hats, ifaces = [], []
+    ifaces = []
     pair = np.minimum(s0, s1) * decomp.n_basic + np.maximum(s0, s1)
     for g in decomp.interfaces:
         ce = crossing[pair == g.k * decomp.n_basic + g.j]
@@ -356,22 +363,49 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
         order = np.lexsort((mid[:, 1], mid[:, 0]))
         ce, d = ce[order], (b - a)[order]
         dk = edge_dof[ce]
-        dj = dk + 1
-        length = tri.edge_lengths[ce]
-        w = 1.0 / length
-        J_hats.append(sp.coo_matrix(
-            (np.concatenate([w, -w, -w, w]),
-             (np.concatenate([dk, dk, dj, dj]),
-              np.concatenate([dk, dj, dk, dj]))),
-            shape=(n_dofs, n_dofs)).tocsr())
         # the edge normal is d turned clockwise
         sign = np.where(d @ [-g.normal[1], g.normal[0]] > 0, 1.0, -1.0)
-        ifaces.append((dk, sign, length))
+        ifaces.append((dk, sign, tri.edge_lengths[ce]))
         C_rows.append(sp.coo_matrix(
             (np.concatenate([sign / g.length, -sign / g.length]),
-             (np.zeros(2 * len(ce), dtype=np.int64), np.concatenate([dk, dj]))),
+             (np.zeros(2 * len(ce), dtype=np.int64),
+              np.concatenate([dk, dk + 1]))),
             shape=(1, n_dofs)))
     C = sp.vstack(C_rows).tocsr()
+
+    # --- static quadratic-form pieces on one pattern -------------------------
+    # The slot pairs of every cell-triangle, then the four entries of each
+    # interface edge's jump piece, which enter M_hat and D_hat as zeros: so
+    # both have the pattern of G and share it.  A dof touches at most two
+    # slots and the signs are +-1, so every entry is exact.
+    j_rows = [np.concatenate([dk, dk, dk + 1, dk + 1]) for dk, _, _ in ifaces]
+    j_cols = [np.concatenate([dk, dk + 1, dk, dk + 1]) for dk, _, _ in ifaces]
+    n_j = sum(len(r) for r in j_rows)
+    rows = np.concatenate([np.repeat(slot_dof, 3, axis=1).ravel(), *j_rows])
+    cols = np.concatenate([np.tile(slot_dof, 3).ravel(), *j_cols])
+    sign_pair = (slot_sign[:, :, None] * slot_sign[:, None, :]).ravel()
+
+    def assemble(local):
+        data = np.concatenate([sign_pair * local.ravel(), np.zeros(n_j)])
+        return sp.coo_matrix((data, (rows, cols)),
+                             shape=(n_dofs, n_dofs)).tocsc()
+
+    # D_hat first, M_hat on its pattern: in the other order the peak RSS
+    # of run --h 1/128 --sweeps 16 read 277-282 MB against 275-276 MB
+    D_hat = assemble(np.repeat(1.0 / ct_area, 9))
+    mids = 0.5 * (ct_verts[:, [1, 2, 0]] + ct_verts[:, [2, 0, 1]])  # (CT,3,2)
+    diff = mids[:, :, None, :] - ct_verts[:, None, :, :]            # m, i
+    adiff = np.einsum("de,cmie->cmid", A_inv, diff)
+    M_hat = sp.csc_matrix(
+        (assemble(np.einsum("cmid,cmjd->cij", adiff, diff)
+                  / (12.0 * ct_area)[:, None, None]).data,
+         D_hat.indices, D_hat.indptr), shape=D_hat.shape)
+    del mids, diff, adiff, rows, cols, sign_pair
+    J_hats = []
+    for (dk, _, length), r, c in zip(ifaces, j_rows, j_cols):
+        w = 1.0 / length
+        J_hats.append((_pattern_positions(D_hat, r, c),
+                       np.concatenate([w, -w, -w, w])))
 
     return CorrectorSpace(decomp, ct_verts, ct_area, coarse.fine_tri_ct,
                           slot_dof, slot_sign, n_dofs, ifaces, C, M_hat, D_hat,
@@ -383,12 +417,47 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
 # ---------------------------------------------------------------------------
 
 
+def _pattern_positions(A: sp.csc_matrix, rows, cols) -> np.ndarray:
+    """The positions in ``A.data`` of the entries (rows, cols), all of them
+    in A's canonical pattern: each column's rows are scanned upward from
+    its first stored one."""
+    pos = A.indptr[cols].astype(np.int64)
+    miss = A.indices[pos] != rows
+    while miss.any():
+        pos[miss] += 1
+        miss = A.indices[pos] != rows
+    return pos
+
+
 def corrector_matrix(space: CorrectorSpace, alphas, betas) -> sp.csc_matrix:
-    """G = a1 M + a2 D + a3 sum_m beta_m^2 J_m."""
-    G = alphas[0] * space.M_hat + alphas[1] * space.D_hat
-    for m, Jm in enumerate(space.J_hats):
-        G = G + (alphas[2] * betas[m] ** 2) * Jm
-    return G.tocsc()
+    """G = a1 M + a2 D + a3 sum_m beta_m^2 J_m, as a weighted sum of the
+    pieces' data on their one pattern, exact zeros dropped.
+
+    Entry by entry this rounds as the sparse sum ((a1 M + a2 D) + w_1 J_1)
+    + ... does, since a piece's missing entry adds an exact zero, so G is
+    that sum bit for bit, pattern included.
+    """
+    data = alphas[0] * space.M_hat.data
+    data += alphas[1] * space.D_hat.data
+    for m, (pos, vals) in enumerate(space.J_hats):
+        data[pos] += (alphas[2] * betas[m] ** 2) * vals
+    # copies: dropping the zeros compacts the pattern in place
+    G = sp.csc_matrix((data, space.D_hat.indices.copy(),
+                       space.D_hat.indptr.copy()), shape=space.D_hat.shape)
+    G.eliminate_zeros()
+    return G
+
+
+@dataclass(frozen=True)
+class Steering:
+    """The constant and linear terms of sum S1 and sum S2 of an iterate's
+    majorant as functions of the corrector q: sum S1 = ``S1`` + 2 ``l1``.q
+    + q'M_hat q and sum S2 = ``S2`` + 2 ``l2``.q + q'D_hat q."""
+
+    S1: float
+    S2: float
+    l1: np.ndarray             # (n_dofs,)
+    l2: np.ndarray             # (n_dofs,)
 
 
 @dataclass(frozen=True)
@@ -398,25 +467,39 @@ class RhsTable:
     ``cross`` (T, 3) is, per fine triangle, the cross term of ytilde -
     A grad v against the three corrector basis fluxes of its
     cell-triangle; ``per_ct`` (CT,) the integral of div ytilde + f per
-    cell-triangle; ``residuals`` the residual integrals of ytilde.  All
-    arrays are read-only.
+    cell-triangle; ``residuals`` the residual integrals of ytilde;
+    ``steer`` the terms that ``steering_sums`` reads, or None if the
+    table was made without them.  All arrays are read-only.
     """
 
     cross: np.ndarray
     per_ct: np.ndarray
     residuals: FluxResiduals
+    steer: Optional[Steering] = None
+
+
+def _to_dofs(space: CorrectorSpace, slot_vals: np.ndarray) -> np.ndarray:
+    """Per dof, the sum of its slots' values (CT, 3) times their signs;
+    ``slot_vals`` is overwritten."""
+    slot_vals *= space.slot_sign
+    return np.bincount(space.slot_dof.ravel(), slot_vals.ravel(),
+                       space.n_dofs)
 
 
 def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
               a_grad_v: np.ndarray, problem: EllipticProblem,
-              f_tri: np.ndarray) -> RhsTable:
+              f_tri: np.ndarray,
+              f_sq: Optional[np.ndarray] = None) -> RhsTable:
     """The weight-free terms of the corrector right-hand side for the
     averaged flux ``ytilde`` of v; ``a_grad_v`` (T, 2) is A grad v and
-    ``f_tri`` holds the cell integrals of f.
+    ``f_tri`` holds the cell integrals of f.  Given ``f_sq``, the cell
+    integrals of f^2, the table also holds the ``Steering`` terms of the
+    iterate's eps rounds.
 
     The cross term of basis function i is sum_m ra_m . p_m - (sum_m ra_m)
     . V_i, ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m and V_i
-    the cell-triangle's vertices.
+    the cell-triangle's vertices.  Summed over the slots of each dof it is
+    l1, and the residual against the basis's divergence is l2.
     """
     mesh = space.decomp.mesh
 
@@ -436,11 +519,27 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
                        - ra_sum[1] * space.ct_verts[ct, i, 1]) * scale
 
     res = constraint_residuals(ytilde, f_tri)
-    per_ct = np.bincount(ct, res.cell, len(space.ct_area))
+    n_ct = len(space.ct_area)
+    per_ct = np.bincount(ct, res.cell, n_ct)
+    terms = None
+    if f_sq is not None:
+        _, w = quad_rule(2)
+        dens = sum(w[m] * (ra[m][0] * (mid[:, m, 0] - a_grad_v[:, 0])
+                           + ra[m][1] * (mid[:, m, 1] - a_grad_v[:, 1]))
+                   for m in range(3))              # r . A^{-1} r
+        c = ytilde.p1_divergence()
+        l1 = _to_dofs(space, np.stack([np.bincount(ct, cross[:, i], n_ct)
+                                       for i in range(3)], axis=1))
+        l2 = _to_dofs(space, np.repeat((per_ct / space.ct_area)[:, None], 3,
+                                       axis=1))
+        terms = Steering(float(np.sum(mesh.areas * dens)),
+                         float(np.sum(c * c * mesh.areas + 2.0 * c * f_tri
+                                      + f_sq)), l1, l2)
+        l1.flags.writeable = l2.flags.writeable = False
     for a in (cross, per_ct, res.cell, res.means.subdomain,
               res.means.interface, *res.jumps, *res.edge_int):
         a.flags.writeable = False
-    return RhsTable(cross, per_ct, res)
+    return RhsTable(cross, per_ct, res, terms)
 
 
 def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
@@ -463,10 +562,9 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
     for i in range(3):
         slot_c[:, i] = np.bincount(ct, a1 * table.cross[:, i], n_ct)
     slot_c += (a2 * table.per_ct / space.ct_area)[:, None]
-    slot_c *= space.slot_sign
 
     res = table.residuals
-    c = np.bincount(space.slot_dof.ravel(), slot_c.ravel(), space.n_dofs)
+    c = _to_dofs(space, slot_c)
     for m, (dk, sign, length) in enumerate(space.ifaces):
         # every coarse edge covers an equal run of consecutive fine edges
         ie = res.edge_int[m].reshape(len(dk), -1).sum(axis=1)
@@ -475,6 +573,34 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
         c[dk + 1] -= w
     d = -np.concatenate([res.means.subdomain, res.means.interface])
     return -c, d
+
+
+def steering_sums(space: CorrectorSpace, table: RhsTable, q: np.ndarray):
+    """sum S1, sum S2 and S3 per interface of the majorant of y = ytilde +
+    q, from ``table.steer`` and the corrector's quadratic form.
+
+    S1 and S2 expand in q (``Steering``); S3 adds the corrector's jumps to
+    ytilde's at the endpoints of the interface edges, on the fine
+    triangles beside them only.  Nothing is integrated over the fine mesh,
+    and the expansion can cancel, so the sums agree with
+    ``evaluate_majorant``'s to roundoff only: they steer the eps rounds,
+    and the certified number never comes from them.
+    """
+    s = table.steer
+    # not ``@`` for the dot products (see ``linalg._dot``)
+    S1 = s.S1 + np.einsum("i,i->", 2.0 * s.l1 + space.M_hat @ q, q)
+    S2 = s.S2 + np.einsum("i,i->", 2.0 * s.l2 + space.D_hat @ q, q)
+    decomp = space.decomp
+    jumps = []
+    for g, ev in zip(decomp.interfaces, table.residuals.jumps):
+        n0, n1 = g.normal
+        a, slope = rt0_affine(space, q, space.fine_tri_ct[g.side_tris])
+        coords = decomp.mesh.vertices[g.endpoints]          # (n_e, pos, 2)
+        x_n = coords[..., 0] * n0 + coords[..., 1] * n1
+        y_n = ((a[..., 0] * n0 + a[..., 1] * n1)[:, :, None]
+               + slope[:, :, None] * x_n[:, None, :])      # (n_e, side, pos)
+        jumps.append(ev + (y_n[:, 0] - y_n[:, 1]))
+    return S1, S2, jump_norms_sq(decomp, jumps)
 
 
 # An eps round's weights alphas differ from a kept factorization's p only

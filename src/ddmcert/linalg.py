@@ -145,11 +145,13 @@ class SaddleFactorization:
         self.n = G.shape[0]
         self.m = C.shape[0]
         # Constraint rows must be independent; detect deficiency by a
-        # pivoted QR of C' and report the constraints that fold.
-        _, R, piv = scipy.linalg.qr(C.T.toarray(), mode="economic",
+        # pivoted QR of C' and report the constraints that fold.  C' is
+        # taken on C's nonzero columns only: its zero rows leave R as it is.
+        nz = np.flatnonzero(np.diff(C.indptr))
+        _, R, piv = scipy.linalg.qr(C[:, nz].T.toarray(), mode="economic",
                                     pivoting=True)
         diag = np.abs(np.diag(R))
-        thresh = RANK_TOL * max(diag[0], 1e-300)
+        thresh = RANK_TOL * max(diag[0] if len(diag) else 0.0, 1e-300)
         rank = int((diag > thresh).sum())
         if rank < self.m:
             bad = sorted(int(i) for i in piv[rank:])

@@ -28,12 +28,14 @@ of the iterate and the cell integrals of f and f^2 from its caller
 ``CorrectorSolver`` keeps the others) and reads the jump term and the
 admissibility means from one ``constraint_residuals`` evaluation of the
 flux.  The flux's P1 layer at the side midpoints and its divergence are the
-ones its averaged flux keeps, shared by every eps round of an iterate.  S1
-and ``energy_error``, which a run compares the majorant with, write out
-their 2x2 quadratic forms (``problem.quad_form``); S1 and S2 sum per
-subdomain by ``np.bincount``.  ``energy_error`` integrates the error of
-grad v against the exact gradient at the degree-5 points; its caller
-attaches it to the report.
+ones its averaged flux keeps.  A certification evaluates it once, on its
+final flux: the eps rounds before are steered by ``flux.steering_sums``,
+the same sums expanded in the corrector's dofs, which agree with these to
+roundoff and never enter a report.  S1 and ``energy_error``, which a run
+compares the majorant with, write out their 2x2 quadratic forms
+(``problem.quad_form``); S1 and S2 sum per subdomain by ``np.bincount``.
+``energy_error`` integrates the error of grad v against the exact gradient
+at the degree-5 points; its caller attaches it to the report.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .flux import BrokenFluxField, ConstraintResiduals, constraint_residuals
+from .flux import (BrokenFluxField, ConstraintResiduals, constraint_residuals,
+                   jump_norms_sq)
 from .mesh import DomainDecomposition, TriMesh
 from .problem import EllipticProblem, quad_form, quad_rule
 
@@ -235,11 +238,7 @@ def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
 
     # S3: squared jump norms per interface; affine jumps integrate exactly
     res = constraint_residuals(y, f_tri)
-    S3 = np.zeros(len(decomp.interfaces))
-    lens = mesh.edge_lengths
-    for m, g in enumerate(decomp.interfaces):
-        a, b = res.jumps[m][:, 0], res.jumps[m][:, 1]
-        S3[m] = float(np.sum(lens[g.edges] * (a * a + a * b + b * b) / 3.0))
+    S3 = jump_norms_sq(decomp, res.jumps)
 
     M1_sq, M2_sq, M3_sq = weighted_parts(S1, S2, S3, alphas, constants)
     t1, t2, t3 = _term_sums(S1, S2, S3, constants.beta, constants)

@@ -10,6 +10,9 @@ closed-form weights, each started from the round before; the solver solves
 them by projected CG preconditioned by a factorization it keeps, stopped
 once the round's majorant exceeds its minimum by at most a fixed fraction
 of its start's, and factorizes only weights too far from both kept ones.
+The sums that set a round's weights come from the round before's corrector
+dofs (``flux.steering_sums``), so the majorant is evaluated on the fine
+mesh once per certified sweep, for the final round's flux.
 ``output_dir`` makes a run's artifact directory before anything is
 computed, and a table command checks every configuration of its runs
 (``table_configs``) before that; ``table1_rows`` and the other table
@@ -22,11 +25,11 @@ run's ``CorrectorSolver`` keeps the cell integrals of f and f^2 and the
 exact gradient at the degree-5 points.  What depends on the iterate but
 not on the eps weights is formed once per iterate in ``certify_iterate``,
 however many eps rounds certify it, and passed on: grad v, the flux
-A grad v (averaged into the flux candidate, read by the table and by each
-round's majorant), the energy error, and then the ``rhs_table`` of the
-corrector's right-hand side, which each round only weights.  The majorant
-itself never reads the exact solution; ``certify_iterate`` attaches the
-energy error to the final report.
+A grad v (averaged into the flux candidate, read by the table and by the
+majorant), the energy error, and then the ``rhs_table`` of the corrector's
+right-hand side, which each round only weights, with the steering terms
+under ``--eps opt``.  The majorant itself never reads the exact solution;
+``certify_iterate`` attaches the energy error to its report.
 
 Every certified sweep is checked twice.  A flux that misses the
 admissibility constraints gives no guarantee, so ``certify_iterate`` raises
@@ -46,7 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .flux import (CorrectorSolver, average_gradient, build_corrector_space,
-                   corrected_flux, rhs_table)
+                   corrected_flux, rhs_table, steering_sums)
 from .linalg import SolverError
 from . import majorant
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
@@ -181,10 +184,12 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     ``eps_policy='opt'`` ``OPT_ROUNDS`` more re-solve under the closed-form
     optimal weights of the round before, starting from its q, whose
     majorant under the new weights sets how closely the round is solved
-    (``CorrectorSolver.solve``'s ``ref_sq``).  The report carries the eps
-    its weights used and the energy error of v.  The constants and tables
-    come from ``solver``; grad v, A grad v, the energy error and the
-    weight-free ``rhs_table`` are formed once.
+    (``CorrectorSolver.solve``'s ``ref_sq``).  Those weights and that
+    majorant come from the ``steering_sums`` of the round before's q; the
+    final round's flux alone is evaluated by ``evaluate_majorant``, and the
+    report carries the eps its weights used and the energy error of v.
+    The constants and tables come from ``solver``; grad v, A grad v, the
+    energy error and the weight-free ``rhs_table`` are formed once.
     Raises SolverError when the flux misses the admissibility constraints.
     """
     space = solver.space
@@ -196,21 +201,24 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     # before the table, which keeps h = 1/128's peak RSS lower; through the
     # module, so that a probe wrapping it there sees it
     err = majorant.energy_error(v.mesh, problem.A, grad_v, solver.exact_grad)
-    table = rhs_table(space, yt, a_grad_v, problem, solver.f_tri)
-    eps, rep, q, ref_sq = (1.0, 1.0, 1.0), None, None, None
-    for _ in range(1 + (OPT_ROUNDS if eps_policy == "opt" else 0)):
-        if rep is not None:
-            eps = optimize_eps(rep.S1, rep.S2, rep.S3, constants)
+    rounds = 1 + (OPT_ROUNDS if eps_policy == "opt" else 0)
+    table = rhs_table(space, yt, a_grad_v, problem, solver.f_tri,
+                      solver.f_sq if rounds > 1 else None)
+    eps, sums, q, ref_sq = (1.0, 1.0, 1.0), None, None, None
+    for n in range(rounds):
+        if sums is not None:
+            eps = optimize_eps(*sums, constants)
             # the start's M^2 (D11^2 unless optimize_eps clamps), from sums
             # already made
-            ref_sq = sum(weighted_parts(rep.S1, rep.S2, rep.S3,
-                                        alpha_weights(eps, constants),
+            ref_sq = sum(weighted_parts(*sums, alpha_weights(eps, constants),
                                         constants))
         q, _ = solver.solve(table, alpha_weights(eps, constants), start=q,
                             ref_sq=ref_sq)
-        y = corrected_flux(yt, q, space)
-        rep = evaluate_majorant(y, a_grad_v, problem, constants, solver.f_tri,
-                                solver.f_sq, eps)
+        if n + 1 < rounds:
+            sums = steering_sums(space, table, q)
+    y = corrected_flux(yt, q, space)
+    rep = evaluate_majorant(y, a_grad_v, problem, constants, solver.f_tri,
+                            solver.f_sq, eps)
     if not rep.guaranteed:
         r = rep.residuals
         worst_s = np.abs(r.interface).max() if len(r.interface) else 0.0

@@ -6,13 +6,15 @@ from ddmcert.flux import (KAPPA_MAX, BrokenFluxField, CorrectorSolver,
                           average_gradient, build_corrector_space,
                           constraint_residuals, corrected_flux,
                           corrector_matrix, corrector_rhs, rhs_table,
-                          weight_ratio_bound)
+                          steering_sums, weight_ratio_bound)
 from ddmcert.majorant import (MajorantConstants, alpha_weights,
                               evaluate_majorant)
 from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
                           build_rect_mesh, compatibility_check)
 from ddmcert.pipeline import RunConfig, build_preset
-from ddmcert.problem import EllipticProblem, ScalarFieldP1, f_cell_integrals
+from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
+                             manufactured_lshape_problem)
+from ddmcert.schwarz import run_schwarz
 
 from _iterate import a_grad
 
@@ -322,6 +324,41 @@ def test_kkt_local_optimality(cert4):
             x[i] += delta
             x -= C.T @ (CCt_inv @ (C @ x - d))
             assert objective(x) >= base - 1e-13 * abs(base)
+
+
+# ---------------------------------------------------------------------------
+# steering sums: the majorant's sums from the corrector's quadratic form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("A", [np.eye(2), np.array([[2.0, 0.7], [0.7, 1.3]])],
+                         ids=["A=I", "A=full"])
+@pytest.mark.parametrize("preset", ["lshape", "rect"])
+@pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
+def test_steering_sums_equal_the_direct_sums(A, preset, H):
+    base = manufactured_lshape_problem()
+    problem = EllipticProblem(A=A, f=base.f, u_g=base.u_g,
+                              exact_u=base.exact_u,
+                              exact_grad=base.exact_grad)
+    mesh, decomp, _ = build_preset(RunConfig(h=1 / 8, H=H, preset=preset))
+    v = run_schwarz(mesh, decomp, problem, "multiplicative", 2)
+    constants = MajorantConstants.default(decomp, problem)
+    space = build_corrector_space(build_coarse_mesh(mesh, decomp, H),
+                                  decomp, problem.A)
+    f_tri, f_sq = f_cell_integrals(mesh, problem.f)
+    gv = a_grad(v, problem.A)
+    yt = average_gradient(gv, decomp)
+    table = rhs_table(space, yt, gv, problem, f_tri, f_sq)
+    assert rhs_table(space, yt, gv, problem, f_tri).steer is None
+    rng = np.random.default_rng(7)
+    for q in (np.zeros(space.n_dofs), rng.standard_normal(space.n_dofs)):
+        rep = evaluate_majorant(corrected_flux(yt, q, space), gv, problem,
+                                constants, f_tri, f_sq)
+        S1, S2, S3 = steering_sums(space, table, q)
+        assert abs(S1 - rep.S1.sum()) <= 1e-12 * rep.S1.sum()
+        assert abs(S2 - rep.S2.sum()) <= 1e-12 * rep.S2.sum()
+        assert S3.shape == rep.S3.shape
+        assert np.all(np.abs(S3 - rep.S3) <= 1e-12 * rep.S3)
 
 
 # ---------------------------------------------------------------------------

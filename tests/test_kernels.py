@@ -20,8 +20,9 @@ import pytest
 import scipy.sparse as sp
 
 from ddmcert.flux import (CorrectorSolver, average_gradient,
-                          build_corrector_space, corrected_flux, rhs_table)
-from ddmcert.majorant import (MajorantConstants, energy_error,
+                          build_corrector_space, corrected_flux,
+                          corrector_matrix, rhs_table)
+from ddmcert.majorant import (MajorantConstants, alpha_weights, energy_error,
                               evaluate_majorant)
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import RunConfig, build_preset
@@ -69,6 +70,34 @@ def ref_average_gradient(v, decomp, A):
     return p1_part
 
 
+def ref_edge_dofs(coarse):
+    """Per coarse edge: its number of dofs, its first dof and the basic
+    subdomains of its two cells (-1 off the mesh)."""
+    tri, cell_sub = coarse.tri, coarse.cell_sub
+    t0, t1 = tri.edge_tris.T
+    s0, s1 = cell_sub[t0], np.where(t1 >= 0, cell_sub[t1], -1)
+    per_edge = np.where((t1 >= 0) & (s0 != s1), 2, 1)
+    return per_edge, np.cumsum(per_edge) - per_edge, s0, s1
+
+
+def ref_jump_pieces(coarse, decomp):
+    """Per interface, the penalty J_m: sum over its coarse edges e of
+    (q_k - q_j)^2 / |e|, q_k and q_j the edge's dofs on either side."""
+    tri = coarse.tri
+    per_edge, edge_dof, s0, s1 = ref_edge_dofs(coarse)
+    n = int(per_edge.sum())
+    out = []
+    for g in decomp.interfaces:
+        e = np.flatnonzero((np.minimum(s0, s1) == g.k)
+                           & (np.maximum(s0, s1) == g.j))
+        dk, dj, w = edge_dof[e], edge_dof[e] + 1, 1.0 / tri.edge_lengths[e]
+        out.append(sp.coo_matrix(
+            (np.concatenate([w, -w, -w, w]),
+             (np.concatenate([dk, dk, dj, dj]),
+              np.concatenate([dk, dj, dk, dj]))), shape=(n, n)).tocsr())
+    return out
+
+
 def ref_slot_matrix(coarse):
     """Q (3 CT x n_dofs): row 3c + i holds the outward flux of side i of
     cell-triangle c.  Dofs are numbered edge by edge, two per interface
@@ -76,12 +105,8 @@ def ref_slot_matrix(coarse):
     the flux along its edge's normal, the tangent from ``edges[:, 0]`` to
     ``edges[:, 1]`` turned clockwise.  The signs come from that geometry."""
     tri, cell_sub = coarse.tri, coarse.cell_sub
-    t0, t1 = tri.edge_tris.T
-    s0, s1 = cell_sub[t0], np.where(t1 >= 0, cell_sub[t1], -1)
-    iface = (t1 >= 0) & (s0 != s1)
-    per_edge = np.where(iface, 2, 1)
-    edge_dof = np.cumsum(per_edge) - per_edge
-    edge_j = np.where(iface, np.maximum(s0, s1), -1)
+    per_edge, edge_dof, s0, s1 = ref_edge_dofs(coarse)
+    edge_j = np.where(per_edge == 2, np.maximum(s0, s1), -1)
     slot_edge = tri.tri_edges.ravel()
     slot_dof = edge_dof[slot_edge] + (edge_j[slot_edge]
                                       == np.repeat(cell_sub, 3))
@@ -294,6 +319,13 @@ def assert_same_csr(got, want):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
+def stored(piece):
+    """A piece of the corrector's quadratic form as csr, zeros dropped."""
+    out = piece.tocsr()
+    out.eliminate_zeros()
+    return out
+
+
 @pytest.mark.parametrize("preset", ["lshape", "rect"])
 @pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
 def test_space_forms_match_slot_products(preset, H):
@@ -306,8 +338,12 @@ def test_space_forms_match_slot_products(preset, H):
     Q = ref_slot_matrix(coarse)
     M_blk, D_blk = ref_slot_blocks(coarse, A_FULL)
     assert space.n_dofs == Q.shape[1]
-    assert_same_csr(space.M_hat, (Q.T @ M_blk @ Q).tocsr())
-    assert_same_csr(space.D_hat, (Q.T @ D_blk @ Q).tocsr())
+    # both store zeros on the one pattern they share
+    for part in ("indices", "indptr"):
+        assert np.shares_memory(getattr(space.D_hat, part),
+                                getattr(space.M_hat, part))
+    assert_same_csr(stored(space.M_hat), (Q.T @ M_blk @ Q).tocsr())
+    assert_same_csr(stored(space.D_hat), (Q.T @ D_blk @ Q).tocsr())
     # stacked on the interface rows as coo, as the package stacked them
     iface_rows = space.C[decomp.n_basic:].tocoo()
     assert_same_csr(space.C, sp.vstack([ref_c1_rows(coarse, decomp, Q),
@@ -317,6 +353,31 @@ def test_space_forms_match_slot_products(preset, H):
     dense[np.arange(Q.shape[0]),
           space.slot_dof.ravel()] = space.slot_sign.ravel()
     assert np.array_equal(dense, Q.toarray())
+
+
+@pytest.mark.parametrize("preset", ["lshape", "rect"])
+@pytest.mark.parametrize("H", [1 / 16, 1 / 4], ids=["H=h", "H=1/4"])
+def test_corrector_matrix_is_the_sparse_sum_to_the_bit(preset, H):
+    # G on the pieces' one pattern is what the sparse sum of the pieces,
+    # converted to csc, gives: same pattern, same bits, for any weights
+    mesh, decomp, problem = build_preset(RunConfig(h=1 / 16, H=H,
+                                                   preset=preset))
+    coarse = build_coarse_mesh(mesh, decomp, H)
+    space = build_corrector_space(coarse, decomp, A_FULL)
+    constants = MajorantConstants.default(decomp, problem)
+    Q = ref_slot_matrix(coarse)
+    M_blk, D_blk = ref_slot_blocks(coarse, A_FULL)
+    M, D = (Q.T @ M_blk @ Q).tocsr(), (Q.T @ D_blk @ Q).tocsr()
+    J = ref_jump_pieces(coarse, decomp)
+    assert len(J) == len(decomp.interfaces)    # none on the rect preset
+    for eps in [(1.0, 1.0, 1.0), (0.3, 2.0, 5.0), (1.7, 0.01, 40.0)]:
+        alphas = alpha_weights(eps, constants)
+        want = alphas[0] * M + alphas[1] * D
+        for m, Jm in enumerate(J):
+            want = want + (alphas[2] * constants.beta[m] ** 2) * Jm
+        got = corrector_matrix(space, alphas, constants.beta)
+        assert got.format == "csc"
+        assert_same_csr(got, want.tocsc())
 
 
 def test_quad_form_rounds_as_mat_vec():

@@ -204,6 +204,21 @@ def test_saddle_rank_deficiency_reported():
         SaddleFactorization(G, C)
 
 
+def test_saddle_rank_test_reads_only_the_nonzero_columns():
+    # a dependent combination spread over a few of many columns still
+    # folds; an independent one on the same columns does not
+    n = 200
+    rows = np.zeros((3, n))
+    rows[0, [3, 90]] = [1.0, 2.0]
+    rows[1, [90, 150]] = [1.0, -1.0]
+    rows[2] = rows[0] + 3.0 * rows[1]
+    G = sp.eye(n, format="csc")
+    with pytest.raises(SolverError, match=r"rank deficient \(rank 2 of 3\)"):
+        SaddleFactorization(G, sp.csc_matrix(rows))
+    rows[2, 150] = 0.5
+    SaddleFactorization(G, sp.csc_matrix(rows))
+
+
 def test_singular_block_raises_solver_error():
     with pytest.raises(SolverError, match="breakdown"):
         SymmetricFactorization(sp.csc_matrix((3, 3)))

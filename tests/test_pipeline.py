@@ -64,6 +64,28 @@ def test_sweep_invariants_computed_once_per_run(calls):
     assert per_run[2][2] == len(quad_rule(5)[1])
 
 
+@pytest.mark.parametrize("eps_policy", ["fixed", "opt"])
+@pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
+def test_one_fine_mesh_majorant_per_certified_sweep(monkeypatch, eps_policy,
+                                                    H):
+    # the eps rounds before the last are steered by sums from the
+    # corrector's dofs; only the certified round evaluates the majorant
+    counts = Counter()
+    for name in ("evaluate_majorant", "steering_sums"):
+        def counted(*args, _fn=getattr(pipeline, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    sweeps = 4
+    res = run_case(RunConfig(h=1 / 8, H=H, sweeps=sweeps,
+                             eps_policy=eps_policy),
+                   majorant_sweeps=[1, 3, 4])
+    assert len(res.rows) == 3
+    assert counts["evaluate_majorant"] == 3
+    assert counts["steering_sums"] == (3 * OPT_ROUNDS if eps_policy == "opt"
+                                       else 0)
+
+
 @pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
 def test_run_drops_the_coarse_mesh_before_the_sweeps(monkeypatch, H):
     coarse_refs, dead = [], []
