@@ -27,22 +27,24 @@ blocks straight into dof space.
 
 Certification reads its sweep-invariant tables from their owners and
 never recomputes them: the P1 gradients, edge lengths and side midpoints
-from the ``TriMesh``, and the cell integrals of f and f^2 and the exact
-gradient at the degree-5 points from the ``CorrectorSolver``, which keeps
-them for every iterate it certifies.  A flux's residual integrals and
-their means c1/c2 are formed in one place, ``constraint_residuals``; the
-corrector's right-hand side and the majorant read them from there.
+from the ``TriMesh``, and the cell integrals and oscillation of f and the
+exact gradient at the degree-5 points from the ``CorrectorSolver``, which
+keeps them for every iterate it certifies.  A flux's residual integrals
+and their means c1/c2 are formed in one place, ``constraint_residuals``;
+the corrector's right-hand side and the majorant read them from there.
+The certificate and the eps steering share ``s2_density``,
+``corrector_jumps`` and ``jump_norms_sq`` for S2 and S3.
 
 What depends on the iterate but not on the weights is formed once per
 iterate.  ``pipeline.certify_iterate`` forms the flux A grad v, which
 ``average_gradient`` averages and ``rhs_table`` reads; ``rhs_table`` holds
-the weight-free terms of the corrector's right-hand side, and every eps
-round only weights them in ``corrector_rhs``.  For an eps-opt
-certification it also holds the constant and linear terms of the
-majorant's sums S1 and S2 in the corrector q, so that ``steering_sums``
-forms the sums that set the next round's weights from q and the static
-pieces M_hat and D_hat, and S3 from the jumps on the interface triangles
-only, with no pass over the fine mesh.  ``corrector_matrix`` forms G as a
+the weight-free terms of the corrector's right-hand side as dof vectors,
+and every eps round only weights them in ``corrector_rhs``, in O(n_dofs).
+For an eps-opt certification it also holds sum S1 of ytilde, so that
+``steering_sums`` forms the sums that set the next round's weights from q:
+sum S1 as a quadratic in q with M_hat, sum S2 from the residual integrals
+plus the corrector's divergence per cell-triangle, and S3 from the jumps
+on the interface triangles only.  ``corrector_matrix`` forms G as a
 weighted sum of the pieces' data on their one csc pattern.
 ``CorrectorSolver.solve`` solves an eps round by projected CG from the
 round before, preconditioned by a factorization it keeps: the fixed-weight
@@ -67,7 +69,7 @@ import scipy.sparse as sp
 from . import linalg
 from .mesh import CoarseMesh, DomainDecomposition, TriMesh
 from .problem import (EllipticProblem, exact_grad_table, f_cell_integrals,
-                      mat_vec, quad_rule)
+                      f_oscillation, mat_vec, quad_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +156,12 @@ class BrokenFluxField:
         """
         g = self.decomp.interfaces[m]
         n0, n1 = g.normal
-        a, slope = self.corrector_affine()
         vals = self.p1_part.reshape(-1, 2)[g.corners]        # (n_e, side, pos, 2)
-        coords = self.mesh.vertices[g.endpoints]             # (n_e, pos, 2)
-        a_n = a[g.side_tris] @ g.normal                      # (n_e, side)
-        x_n = coords[..., 0] * n0 + coords[..., 1] * n1
-        y_n = (vals[..., 0] * n0 + vals[..., 1] * n1
-               + (a_n[:, :, None] + slope[g.side_tris][:, :, None]
-                  * x_n[:, None, :]))
-        return y_n[:, 0] - y_n[:, 1]
+        y_n = vals[..., 0] * n0 + vals[..., 1] * n1
+        jump = y_n[:, 0] - y_n[:, 1]
+        if self.coeffs is not None:
+            jump += corrector_jumps(self.space, self.coeffs, g)
+        return jump
 
 
 def rt0_affine(space: "CorrectorSpace", q: np.ndarray, cts):
@@ -178,6 +177,28 @@ def rt0_affine(space: "CorrectorSpace", q: np.ndarray, cts):
                   for d in range(2)], axis=-1)
     g = (f[..., 0] + f[..., 1] + f[..., 2]) * scale
     return a, g
+
+
+def corrector_jumps(space: "CorrectorSpace", q: np.ndarray, g) -> np.ndarray:
+    """(q_k - q_j) . n_kj of the corrector of dofs ``q`` at the endpoints
+    of interface g's fine edges, ordered as ``jump_endpoint_values``."""
+    n0, n1 = g.normal
+    a, slope = rt0_affine(space, q, space.fine_tri_ct[g.side_tris])
+    coords = space.decomp.mesh.vertices[g.endpoints]        # (n_e, pos, 2)
+    x_n = coords[..., 0] * n0 + coords[..., 1] * n1
+    q_n = ((a[..., 0] * n0 + a[..., 1] * n1)[:, :, None]
+           + slope[:, :, None] * x_n[:, None, :])          # (n_e, side, pos)
+    return q_n[:, 0] - q_n[:, 1]
+
+
+def s2_density(cell: np.ndarray, areas: np.ndarray,
+               f_osc: np.ndarray) -> np.ndarray:
+    """Per triangle, int_T (div y + f)^2 = cell_T^2 / |T| + osc_T, from the
+    residual integrals ``cell`` and the oscillation ``f_osc`` of f."""
+    out = cell * cell
+    out /= areas
+    out += f_osc
+    return out
 
 
 def jump_norms_sq(decomp: DomainDecomposition, jumps) -> np.ndarray:
@@ -449,33 +470,17 @@ def corrector_matrix(space: CorrectorSpace, alphas, betas) -> sp.csc_matrix:
 
 
 @dataclass(frozen=True)
-class Steering:
-    """The constant and linear terms of sum S1 and sum S2 of an iterate's
-    majorant as functions of the corrector q: sum S1 = ``S1`` + 2 ``l1``.q
-    + q'M_hat q and sum S2 = ``S2`` + 2 ``l2``.q + q'D_hat q."""
-
-    S1: float
-    S2: float
-    l1: np.ndarray             # (n_dofs,)
-    l2: np.ndarray             # (n_dofs,)
-
-
-@dataclass(frozen=True)
 class RhsTable:
-    """Weight-free terms of one iterate's corrector right-hand side.
+    """Weight-free terms of one iterate's corrector right-hand side as
+    read-only dof vectors ``l1``, ``l2``, ``l3`` (see ``rhs_table``), the
+    residual integrals of ytilde and sum S1 of ytilde, or None if the
+    table was made without it."""
 
-    ``cross`` (T, 3) is, per fine triangle, the cross term of ytilde -
-    A grad v against the three corrector basis fluxes of its
-    cell-triangle; ``per_ct`` (CT,) the integral of div ytilde + f per
-    cell-triangle; ``residuals`` the residual integrals of ytilde;
-    ``steer`` the terms that ``steering_sums`` reads, or None if the
-    table was made without them.  All arrays are read-only.
-    """
-
-    cross: np.ndarray
-    per_ct: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    l3: np.ndarray
     residuals: FluxResiduals
-    steer: Optional[Steering] = None
+    S1: Optional[float] = None
 
 
 def _to_dofs(space: CorrectorSpace, slot_vals: np.ndarray) -> np.ndarray:
@@ -488,18 +493,17 @@ def _to_dofs(space: CorrectorSpace, slot_vals: np.ndarray) -> np.ndarray:
 
 def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
               a_grad_v: np.ndarray, problem: EllipticProblem,
-              f_tri: np.ndarray,
-              f_sq: Optional[np.ndarray] = None) -> RhsTable:
+              f_tri: np.ndarray, steering: bool = False) -> RhsTable:
     """The weight-free terms of the corrector right-hand side for the
     averaged flux ``ytilde`` of v; ``a_grad_v`` (T, 2) is A grad v and
-    ``f_tri`` holds the cell integrals of f.  Given ``f_sq``, the cell
-    integrals of f^2, the table also holds the ``Steering`` terms of the
-    iterate's eps rounds.
+    ``f_tri`` holds the cell integrals of f.  With ``steering`` the table
+    also holds sum S1 of ytilde, for the iterate's eps rounds.
 
     The cross term of basis function i is sum_m ra_m . p_m - (sum_m ra_m)
     . V_i, ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m and V_i
     the cell-triangle's vertices.  Summed over the slots of each dof it is
-    l1, and the residual against the basis's divergence is l2.
+    l1; the residual against the basis's divergence is l2, and ytilde's
+    jump integral over each coarse interface edge, over its length, l3.
     """
     mesh = space.decomp.mesh
 
@@ -512,34 +516,35 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
     ra_sum = [ra[0][d] + ra[1][d] + ra[2][d] for d in range(2)]
 
     ct = space.fine_tri_ct
-    scale = mesh.areas / (6.0 * space.ct_area[ct])               # w/(2 S_ct)
-    cross = np.empty((len(ct), 3))
-    for i in range(3):
-        cross[:, i] = (ra_p - ra_sum[0] * space.ct_verts[ct, i, 0]
-                       - ra_sum[1] * space.ct_verts[ct, i, 1]) * scale
-
-    res = constraint_residuals(ytilde, f_tri)
     n_ct = len(space.ct_area)
-    per_ct = np.bincount(ct, res.cell, n_ct)
-    terms = None
-    if f_sq is not None:
+    scale = mesh.areas / (6.0 * space.ct_area[ct])               # w/(2 S_ct)
+    slot = np.empty((n_ct, 3))
+    for i in range(3):
+        slot[:, i] = np.bincount(
+            ct, (ra_p - ra_sum[0] * space.ct_verts[ct, i, 0]
+                 - ra_sum[1] * space.ct_verts[ct, i, 1]) * scale, n_ct)
+    l1 = _to_dofs(space, slot)
+    S1 = None
+    if steering:
         _, w = quad_rule(2)
         dens = sum(w[m] * (ra[m][0] * (mid[:, m, 0] - a_grad_v[:, 0])
                            + ra[m][1] * (mid[:, m, 1] - a_grad_v[:, 1]))
                    for m in range(3))              # r . A^{-1} r
-        c = ytilde.p1_divergence()
-        l1 = _to_dofs(space, np.stack([np.bincount(ct, cross[:, i], n_ct)
-                                       for i in range(3)], axis=1))
-        l2 = _to_dofs(space, np.repeat((per_ct / space.ct_area)[:, None], 3,
-                                       axis=1))
-        terms = Steering(float(np.sum(mesh.areas * dens)),
-                         float(np.sum(c * c * mesh.areas + 2.0 * c * f_tri
-                                      + f_sq)), l1, l2)
-        l1.flags.writeable = l2.flags.writeable = False
-    for a in (cross, per_ct, res.cell, res.means.subdomain,
+        S1 = float(np.sum(mesh.areas * dens))
+
+    res = constraint_residuals(ytilde, f_tri)
+    per_ct = np.bincount(ct, res.cell, n_ct) / space.ct_area
+    l2 = _to_dofs(space, np.repeat(per_ct[:, None], 3, axis=1))
+    l3 = np.zeros(space.n_dofs)
+    for m, (dk, sign, length) in enumerate(space.ifaces):
+        # every coarse edge covers an equal run of consecutive fine edges
+        ie = res.edge_int[m].reshape(len(dk), -1).sum(axis=1)
+        l3[dk] = sign * ie / length
+        l3[dk + 1] = -l3[dk]
+    for a in (l1, l2, l3, res.cell, res.means.subdomain,
               res.means.interface, *res.jumps, *res.edge_int):
         a.flags.writeable = False
-    return RhsTable(cross, per_ct, res, terms)
+    return RhsTable(l1, l2, l3, res, S1)
 
 
 def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
@@ -548,59 +553,37 @@ def corrector_rhs(space: CorrectorSpace, table: RhsTable, alphas, betas):
     The minimized functional is
         a1 ||ytilde + q - A grad v||^2_{A^{-1}}  +  a2 ||div(ytilde+q) + f||^2
         + a3 sum beta^2 ||jump(ytilde+q)||^2,
-    so b collects minus the cross terms against the corrector basis and d the
-    negated means of the uncorrected residuals.  Both come from ``table``,
-    weighted here by the round's ``alphas`` and ``betas``.
+    so b is minus the weighted sum of ``table``'s dof vectors and d the
+    negated means of the uncorrected residuals, in O(n_dofs).
     """
     a1, a2, a3 = alphas
-
-    ct = space.fine_tri_ct
-    n_ct = len(space.ct_area)
-    slot_c = np.empty((n_ct, 3))
-    # weighted before the slot sums, which keeps the certified values'
-    # rounding; summing once per iterate and scaling by a1 would change it
-    for i in range(3):
-        slot_c[:, i] = np.bincount(ct, a1 * table.cross[:, i], n_ct)
-    slot_c += (a2 * table.per_ct / space.ct_area)[:, None]
-
-    res = table.residuals
-    c = _to_dofs(space, slot_c)
-    for m, (dk, sign, length) in enumerate(space.ifaces):
-        # every coarse edge covers an equal run of consecutive fine edges
-        ie = res.edge_int[m].reshape(len(dk), -1).sum(axis=1)
-        w = a3 * betas[m] ** 2 * sign * ie / length
-        c[dk] += w
-        c[dk + 1] -= w
-    d = -np.concatenate([res.means.subdomain, res.means.interface])
-    return -c, d
+    c = a1 * table.l1
+    c += a2 * table.l2
+    for m, (dk, _, _) in enumerate(space.ifaces):
+        w = a3 * betas[m] ** 2
+        c[dk] += w * table.l3[dk]
+        c[dk + 1] += w * table.l3[dk + 1]
+    means = table.residuals.means
+    return -c, -np.concatenate([means.subdomain, means.interface])
 
 
-def steering_sums(space: CorrectorSpace, table: RhsTable, q: np.ndarray):
+def steering_sums(space: CorrectorSpace, table: RhsTable, q: np.ndarray,
+                  f_osc: np.ndarray):
     """sum S1, sum S2 and S3 per interface of the majorant of y = ytilde +
-    q, from ``table.steer`` and the corrector's quadratic form.
-
-    S1 and S2 expand in q (``Steering``); S3 adds the corrector's jumps to
-    ytilde's at the endpoints of the interface edges, on the fine
-    triangles beside them only.  Nothing is integrated over the fine mesh,
-    and the expansion can cancel, so the sums agree with
-    ``evaluate_majorant``'s to roundoff only: they steer the eps rounds,
-    and the certified number never comes from them.
-    """
-    s = table.steer
-    # not ``@`` for the dot products (see ``linalg._dot``)
-    S1 = s.S1 + np.einsum("i,i->", 2.0 * s.l1 + space.M_hat @ q, q)
-    S2 = s.S2 + np.einsum("i,i->", 2.0 * s.l2 + space.D_hat @ q, q)
-    decomp = space.decomp
-    jumps = []
-    for g, ev in zip(decomp.interfaces, table.residuals.jumps):
-        n0, n1 = g.normal
-        a, slope = rt0_affine(space, q, space.fine_tri_ct[g.side_tris])
-        coords = decomp.mesh.vertices[g.endpoints]          # (n_e, pos, 2)
-        x_n = coords[..., 0] * n0 + coords[..., 1] * n1
-        y_n = ((a[..., 0] * n0 + a[..., 1] * n1)[:, :, None]
-               + slope[:, :, None] * x_n[:, None, :])      # (n_e, side, pos)
-        jumps.append(ev + (y_n[:, 0] - y_n[:, 1]))
-    return S1, S2, jump_norms_sq(decomp, jumps)
+    q, ``f_osc`` the oscillation of f: sum S1 = ``table.S1`` + 2 l1.q +
+    q'M_hat q, S2 and S3 by the certificate's formulas from ytilde's
+    residuals plus the corrector's.  They agree with ``evaluate_majorant``
+    to roundoff and steer the eps rounds; no certified number comes from
+    them."""
+    # not ``@`` for the dot product (see ``linalg._dot``)
+    S1 = table.S1 + np.einsum("i,i->", 2.0 * table.l1 + space.M_hat @ q, q)
+    areas = space.decomp.mesh.areas
+    half_div = rt0_affine(space, q, slice(None))[1][space.fine_tri_ct]
+    cell = table.residuals.cell + 2.0 * areas * half_div
+    S2 = s2_density(cell, areas, f_osc).sum()
+    jumps = [ev + corrector_jumps(space, q, g) for g, ev
+             in zip(space.decomp.interfaces, table.residuals.jumps)]
+    return S1, S2, jump_norms_sq(space.decomp, jumps)
 
 
 # An eps round's weights alphas differ from a kept factorization's p only
@@ -634,8 +617,9 @@ class CorrectorSolver:
     The weights come from the majorant ``constants``: ``constants.beta``
     and ``alphas``, those of eps = (1, 1, 1).  The solver also owns the
     run's tables of the problem on the fine mesh: the cell integrals
-    ``f_tri``/``f_sq`` of f and f^2 and ``exact_grad``, the exact gradient
-    at the degree-5 points, filled on first use.  ``solve`` takes an
+    ``f_tri`` of f, the oscillation ``f_osc`` of f (see ``s2_density``)
+    and ``exact_grad``, the exact gradient at the degree-5 points, filled
+    on first use.  ``solve`` takes an
     iterate's ``rhs_table``, the weights of its round, a start and the
     start's majorant under those weights.
 
@@ -650,7 +634,8 @@ class CorrectorSolver:
         self.space = space
         self.problem = problem
         self.constants = constants
-        self.f_tri, self.f_sq = f_cell_integrals(space.decomp.mesh, problem.f)
+        self.f_tri, f_sq = f_cell_integrals(space.decomp.mesh, problem.f)
+        self.f_osc = f_oscillation(space.decomp.mesh, self.f_tri, f_sq)
         self.alphas = tuple(alpha_weights((1.0, 1.0, 1.0), constants))
         self.fact = linalg.SaddleFactorization(self._matrix(self.alphas),
                                                space.C)

@@ -23,17 +23,17 @@ the structural lower bound ``D11`` reported alongside every evaluation
 (T1/T2/T3 are the three sums with their eps-independent factors).
 
 ``evaluate_majorant`` needs no exact solution.  It takes the flux A grad v
-of the iterate and the cell integrals of f and f^2 from its caller
+of the iterate and the cell integrals and oscillation of f from its caller
 (``pipeline.certify_iterate`` forms the one once per iterate, a run's
-``CorrectorSolver`` keeps the others) and reads the jump term and the
-admissibility means from one ``constraint_residuals`` evaluation of the
-flux.  The flux's P1 layer at the side midpoints and its divergence are the
-ones its averaged flux keeps.  A certification evaluates it once, on its
-final flux: the eps rounds before are steered by ``flux.steering_sums``,
-the same sums expanded in the corrector's dofs, which agree with these to
-roundoff and never enter a report.  S1 and ``energy_error``, which a run
-compares the majorant with, write out their 2x2 quadratic forms
-(``problem.quad_form``); S1 and S2 sum per subdomain by ``np.bincount``.
+``CorrectorSolver`` keeps the others) and reads the residual integrals,
+jumps and admissibility means from one ``constraint_residuals`` evaluation
+of the flux.  S2 and S3 come from ``flux.s2_density`` and
+``flux.jump_norms_sq``, which ``flux.steering_sums`` also uses to steer
+the eps rounds before a certification's one evaluation; the steering sums
+agree with these to roundoff and never enter a report.  S1 and
+``energy_error``, which a run compares the majorant with, write out their
+2x2 quadratic forms (``problem.quad_form``); S1 and S2 sum per subdomain
+by ``np.bincount``.
 ``energy_error`` integrates the error of grad v against the exact gradient
 at the degree-5 points; its caller attaches it to the report.
 """
@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .flux import (BrokenFluxField, ConstraintResiduals, constraint_residuals,
-                   jump_norms_sq)
+                   jump_norms_sq, s2_density)
 from .mesh import DomainDecomposition, TriMesh
 from .problem import EllipticProblem, quad_form, quad_rule
 
@@ -207,14 +207,15 @@ def weighted_parts(S1, S2, S3, alphas,
 def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
                       problem: EllipticProblem,
                       constants: MajorantConstants,
-                      f_tri: np.ndarray, f_sq_tri: np.ndarray,
+                      f_tri: np.ndarray, f_osc: np.ndarray,
                       eps=(1.0, 1.0, 1.0)) -> MajorantReport:
     """Evaluate the majorant of the energy error of v for flux candidate y,
     given the flux ``a_grad_v`` = A grad v of v per triangle (T, 2).
 
-    ``f_tri``/``f_sq_tri`` hold the cell integrals of f and f^2.  The first
-    term integrates exactly (midpoint rule on the fine triangles); the
-    equilibration term expands (div y + f)^2 with those degree-5 integrals;
+    ``f_tri`` holds the cell integrals of f and ``f_osc`` the oscillation
+    of f per triangle (``problem.f_oscillation``).  The first term
+    integrates exactly (midpoint rule on the fine triangles); the
+    equilibration term is ``flux.s2_density`` of y's residual integrals;
     jump terms are exact on each fine edge.  If the admissibility means
     exceed ``ADMISSIBILITY_TOL`` times 1 + max_t |int_t f| / min_t |t|, the
     report is flagged not guaranteed.  The report carries no energy error.
@@ -231,13 +232,10 @@ def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
     per_tri_1 = mesh.areas * (dens @ w)
     S1 = np.bincount(decomp.tri_subdomain, per_tri_1, decomp.n_basic)
 
-    # S2: || div y + f ||^2 = c^2 |t| + 2 c int f + int f^2 per triangle
-    c = y.divergence()
-    per_tri_2 = c ** 2 * mesh.areas + 2.0 * c * f_tri + f_sq_tri
-    S2 = np.bincount(decomp.tri_subdomain, per_tri_2, decomp.n_basic)
-
-    # S3: squared jump norms per interface; affine jumps integrate exactly
+    # S2 and S3 from the residual integrals and the jumps
     res = constraint_residuals(y, f_tri)
+    S2 = np.bincount(decomp.tri_subdomain,
+                     s2_density(res.cell, mesh.areas, f_osc), decomp.n_basic)
     S3 = jump_norms_sq(decomp, res.jumps)
 
     M1_sq, M2_sq, M3_sq = weighted_parts(S1, S2, S3, alphas, constants)

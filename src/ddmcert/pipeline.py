@@ -10,25 +10,26 @@ closed-form weights, each started from the round before; the solver solves
 them by projected CG preconditioned by a factorization it keeps, stopped
 once the round's majorant exceeds its minimum by at most a fixed fraction
 of its start's, and factorizes only weights too far from both kept ones.
-The sums that set a round's weights come from the round before's corrector
-dofs (``flux.steering_sums``), so the majorant is evaluated on the fine
-mesh once per certified sweep, for the final round's flux.
-``output_dir`` makes a run's artifact directory before anything is
-computed, and a table command checks every configuration of its runs
-(``table_configs``) before that; ``table1_rows`` and the other table
-functions then run exactly those configurations.  A run returns its geometry, its problem and one
-``SweepRow`` per certified sweep, which reads its error from its report.
+The sums that set a round's weights come from the round before's
+corrector (``flux.steering_sums``, by the majorant's own S2 and jump
+formulas), so the majorant is evaluated once per certified sweep, for the
+final round's flux.  ``output_dir`` makes a run's artifact directory
+before anything is computed, and a table command checks every
+configuration of its runs (``table_configs``) before that; ``table1_rows``
+and the other table functions then run exactly those configurations.  A
+run returns its geometry, its problem and one ``SweepRow`` per certified
+sweep, which reads its error from its report.
 
 What does not change from sweep to sweep is computed once per run: the
 mesh keeps its P1 gradients, edge lengths and side midpoints, and the
-run's ``CorrectorSolver`` keeps the cell integrals of f and f^2 and the
-exact gradient at the degree-5 points.  What depends on the iterate but
+run's ``CorrectorSolver`` keeps the cell integrals and oscillation of f
+and the exact gradient at the degree-5 points.  What depends on the iterate but
 not on the eps weights is formed once per iterate in ``certify_iterate``,
 however many eps rounds certify it, and passed on: grad v, the flux
 A grad v (averaged into the flux candidate, read by the table and by the
 majorant), the energy error, and then the ``rhs_table`` of the corrector's
-right-hand side, which each round only weights, with the steering terms
-under ``--eps opt``.  The majorant itself never reads the exact solution;
+right-hand side as dof vectors, which each round only weights, with sum
+S1 of the averaged flux under ``--eps opt``.  The majorant itself never reads the exact solution;
 ``certify_iterate`` attaches the energy error to its report.
 
 Every certified sweep is checked twice.  A flux that misses the
@@ -190,8 +191,12 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     report carries the eps its weights used and the energy error of v.
     The constants and tables come from ``solver``; grad v, A grad v, the
     energy error and the weight-free ``rhs_table`` are formed once.
-    Raises SolverError when the flux misses the admissibility constraints.
+    Raises SolverError when the flux misses the admissibility constraints,
+    ValueError for an ``eps_policy`` other than 'fixed' and 'opt'.
     """
+    if eps_policy not in EPS_POLICIES:
+        raise ValueError(f"unknown eps policy {eps_policy!r}: expected "
+                         "'fixed' or 'opt'")
     space = solver.space
     problem = solver.problem
     constants = solver.constants
@@ -203,7 +208,7 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     err = majorant.energy_error(v.mesh, problem.A, grad_v, solver.exact_grad)
     rounds = 1 + (OPT_ROUNDS if eps_policy == "opt" else 0)
     table = rhs_table(space, yt, a_grad_v, problem, solver.f_tri,
-                      solver.f_sq if rounds > 1 else None)
+                      steering=rounds > 1)
     eps, sums, q, ref_sq = (1.0, 1.0, 1.0), None, None, None
     for n in range(rounds):
         if sums is not None:
@@ -215,10 +220,10 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
         q, _ = solver.solve(table, alpha_weights(eps, constants), start=q,
                             ref_sq=ref_sq)
         if n + 1 < rounds:
-            sums = steering_sums(space, table, q)
+            sums = steering_sums(space, table, q, solver.f_osc)
     y = corrected_flux(yt, q, space)
     rep = evaluate_majorant(y, a_grad_v, problem, constants, solver.f_tri,
-                            solver.f_sq, eps)
+                            solver.f_osc, eps)
     if not rep.guaranteed:
         r = rep.residuals
         worst_s = np.abs(r.interface).max() if len(r.interface) else 0.0
@@ -370,21 +375,25 @@ def run_checks(h: float = 0.25):
              * (1 + GUARANTEE_RTOL) for row in res.rows)
     add("guarantee error <= bounds", ok,
         f"final error {err:.3e} vs bound {min(rep.total, rep.D11):.3e}")
-    add("M_sq equals sum of parts",
-        abs(rep.total_sq - (rep.M1_sq + rep.M2_sq + rep.M3_sq))
-        <= 1e-12 * rep.total_sq)
-    add("per-subdomain breakdown sums",
-        abs(rep.M1_sq - rep.alphas[0] * rep.S1.sum()) <= 1e-12 * max(rep.M1_sq, 1e-300)
-        and abs(rep.M2_sq - rep.alphas[1] * rep.S2.sum()) <= 1e-12 * max(rep.M2_sq, 1e-300))
+
+    def within(name, bound, *pairs):
+        gap = max(abs(got - want) / max(abs(want), 1e-300)
+                  for got, want in pairs)
+        add(name, gap <= bound, f"rel gap {gap:.1e} vs {bound:.0e}")
+
+    within("M_sq equals sum of parts", 1e-12,
+           (rep.M1_sq + rep.M2_sq + rep.M3_sq, rep.total_sq))
+    within("per-subdomain breakdown sums", 1e-12,
+           (rep.alphas[0] * rep.S1.sum(), rep.M1_sq),
+           (rep.alphas[1] * rep.S2.sum(), rep.M2_sq))
 
     opt = run_case(RunConfig(h=h, H=h, sweeps=8, eps_policy="opt"),
-                   majorant_sweeps=[8])
+                   majorant_sweeps=[8]).final_row().report
     add("optimized eps never increases M",
-        opt.final_row().report.total <= rep.total * (1 + 1e-12),
-        f"{opt.final_row().report.total:.4e} <= {rep.total:.4e}")
-    add("optimal-eps value matches structural bound",
-        abs(opt.final_row().report.total - opt.final_row().report.D11)
-        <= 1e-6 * opt.final_row().report.D11)
+        opt.total <= rep.total * (1 + 1e-12),
+        f"{opt.total:.4e} <= {rep.total:.4e}")
+    within("optimal-eps value matches structural bound", 1e-6,
+           (opt.total, opt.D11))
 
     ok_a0, _ = compatibility_check(6, 13, 0, 3)
     ok_a1, slack_a1 = compatibility_check(6, 13, 1, 3)

@@ -12,9 +12,9 @@ axis costs more than its arithmetic.  ``solve_dirichlet`` makes on the whole mes
 with a ``linalg.SymmetricFactorization`` of its own.
 Tables that stay the same for a whole run are kept by their owners: the P1
 gradients of ``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and
-the cell integrals of f and f^2 and the exact gradient at the degree-5
-points (``exact_grad_table``, filled one point at a time) on the
-``flux.CorrectorSolver`` of a run.
+the cell integrals of f, the oscillation of f (``f_oscillation``) and the
+exact gradient at the degree-5 points (``exact_grad_table``, filled one
+point at a time) on the ``flux.CorrectorSolver`` of a run.
 The energy error against that exact-gradient table is
 ``majorant.energy_error``.
 """
@@ -253,3 +253,10 @@ def f_cell_integrals(mesh: TriMesh, f):
     pts, w = tri_quad_points(mesh, degree=5)
     fv = np.asarray(f(pts), dtype=float)
     return (w * fv).sum(axis=1), (w * fv * fv).sum(axis=1)
+
+
+def f_oscillation(mesh: TriMesh, f_tri: np.ndarray,
+                  f_sq: np.ndarray) -> np.ndarray:
+    """Per triangle, the oscillation int_T f^2 - (int_T f)^2 / |T| of f,
+    from the cell integrals ``f_tri``/``f_sq`` of f and f^2."""
+    return f_sq - f_tri * f_tri / mesh.areas

@@ -41,4 +41,4 @@ def cert4(lshape4, problem):
                            constants=constants, space=space, v=v,
                            a_grad_v=a_grad(v, problem.A), yt=yt,
                            q=y.coeffs, y=y, report=report,
-                           f_tri=solver.f_tri, f_sq=solver.f_sq)
+                           f_tri=solver.f_tri, f_osc=solver.f_osc)

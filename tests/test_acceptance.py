@@ -21,7 +21,8 @@ from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
 from ddmcert.pipeline import (RunConfig, run_case, table1_rows, table2_rows,
                               table_configs)
 from ddmcert.problem import (assemble_load, assemble_stiffness,
-                             f_cell_integrals, manufactured_lshape_problem)
+                             f_cell_integrals, f_oscillation,
+                             manufactured_lshape_problem)
 from ddmcert.schwarz import run_schwarz
 
 from _discrete import contraction, run_to_discrete
@@ -652,8 +653,8 @@ def test_criterion_10_dense_oracle():
     d_corr = float(np.abs(q - x_orc).max())
 
     y = corrected_flux(yt, q, space)
-    rep = evaluate_majorant(y, gv, problem, constants,
-                            f_tri=f_tri, f_sq_tri=f_sq)
+    rep = evaluate_majorant(y, gv, problem, constants, f_tri=f_tri,
+                            f_osc=f_oscillation(mesh, f_tri, f_sq))
     S1, S2, S3 = oracle.majorant_parts(
         v_orc, yt_orc + oracle.corrector_field(x_orc))
     a1, a2, a3 = oracle.alphas

@@ -253,6 +253,26 @@ def test_check_command_passes(capsys):
     assert stdout.count("PASS") >= 8
 
 
+def test_check_prints_the_relative_gaps(capsys):
+    # h = 1/2 is the known failure: two eps rounds leave M above D11
+    assert main(["check", "--h", "1/2"]) == 2
+    rows = {line[6:].split("  ")[0]: line
+            for line in capsys.readouterr().out.splitlines()}
+    gaps = {}
+    for name, bound in (("M_sq equals sum of parts", "1e-12"),
+                        ("per-subdomain breakdown sums", "1e-12"),
+                        ("optimal-eps value matches structural bound",
+                         "1e-06")):
+        detail = rows[name].split("rel gap ")[1]
+        gap, against = detail.split(" vs ")
+        assert against == bound
+        gaps[name] = float(gap)
+    assert rows["optimal-eps value matches structural bound"].startswith(
+        "FAIL")
+    assert 1e-6 < gaps["optimal-eps value matches structural bound"] < 1e-4
+    assert gaps["M_sq equals sum of parts"] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_rhs_table_is_read_only_and_reweighting_is_exact(cert4):
     table = rhs_table(space, cert4.yt, cert4.a_grad_v, cert4.problem,
                       cert4.f_tri)
     res = table.residuals
-    for a in (table.cross, table.per_ct, res.cell,
+    for a in (table.l1, table.l2, table.l3, res.cell,
               res.means.subdomain, res.means.interface, *res.jumps,
               *res.edge_int, cert4.yt.p1_midpoint_values(),
               cert4.yt.p1_divergence()):
@@ -340,21 +340,37 @@ def test_steering_sums_equal_the_direct_sums(A, preset, H):
     problem = EllipticProblem(A=A, f=base.f, u_g=base.u_g,
                               exact_u=base.exact_u,
                               exact_grad=base.exact_grad)
-    mesh, decomp, _ = build_preset(RunConfig(h=1 / 8, H=H, preset=preset))
-    v = run_schwarz(mesh, decomp, problem, "multiplicative", 2)
-    constants = MajorantConstants.default(decomp, problem)
-    space = build_corrector_space(build_coarse_mesh(mesh, decomp, H),
-                                  decomp, problem.A)
-    f_tri, f_sq = f_cell_integrals(mesh, problem.f)
-    gv = a_grad(v, problem.A)
-    yt = average_gradient(gv, decomp)
-    table = rhs_table(space, yt, gv, problem, f_tri, f_sq)
-    assert rhs_table(space, yt, gv, problem, f_tri).steer is None
+
+    def iterate(h, H, sweeps):
+        """The solver of a run, an iterate's averaged flux and A grad v,
+        and its table with the steering term."""
+        mesh, decomp, _ = build_preset(RunConfig(h=h, H=H, preset=preset))
+        v = run_schwarz(mesh, decomp, problem, "multiplicative", sweeps)
+        space = build_corrector_space(build_coarse_mesh(mesh, decomp, H),
+                                      decomp, problem.A)
+        solver = CorrectorSolver(space, problem,
+                                 MajorantConstants.default(decomp, problem))
+        gv = a_grad(v, problem.A)
+        yt = average_gradient(gv, decomp)
+        return (solver, yt, gv,
+                rhs_table(space, yt, gv, problem, solver.f_tri, steering=True))
+
+    coarse = iterate(1 / 8, H, 2)
+    solver, yt, gv, _ = coarse
+    assert rhs_table(solver.space, yt, gv, problem, solver.f_tri).S1 is None
     rng = np.random.default_rng(7)
-    for q in (np.zeros(space.n_dofs), rng.standard_normal(space.n_dofs)):
-        rep = evaluate_majorant(corrected_flux(yt, q, space), gv, problem,
-                                constants, f_tri, f_sq)
-        S1, S2, S3 = steering_sums(space, table, q)
+    cases = [(*coarse, q) for q in (np.zeros(solver.space.n_dofs),
+                                    rng.standard_normal(solver.space.n_dofs))]
+    if H == 1 / 8:
+        # the solved corrector of a first iterate at h = 1/64, whose ytilde
+        # is far from admissible: a sum expanded in q cancels there
+        fine = iterate(1 / 64, 1 / 64, 1)
+        cases.append((*fine, fine[0].solve(fine[3], fine[0].alphas)[0]))
+    for solver, yt, gv, table, q in cases:
+        rep = evaluate_majorant(corrected_flux(yt, q, solver.space), gv,
+                                problem, solver.constants, solver.f_tri,
+                                solver.f_osc)
+        S1, S2, S3 = steering_sums(solver.space, table, q, solver.f_osc)
         assert abs(S1 - rep.S1.sum()) <= 1e-12 * rep.S1.sum()
         assert abs(S2 - rep.S2.sum()) <= 1e-12 * rep.S2.sum()
         assert S3.shape == rep.S3.shape
@@ -391,7 +407,7 @@ def near_majorant_sq(cert4, solver, q):
     """M^2 of the iterate's flux corrected by q, under NEAR_EPS."""
     return evaluate_majorant(corrected_flux(cert4.yt, q, cert4.space),
                              cert4.a_grad_v, cert4.problem, cert4.constants,
-                             solver.f_tri, solver.f_sq, NEAR_EPS).total_sq
+                             solver.f_tri, solver.f_osc, NEAR_EPS).total_sq
 
 
 def test_eps_round_by_projected_cg_matches_a_fresh_factorization(

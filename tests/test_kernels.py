@@ -26,8 +26,9 @@ from ddmcert.majorant import (MajorantConstants, alpha_weights, energy_error,
                               evaluate_majorant)
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import RunConfig, build_preset
-from ddmcert.problem import (EllipticProblem, manufactured_lshape_problem,
-                             mat_vec, p1_gradients, quad_form, quad_rule)
+from ddmcert.problem import (EllipticProblem, f_cell_integrals,
+                             manufactured_lshape_problem, mat_vec,
+                             p1_gradients, quad_form, quad_rule)
 from ddmcert.schwarz import run_schwarz
 
 from _iterate import a_grad
@@ -201,7 +202,8 @@ def ref_jumps(y, m, Q):
 
 
 def ref_rhs_table(space, yt, v, problem, f_tri, Q):
-    """(cross, per_ct, a_grad_v) of the averaged flux ``yt`` of v."""
+    """(l1, l2, a_grad_v) of the averaged flux ``yt`` of v: the cross and
+    divergence terms per slot, taken to the dofs through Q."""
     mesh = space.decomp.mesh
     gv = np.einsum("de,te->td", problem.A, ref_gradient(v))
     r = ref_midpoint_values(yt, Q) - gv[:, None, :]
@@ -212,9 +214,36 @@ def ref_rhs_table(space, yt, v, problem, f_tri, Q):
     diff = pts[:, :, None, :] - space.ct_verts[ct][:, None, :, :]
     cross = np.einsum("tmd,tmid->ti", ra, diff)
     cross *= (mesh.areas / (6.0 * space.ct_area[ct]))[:, None]
+    slots = np.zeros((len(space.ct_area), 3))
+    np.add.at(slots, ct, cross)
     per_ct = np.zeros(len(space.ct_area))
     np.add.at(per_ct, ct, ref_divergence(yt, Q) * mesh.areas + f_tri)
-    return cross, per_ct, gv
+    return (Q.T @ slots.ravel(), Q.T @ np.repeat(per_ct / space.ct_area, 3),
+            gv)
+
+
+def ref_interface_term(coarse, yt, Q):
+    """l3: on the two dofs of every coarse interface edge, +- the integral
+    of yt's jump over the edge along the edge normal, over its length."""
+    tri = coarse.tri
+    _, edge_dof, s0, s1 = ref_edge_dofs(coarse)
+    mesh = yt.mesh
+    out = np.zeros(Q.shape[1])
+    for m, g in enumerate(yt.decomp.interfaces):
+        fine_int = (mesh.edge_lengths[g.edges]
+                    * ref_jumps(yt, m, Q).mean(axis=1))
+        fine_mid = mesh.vertices[g.endpoints].mean(axis=1)
+        for e in np.flatnonzero((np.minimum(s0, s1) == g.k)
+                                & (np.maximum(s0, s1) == g.j)):
+            a, b = tri.vertices[tri.edges[e]]
+            t, rel = b - a, fine_mid - a
+            along = rel @ t / (t @ t)
+            on = ((np.abs(rel[:, 0] * t[1] - rel[:, 1] * t[0]) < 1e-12)
+                  & (along > 0) & (along < 1))
+            sign = 1.0 if np.array([t[1], -t[0]]) @ g.normal > 0 else -1.0
+            w = sign * fine_int[on].sum() / np.linalg.norm(t)
+            out[edge_dof[e]], out[edge_dof[e] + 1] = w, -w
+    return out
 
 
 def ref_energy_error(v, problem):
@@ -275,7 +304,7 @@ def full_a(request):
     return SimpleNamespace(problem=problem, decomp=decomp, v=v,
                            constants=constants, space=space, solver=solver,
                            a_grad_v=gv, yt=yt, table=table,
-                           y=corrected_flux(yt, q, space),
+                           y=corrected_flux(yt, q, space), coarse=coarse,
                            Q=ref_slot_matrix(coarse))
 
 
@@ -285,11 +314,12 @@ def test_average_gradient_matches_reference(full_a):
 
 
 def test_rhs_table_matches_reference(full_a):
-    cross, per_ct, gv = ref_rhs_table(full_a.space, full_a.yt, full_a.v,
-                                      full_a.problem, full_a.solver.f_tri,
-                                      full_a.Q)
-    assert_close(full_a.table.cross, cross)
-    assert_close(full_a.table.per_ct, per_ct)
+    l1, l2, gv = ref_rhs_table(full_a.space, full_a.yt, full_a.v,
+                               full_a.problem, full_a.solver.f_tri, full_a.Q)
+    assert_close(full_a.table.l1, l1)
+    assert_close(full_a.table.l2, l2)
+    assert_close(full_a.table.l3,
+                 ref_interface_term(full_a.coarse, full_a.yt, full_a.Q))
     assert_close(full_a.a_grad_v, gv)
 
 
@@ -304,9 +334,11 @@ def test_energy_error_matches_reference(full_a):
 def test_term_sums_match_reference(full_a):
     s = full_a.solver
     rep = evaluate_majorant(full_a.y, full_a.a_grad_v, full_a.problem,
-                            full_a.constants, s.f_tri, s.f_sq)
+                            full_a.constants, s.f_tri, s.f_osc)
     S1, S2, S3 = ref_term_sums(full_a.y, full_a.v, full_a.problem,
-                               s.f_tri, s.f_sq, full_a.Q)
+                               *f_cell_integrals(full_a.v.mesh,
+                                                 full_a.problem.f),
+                               full_a.Q)
     assert_close(rep.S1, S1)
     assert_close(rep.S2, S2)
     assert_close(rep.S3, S3)

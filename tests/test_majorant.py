@@ -10,7 +10,7 @@ from ddmcert.majorant import (MajorantConstants, alpha_weights, beta_pair,
                               poincare_edge_constant)
 from ddmcert.mesh import build_lshape_mesh, build_rect_mesh
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
-                             manufactured_lshape_problem)
+                             f_oscillation, manufactured_lshape_problem)
 
 from _iterate import a_grad, error_of
 
@@ -81,8 +81,9 @@ def test_exact_flux_gives_zero_majorant():
     gv = a_grad(v, affine.A)
     y = average_gradient(gv, decomp)
     c = MajorantConstants.default(decomp, affine)
-    rep = evaluate_majorant(y, gv, affine, c,
-                            *f_cell_integrals(mesh, affine.f))
+    f_tri, f_sq = f_cell_integrals(mesh, affine.f)
+    rep = evaluate_majorant(y, gv, affine, c, f_tri,
+                            f_oscillation(mesh, f_tri, f_sq))
     assert rep.total_sq < 1e-26
     assert rep.guaranteed
 
@@ -96,9 +97,10 @@ def test_unit_square_hand_value():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
+    f_tri, f_sq = f_cell_integrals(mesh, unit_source.f)
     rep = evaluate_majorant(y, a_grad(v, unit_source.A), unit_source,
-                            SQUARE_CONSTANTS,
-                            *f_cell_integrals(mesh, unit_source.f))
+                            SQUARE_CONSTANTS, f_tri,
+                            f_oscillation(mesh, f_tri, f_sq))
     assert np.isclose(rep.M1_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M3_sq, 0.0, atol=1e-14)
     assert np.isclose(rep.M2_sq, 6 / PI**2, rtol=1e-12)
@@ -112,9 +114,10 @@ def test_inadmissible_candidate_is_flagged():
                                   u_g=lambda p: np.zeros(p.shape[:-1]))
     v = ScalarFieldP1(mesh, np.zeros(mesh.n_vertices))
     y = BrokenFluxField(mesh, decomp, np.zeros((mesh.n_triangles, 3, 2)))
+    f_tri, f_sq = f_cell_integrals(mesh, unit_source.f)
     rep = evaluate_majorant(y, a_grad(v, unit_source.A), unit_source,
-                            SQUARE_CONSTANTS,
-                            *f_cell_integrals(mesh, unit_source.f))
+                            SQUARE_CONSTANTS, f_tri,
+                            f_oscillation(mesh, f_tri, f_sq))
     assert not rep.guaranteed       # mean residual is 1, way above tolerance
 
 
@@ -155,10 +158,11 @@ def test_majorant_terms_obey_parallelogram_identity(cert4):
                           np.zeros_like(cert4.yt.p1_part))
 
     def terms(yt, q, v, prob):
+        f_tri, f_sq = f_cell_integrals(cert4.mesh, prob.f)
         rep = evaluate_majorant(corrected_flux(yt, q, space),
                                 a_grad(v, prob.A), prob,
-                                cert4.constants,
-                                *f_cell_integrals(cert4.mesh, prob.f))
+                                cert4.constants, f_tri,
+                                f_oscillation(cert4.mesh, f_tri, f_sq))
         return np.array([rep.S1.sum(), rep.S2.sum(), rep.S3.sum()])
 
     sa = terms(cert4.yt, qa, cert4.v, cert4.problem)
@@ -186,7 +190,7 @@ def test_optimize_eps_never_increases(cert4):
     eps = optimize_eps(rep.S1, rep.S2, rep.S3, cert4.constants)
     rep_opt = evaluate_majorant(cert4.y, cert4.a_grad_v, cert4.problem,
                                 cert4.constants, eps=eps,
-                                f_tri=cert4.f_tri, f_sq_tri=cert4.f_sq)
+                                f_tri=cert4.f_tri, f_osc=cert4.f_osc)
     assert rep_opt.total_sq <= rep.total_sq * (1 + 1e-14)
     # the optimal weighted value equals the structural D11 bound, squared
     assert np.isclose(rep_opt.total_sq, rep_opt.D11**2, rtol=1e-12)
@@ -207,7 +211,7 @@ def test_majorant_needs_no_exact_solution(cert4):
     blind = dataclasses.replace(cert4.problem, exact_u=no_exact,
                                 exact_grad=no_exact)
     reps = [evaluate_majorant(cert4.y, cert4.a_grad_v, prob, cert4.constants,
-                              cert4.f_tri, cert4.f_sq)
+                              cert4.f_tri, cert4.f_osc)
             for prob in (cert4.problem, blind)]
     for rep in reps:
         assert rep.energy_err is None

@@ -64,6 +64,13 @@ def test_sweep_invariants_computed_once_per_run(calls):
     assert per_run[2][2] == len(quad_rule(5)[1])
 
 
+def test_certify_iterate_rejects_an_unknown_eps_policy(cert4):
+    solver = flux.CorrectorSolver(cert4.space, cert4.problem,
+                                  cert4.constants)
+    with pytest.raises(ValueError, match="'fixed' or 'opt'"):
+        pipeline.certify_iterate(cert4.v, solver, "optimal")
+
+
 @pytest.mark.parametrize("eps_policy", ["fixed", "opt"])
 @pytest.mark.parametrize("H", [1 / 8, 1 / 4], ids=["H=h", "H=1/4"])
 def test_one_fine_mesh_majorant_per_certified_sweep(monkeypatch, eps_policy,
