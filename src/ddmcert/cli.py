@@ -19,10 +19,8 @@ from pathlib import Path
 
 from .linalg import SolverError
 from .mesh import MeshError
-from .pipeline import (ConfigError, RunConfig, RunResult, SweepRow,
-                       TABLE3_SWEEPS, TABLE4_SWEEPS, output_dir, run_case,
-                       run_checks, table1_rows, table2_rows, table34_result,
-                       table_configs)
+from .pipeline import (ConfigError, RunConfig, SweepRow, output_dir,
+                       run_case, run_checks, table_configs, table_rows)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -161,8 +159,9 @@ def _emit(out: Path | None, name: str, text: str) -> None:
 
 
 def _write_artifacts(out_dir: str | None, rows, label: str | None, headers,
-                     body, violation: bool) -> int:
-    """Write a subcommand's artifacts and return its exit code.
+                     body) -> int:
+    """Write a subcommand's artifacts and return its exit code, which
+    flags a row that violates the guarantee.
 
     ``history.csv`` (only with an output directory, which ``output_dir``
     made before the command computed anything) gets ``rows`` as
@@ -173,6 +172,7 @@ def _write_artifacts(out_dir: str | None, rows, label: str | None, headers,
     if out is not None:
         write_history_csv(out / "history.csv", rows, label=label)
     _emit(out, "table.md", markdown_table(headers, body))
+    violation = any(row.violates_guarantee() for _, row in rows)
     return EXIT_GUARANTEE if violation else EXIT_OK
 
 
@@ -188,77 +188,48 @@ def cmd_run(args) -> int:
     body = [[str(r.sweep)] + _std_cells(r) + [sci3(r.error)]
             for r in res.rows]
     return _write_artifacts(cfg.out, [(None, r) for r in res.rows], None,
-                            headers, body, res.violation)
+                            headers, body)
 
 
-def cmd_table1(args) -> int:
-    configs = table_configs("table1", args.h, args.sweeps)
+def _subdomain_cells(row: SweepRow) -> list:
+    rep = row.report
+    return [sci3(a * s) for a, parts in zip(rep.alphas, (rep.S1, rep.S2))
+            for s in parts]
+
+
+def cmd_table(args) -> int:
+    """``table1`` .. ``table4``: ``table1`` and ``table2`` label their rows
+    by h and H, the per-sweep tables by sweep; ``table4`` splits M1^2 and
+    M2^2 per basic subdomain."""
+    name = args.command
+    configs = table_configs(name, args.h, args.sweeps)
     output_dir(args.out)
-    rows = [(frac(h), row) for h, row in table1_rows(configs)]
-    headers = ["h", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
-    body = [[h] + _std_cells(row) for h, row in rows]
-    return _write_artifacts(args.out, rows, "h", headers, body, any(
-        row.violates_guarantee() for _, row in rows))
-
-
-def cmd_table2(args) -> int:
-    configs = table_configs("table2", args.h, args.sweeps)
-    output_dir(args.out)
-    rows = [(frac(H), row) for H, row in table2_rows(configs)]
-    headers = ["H", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
-    body = [[H] + _std_cells(row) for H, row in rows]
-    return _write_artifacts(args.out, rows, "H", headers, body, any(
-        row.violates_guarantee() for _, row in rows))
-
-
-def _table34_run(args, name, table_sweeps) -> tuple[RunResult, list]:
-    """The shared run and the rows of table ``name``, which lists
-    ``table_sweeps``."""
-    (cfg,) = table_configs(name, args.h, args.sweeps)
-    output_dir(args.out)
-    res = table34_result(cfg)
-    return res, [r for r in res.rows if r.sweep in table_sweeps]
-
-
-def cmd_table3(args) -> int:
-    res, wanted = _table34_run(args, "table3", TABLE3_SWEEPS)
-    headers = ["n", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
-    body = [[str(r.sweep)] + _std_cells(r) for r in wanted]
-    return _write_artifacts(args.out, [(None, r) for r in wanted], None,
-                            headers, body, res.violation)
-
-
-def cmd_table4(args) -> int:
-    res, wanted = _table34_run(args, "table4", TABLE4_SWEEPS)
-    n_sub = len(res.decomp.basic)
-    headers = (["n"] + [f"M1^2 w{k + 1}" for k in range(n_sub)]
-               + [f"M2^2 w{k + 1}" for k in range(n_sub)])
-    body = []
-    for r in wanted:
-        rep = r.report
-        parts = ([sci3(rep.alphas[0] * s) for s in rep.S1]
-                 + [sci3(rep.alphas[1] * s) for s in rep.S2])
-        body.append([str(r.sweep)] + parts)
-    return _write_artifacts(args.out, [(None, r) for r in wanted], None,
-                            headers, body, res.violation)
+    label = {"table1": "h", "table2": "H"}.get(name)
+    rows = [(frac(key) if label else str(key), row)
+            for key, row in table_rows(name, configs)]
+    if name == "table4":
+        n_sub = len(rows[0][1].report.S1)
+        headers = ["n"] + [f"M{i}^2 w{k + 1}" for i in (1, 2)
+                           for k in range(n_sub)]
+        cells = _subdomain_cells
+    else:
+        headers = [label or "n", "M1^2", "M2^2", "M3^2", "M^2", "I_eff"]
+        cells = _std_cells
+    body = [[key] + cells(row) for key, row in rows]
+    return _write_artifacts(args.out, rows, label, headers, body)
 
 
 def cmd_check(args) -> int:
     h = args.h if args.h is not None else 0.25
     results = run_checks(h=h)
     width = max(len(name) for name, _, _ in results)
-    guarantee_failed = False
-    any_failed = False
     for name, ok, detail in results:
         tag = "PASS" if ok else "FAIL"
         print(f"{tag}  {name:<{width}}  {detail}".rstrip())
-        if not ok:
-            any_failed = True
-            if "guarantee" in name:
-                guarantee_failed = True
-    if guarantee_failed:
+    failed = [name for name, ok, _ in results if not ok]
+    if any("guarantee" in name for name in failed):
         return EXIT_GUARANTEE
-    return EXIT_SOLVER if any_failed else EXIT_OK
+    return EXIT_SOLVER if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +262,20 @@ _FLAGS = {
                           help="write per-sweep VTK field dumps"),
 }
 _TABLE_FLAGS = ("--h", "--sweeps", "--out")
-# Each subcommand takes only the flags its handler reads.
-_SUBCOMMAND_FLAGS = {"run": tuple(_FLAGS), "table1": _TABLE_FLAGS,
-                     "table2": _TABLE_FLAGS, "table3": _TABLE_FLAGS,
-                     "table4": _TABLE_FLAGS, "check": ("--h",)}
+# Each subcommand's handler, help line and the flags its handler reads.
+_SUBCOMMANDS = {
+    "run": (cmd_run, "one configured pipeline with per-sweep certification",
+            tuple(_FLAGS)),
+    "table1": (cmd_table, "refinement study, corrector on the fine mesh "
+               "(H=h)", _TABLE_FLAGS),
+    "table2": (cmd_table, "fixed fine mesh, corrector on coarser meshes "
+               "(H>h)", _TABLE_FLAGS),
+    "table3": (cmd_table, "majorant parts along the iteration (H=h)",
+               _TABLE_FLAGS),
+    "table4": (cmd_table, "per-subdomain volume terms along the iteration",
+               _TABLE_FLAGS),
+    "check": (cmd_check, "invariant suite on a small preset", ("--h",)),
+}
 
 
 def build_parser() -> _Parser:
@@ -303,20 +284,9 @@ def build_parser() -> _Parser:
                                  "guaranteed a posteriori error bounds.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-    handlers = {"run": cmd_run, "table1": cmd_table1, "table2": cmd_table2,
-                "table3": cmd_table3, "table4": cmd_table4,
-                "check": cmd_check}
-    descriptions = {
-        "run": "one configured pipeline with per-sweep certification",
-        "table1": "refinement study, corrector on the fine mesh (H=h)",
-        "table2": "fixed fine mesh, corrector on coarser meshes (H>h)",
-        "table3": "majorant parts along the iteration (H=h)",
-        "table4": "per-subdomain volume terms along the iteration",
-        "check": "invariant suite on a small preset",
-    }
-    for name, handler in handlers.items():
-        sub = subs.add_parser(name, help=descriptions[name])
-        for flag in _SUBCOMMAND_FLAGS[name]:
+    for name, (handler, help_line, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for flag in flags:
             sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser

@@ -363,9 +363,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     slot_sign = np.where(tri.triangles[:, [1, 2, 0]]
                          < tri.triangles[:, [2, 0, 1]], 1.0, -1.0)
     ct_verts = tri.vertices[tri.triangles]
-    e1 = ct_verts[:, 1] - ct_verts[:, 0]
-    e2 = ct_verts[:, 2] - ct_verts[:, 0]
-    ct_area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    ct_area = tri.areas
 
     # --- constraint rows and interface edges -------------------------------
     inv_area_k = 1.0 / np.array([sub.area for sub in decomp.basic])

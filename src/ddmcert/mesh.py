@@ -308,7 +308,12 @@ def _one_diagonal_grid(cells: np.ndarray, h: float):
 
 
 def _lattice_cells(m: int, n: int) -> np.ndarray:
-    """(i, j) of every square of an m x n lattice, row by row."""
+    """(i, j) of every square of an m x n lattice, row by row; MeshError
+    before anything is allocated if no index array can hold them."""
+    limit = np.iinfo(np.intp).max // (2 * np.dtype(np.intp).itemsize)
+    if m * n > limit:
+        raise MeshError(f"the lattice has more than {limit} squares, more "
+                        "than an index array can hold")
     j, i = np.divmod(np.arange(m * n), m)
     return np.stack([i, j], axis=1)
 

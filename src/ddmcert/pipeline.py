@@ -15,10 +15,10 @@ corrector (``flux.steering_sums``, by the majorant's own S2 and jump
 formulas), so the majorant is evaluated once per certified sweep, for the
 final round's flux.  ``output_dir`` makes a run's artifact directory
 before anything is computed, and a table command checks every
-configuration of its runs (``table_configs``) before that; ``table1_rows``
-and the other table functions then run exactly those configurations.  A
-run returns its geometry, its problem and one ``SweepRow`` per certified
-sweep, which reads its error from its report.
+configuration of its runs (``table_configs``) before that; ``table_rows``
+then runs exactly those configurations, certifying only the sweeps the
+table prints.  A run returns its geometry, its problem and one
+``SweepRow`` per certified sweep, which reads its error from its report.
 
 What does not change from sweep to sweep is computed once per run: the
 mesh keeps its P1 gradients, edge lengths and side midpoints, and the
@@ -158,10 +158,6 @@ class RunResult:
     problem: EllipticProblem
     rows: list = field(default_factory=list)
 
-    @property
-    def violation(self) -> bool:
-        return any(r.violates_guarantee() for r in self.rows)
-
     def final_row(self) -> SweepRow:
         return self.rows[-1]
 
@@ -283,8 +279,8 @@ def run_case(config: RunConfig,
 
 TABLE1_H = (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64)
 TABLE2_COARSE = (1 / 4, 1 / 8, 1 / 16, 1 / 32)
-TABLE3_SWEEPS = (2, 4, 6, 8)
-TABLE4_SWEEPS = (2, 3, 4, 7, 8)
+# the sweeps the per-sweep tables list
+TABLE_SWEEPS = {"table3": (2, 4, 6, 8), "table4": (2, 3, 4, 7, 8)}
 # default (h, sweeps) per table; h is the finest mesh size for table1
 TABLE_DEFAULTS = {"table1": (TABLE1_H[-1], 16), "table2": (1 / 64, 16),
                   "table3": (1 / 64, 8), "table4": (1 / 64, 8)}
@@ -313,7 +309,7 @@ def table_configs(name: str, h: Optional[float] = None,
         if not configs:
             raise ConfigError(f"no coarse sizes >= h={h} available")
     else:
-        first = (TABLE3_SWEEPS if name == "table3" else TABLE4_SWEEPS)[0]
+        first = TABLE_SWEEPS[name][0]
         if sweeps < first:
             raise ConfigError(f"sweeps={sweeps} leaves the table empty: its "
                               f"first row is sweep {first}")
@@ -321,16 +317,23 @@ def table_configs(name: str, h: Optional[float] = None,
     return [cfg.validated() for cfg in configs]
 
 
-def table1_rows(configs):
-    """(h, row) per configuration of ``table_configs('table1')``: the
-    final sweep of its run, corrector on the fine mesh."""
-    return [(cfg.h, run_case(cfg, majorant_sweeps=[cfg.sweeps]).final_row())
-            for cfg in configs]
+def table_rows(name: str, configs) -> list:
+    """(key, row) pairs of table ``name`` for the ``configs`` that
+    ``table_configs(name, ...)`` returned.
 
-
-def table2_rows(configs):
-    """(H, row) per configuration of ``table_configs('table2')``: one
-    Schwarz run on their shared fine mesh, one corrector per coarse size."""
+    ``table1`` keys by h the final sweep of one run per configuration,
+    corrector on the fine mesh.  ``table2`` keys by H the certificates of
+    one Schwarz run on the configurations' shared fine mesh, one corrector
+    per coarse size.  ``table3`` and ``table4`` key by sweep the rows of
+    their one run, which certifies only the sweeps the table lists.
+    """
+    if name == "table1":
+        return [(cfg.h, run_case(cfg, majorant_sweeps=[cfg.sweeps])
+                 .final_row()) for cfg in configs]
+    if name in TABLE_SWEEPS:
+        (cfg,) = configs
+        res = run_case(cfg, majorant_sweeps=TABLE_SWEEPS[name])
+        return [(row.sweep, row) for row in res.rows]
     fine = configs[0]
     mesh, decomp, problem = build_preset(fine)
     constants = MajorantConstants.default(decomp, problem)
@@ -343,12 +346,6 @@ def table2_rows(configs):
         _, rep = certify_iterate(v, solver, "fixed")
         rows.append((cfg.H, SweepRow(cfg.sweeps, rep)))
     return rows
-
-
-def table34_result(config: RunConfig) -> RunResult:
-    """The shared fixed-mesh run behind the per-sweep tables, the one
-    configuration of ``table_configs('table3')`` or ``('table4')``."""
-    return run_case(config, majorant_sweeps=set(TABLE3_SWEEPS + TABLE4_SWEEPS))
 
 
 # ---------------------------------------------------------------------------

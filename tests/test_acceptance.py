@@ -18,8 +18,8 @@ from ddmcert.majorant import (MajorantConstants, evaluate_majorant,
                               optimize_eps, poincare_edge_constant)
 from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
                           build_rect_mesh, compatibility_check)
-from ddmcert.pipeline import (RunConfig, run_case, table1_rows, table2_rows,
-                              table_configs)
+from ddmcert.pipeline import (RunConfig, run_case, table_configs,
+                              table_rows)
 from ddmcert.problem import (assemble_load, assemble_stiffness,
                              f_cell_integrals, f_oscillation,
                              manufactured_lshape_problem)
@@ -60,7 +60,7 @@ def matrix_runs():
 @pytest.fixture(scope="module")
 def table1_data():
     t0 = time.perf_counter()
-    rows = table1_rows(table_configs("table1", 1 / 32, 16))
+    rows = table_rows("table1", table_configs("table1", 1 / 32, 16))
     return SimpleNamespace(rows=rows, elapsed=time.perf_counter() - t0)
 
 
@@ -69,7 +69,8 @@ def table2_data():
     """Table 2 at h = 1/64, plus the H = h row the coarse rows compare to."""
     t0 = time.perf_counter()
     configs = table_configs("table2", 1 / 64, 16)
-    rows = table2_rows(configs + [RunConfig(h=1 / 64, sweeps=16).validated()])
+    rows = table_rows("table2",
+                      configs + [RunConfig(h=1 / 64, sweeps=16).validated()])
     return SimpleNamespace(rows=rows, elapsed=time.perf_counter() - t0)
 
 
@@ -77,8 +78,9 @@ def table2_data():
 def table2_half_data():
     """Table 2 on the h = 1/32 iterate, for the coarse sizes shared with
     h = 1/64 (H = 1/32 would be H = h there)."""
-    return table2_rows([RunConfig(h=1 / 32, H=H, sweeps=16).validated()
-                        for H in (1 / 4, 1 / 8, 1 / 16)])
+    return table_rows("table2",
+                      [RunConfig(h=1 / 32, H=H, sweeps=16).validated()
+                       for H in (1 / 4, 1 / 8, 1 / 16)])
 
 
 @pytest.fixture(scope="module")
@@ -135,11 +137,12 @@ def _boundary_strip(h: float):
     """Where the uncorrected equilibration residual sits on the Table 2
     iterate.
 
-    Runs the Schwarz iteration ``table2_rows`` certifies, averages its flux
-    and splits ||div ytilde + f||^2 between the triangles that touch a
-    vertex on some basic-subdomain boundary (outer boundary or interface)
-    and the rest.  Returns the strip's share of the residual and of the
-    area, and the iterate's energy error (to tie it to the Table 2 rows).
+    Runs the Schwarz iteration ``table_rows('table2', ...)`` certifies,
+    averages its flux and splits ||div ytilde + f||^2 between the
+    triangles that touch a vertex on some basic-subdomain boundary (outer
+    boundary or interface) and the rest.  Returns the strip's share of the
+    residual and of the area, and the iterate's energy error (to tie it to
+    the Table 2 rows).
     """
     problem = manufactured_lshape_problem()
     mesh, decomp = build_lshape_mesh(h)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddmcert import cli, flux, linalg
+from ddmcert import cli, flux, linalg, pipeline
 from ddmcert.cli import (CSV_HEADER, _ratio, build_config, fmt_ieff, frac,
                          main, markdown_table, parse_config_file, sci3)
 from ddmcert.pipeline import ConfigError
@@ -184,8 +184,7 @@ def test_out_naming_a_file_exits_config(tmp_path, monkeypatch, capsys):
 
     # the directory is made before anything is computed
     monkeypatch.setattr(ddmcert.pipeline, "build_preset", refuse)
-    for name in ("table1_rows", "table2_rows", "table34_result"):
-        monkeypatch.setattr(ddmcert.cli, name, refuse)
+    monkeypatch.setattr(ddmcert.cli, "table_rows", refuse)
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     for argv in (["run", "--h", "1/4", "--sweeps", "1"],
@@ -224,6 +223,22 @@ def test_table4_small_grid(tmp_path, capsys):
     table = (out / "table.md").read_text()
     assert "M1^2 w3" in table and "M2^2 w3" in table
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("table, sweeps", [("table3", 4), ("table4", 5)])
+def test_per_sweep_tables_certify_only_the_sweeps_they_print(
+        table, sweeps, monkeypatch, capsys):
+    certify = pipeline.certify_iterate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "certify_iterate", counted)
+    assert main([table, "--h", "1/8"]) == 0
+    body = capsys.readouterr().out.splitlines()[2:]
+    assert len(calls) == len(body) == sweeps
 
 
 def test_table1_labels_rows_by_h(tmp_path, capsys):
@@ -394,6 +409,17 @@ def test_subdomain_factorization_failure_exits_solver(monkeypatch, capsys):
     assert "subdomain factorization failed on Omega_1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--h", "1/3000000000", "--sweeps", "1"],
+    ["check", "--h", "1e-20"],
+])
+def test_lattice_beyond_any_index_array_exits_solver(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ddmcert: solver error: the lattice has more than")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_out_of_memory_exits_solver(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()
@@ -417,6 +443,8 @@ PINNED_RUNS = [
     ("history_h16_H8_opt.csv",
      ["run", "--h", "1/16", "--H", "1/8", "--sweeps", "4", "--eps", "opt"]),
     ("history_h16_fixed.csv", ["run", "--h", "1/16", "--sweeps", "4"]),
+    ("history_table3_h16.csv", ["table3", "--h", "1/16"]),
+    ("history_table4_h16.csv", ["table4", "--h", "1/16"]),
 ]
 
 
@@ -441,6 +469,24 @@ def test_certified_numbers_match_pinned_history(name, argv, tmp_path,
                                want_row[keys:]):
             assert abs(float(a) - float(b)) <= 1e-12 * abs(float(b)), \
                 (want_row[0], field, a, b)
+
+
+# table.md of the table commands as an earlier version of the code wrote
+# them, table4's per-subdomain columns included
+PINNED_TABLES = [
+    ("table1_h16_s8.md", ["table1", "--h", "1/16", "--sweeps", "8"]),
+    ("table2_h16_s4.md", ["table2", "--h", "1/16", "--sweeps", "4"]),
+    ("table3_h16.md", ["table3", "--h", "1/16"]),
+    ("table4_h16.md", ["table4", "--h", "1/16"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", PINNED_TABLES)
+def test_table_md_matches_pinned_file(name, argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    want = (DATA / name).read_bytes()
+    assert capsys.readouterr().out.encode() == want
+    assert (tmp_path / "table.md").read_bytes() == want
 
 
 @pytest.mark.parametrize("args, code", [
