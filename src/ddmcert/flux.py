@@ -27,8 +27,10 @@ blocks straight into dof space.
 
 Certification reads its sweep-invariant tables from their owners and
 never recomputes them: the P1 gradients, edge lengths and side midpoints
-from the ``TriMesh``, and the cell integrals and oscillation of f and the
-exact gradient at the degree-5 points from the ``CorrectorSolver``, which
+from the ``TriMesh``, the averaging's corner keys and area sums from the
+``DomainDecomposition``, the slot weights (the cells' geometry) from the
+``CorrectorSpace``, and the cell integrals and oscillation of f and the
+exact gradient's degree-5 moments from the ``CorrectorSolver``, which
 keeps them for every iterate it certifies.  A flux's residual integrals
 and their means c1/c2 are formed in one place, ``constraint_residuals``;
 the corrector's right-hand side and the majorant read them from there.
@@ -53,8 +55,11 @@ round's majorant exceeds its minimum by at most ``PCG_GAP`` times the
 start's.  The P1 layer at the side midpoints and its divergence are kept
 by the averaged flux and shared with every corrected flux built from it.
 The kernels are plain array arithmetic: 2x2 products written out, sums
-over triangles by ``np.bincount`` over a key, the interface endpoint
-corners (``Interface.corners``) found once per run.
+over triangles by ``np.bincount`` over a key, gathers by ``np.take``,
+the corrector and the transpose that takes cell terms to the dofs
+(``rt0_affine``, ``_to_dofs``) as products with the slot weights' rows,
+the interface endpoint corners (``Interface.corners``) found once per
+run.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .mesh import CoarseMesh, DomainDecomposition, TriMesh
-from .problem import (EllipticProblem, exact_grad_table, f_cell_integrals,
+from .problem import (EllipticProblem, exact_grad_moments, f_cell_integrals,
                       f_oscillation, mat_vec, quad_rule)
 
 
@@ -95,11 +100,13 @@ class BrokenFluxField:
         on first use and shared by ``corrected_flux``."""
         if self._p1_mid is None:
             p = self.p1_part
-            self._p1_mid = mid = np.empty_like(p)
-            for m, d in np.ndindex(3, 2):       # 1-D views: faster than einsum
-                np.add(p[:, m - 2, d], p[:, m - 1, d], out=mid[:, m, d])
+            # the corners after and before m; whole-row gathers run faster
+            # than sums over 1-D views or einsum
+            mid = np.take(p, [1, 2, 0], axis=1)
+            mid += np.take(p, [2, 0, 1], axis=1)
             mid *= 0.5
             mid.flags.writeable = False
+            self._p1_mid = mid
         return self._p1_mid
 
     def p1_divergence(self) -> np.ndarray:
@@ -125,7 +132,8 @@ class BrokenFluxField:
             else:
                 a_ct, g_ct = rt0_affine(self.space, self.coeffs, slice(None))
                 ct = self.space.fine_tri_ct
-                self._affine = (a_ct[ct], g_ct[ct])
+                # ``np.take``: fancy indexing of the (CT, 2) rows costs 5x
+                self._affine = (np.take(a_ct, ct, axis=0), np.take(g_ct, ct))
         return self._affine
 
     def values(self, bary: Optional[np.ndarray] = None) -> np.ndarray:
@@ -138,8 +146,12 @@ class BrokenFluxField:
             p1 = bary @ self.p1_part
             pts = bary @ self.mesh.vertices[self.mesh.triangles]
         a, g = self.corrector_affine()
-        out = g[:, None, None] * pts
-        out += a[:, None, :]
+        n_q = p1.shape[1]
+        # spread over the points by np.repeat/np.tile: broadcasting over a
+        # length-2 axis costs 2x
+        out = np.repeat(g, 2 * n_q).reshape(p1.shape)
+        out *= pts
+        out += np.tile(a, n_q).reshape(p1.shape)
         out += p1
         return out
 
@@ -167,16 +179,12 @@ class BrokenFluxField:
 def rt0_affine(space: "CorrectorSpace", q: np.ndarray, cts):
     """The corrector of dofs ``q`` on the cell-triangles ``cts`` (an index
     array or a slice) as value a + g * x: (a, g) of shapes cts + (2,) and
-    cts."""
-    f = np.take(q, space.slot_dof[cts])                    # (..., 3)
-    f *= space.slot_sign[cts]
-    v = space.ct_verts[cts]
-    scale = 1.0 / (2.0 * space.ct_area[cts])
-    a = np.stack([-(f[..., 0] * v[..., 0, d] + f[..., 1] * v[..., 1, d]
-                    + f[..., 2] * v[..., 2, d]) * scale
-                  for d in range(2)], axis=-1)
-    g = (f[..., 0] + f[..., 1] + f[..., 2]) * scale
-    return a, g
+    cts, (a, g)_k = sum_i q[slot_dof[c, i]] slot_weights[i, k, c]."""
+    f = np.take(q, space.slot_dof[cts])                    # cts + (3,)
+    w = space.slot_weights[:, :, cts]
+    a0, a1, g = (f[..., 0] * w[0, k] + f[..., 1] * w[1, k]
+                 + f[..., 2] * w[2, k] for k in range(3))
+    return np.stack([a0, a1], axis=-1), g
 
 
 def corrector_jumps(space: "CorrectorSpace", q: np.ndarray, g) -> np.ndarray:
@@ -222,18 +230,19 @@ def average_gradient(a_grad_v: np.ndarray,
     subdomain's triangles meeting that vertex; vertices on an interface
     receive distinct values from either side.  The result is piecewise
     linear on each omega_k (zero corrector).  The sums run over one key per
-    (subdomain, vertex) pair.
+    (subdomain, vertex) pair that a corner has, so that no key's area sum
+    is 0; the keys and the area sums are the decomposition's
+    (``corner_key``, ``corner_area_sums``).
     """
-    mesh = decomp.mesh
-    w = mesh.areas
-    key = (decomp.tri_subdomain * mesh.n_vertices)[:, None] + mesh.triangles
-    n = decomp.n_basic * mesh.n_vertices
-    den = np.bincount(key.ravel(), np.repeat(w, 3), n)[key]
-    p1_part = np.empty((mesh.n_triangles, 3, 2))
+    w = decomp.mesh.areas
+    key = decomp.corner_key
+    den = decomp.corner_area_sums
+    avg = np.empty((len(den), 2))
     for d in range(2):
-        num = np.bincount(key.ravel(), np.repeat(w * a_grad_v[:, d], 3), n)
-        p1_part[:, :, d] = num[key] / den
-    return BrokenFluxField(mesh, decomp, p1_part)
+        avg[:, d] = np.bincount(key.ravel(), np.repeat(w * a_grad_v[:, d], 3),
+                                len(den))
+    avg /= den[:, None]
+    return BrokenFluxField(decomp.mesh, decomp, np.take(avg, key, axis=0))
 
 
 def corrected_flux(ytilde: BrokenFluxField, q: np.ndarray,
@@ -306,7 +315,12 @@ class CorrectorSpace:
     traversal order of its fine edges, their omega_k dofs (each omega_j dof
     is the next one), their orientation (+1 where the edge normal points
     along n_kj, else -1) and their lengths.  Of the coarse mesh the space
-    keeps only the cell-triangles' vertices and ``fine_tri_ct``.
+    keeps only ``fine_tri_ct`` and the slot weights: with V_i the vertex
+    opposite slot i and S the area of cell-triangle c, ``slot_weights[i,
+    :, c]`` is slot_sign (-V_i, 1) / (2 S), so that the corrector of dofs
+    q on c is a + g x with (a, g) = sum_i q[slot_dof[c, i]]
+    slot_weights[i, :, c] (``rt0_affine``).  The cell index is last, so
+    that each of the nine weights is one contiguous (CT,) row.
 
     ``C`` holds the admissibility constraint rows (one per basic subdomain,
     then one per interface), each normalized by the measure it averages
@@ -319,11 +333,10 @@ class CorrectorSpace:
     """
 
     decomp: DomainDecomposition
-    ct_verts: np.ndarray          # (CT, 3, 2)
-    ct_area: np.ndarray           # (CT,)
     fine_tri_ct: np.ndarray       # (T,)
     slot_dof: np.ndarray          # (CT, 3)
     slot_sign: np.ndarray         # (CT, 3)
+    slot_weights: np.ndarray      # (3, 3, CT)
     n_dofs: int
     ifaces: list                  # per interface: (dofs, signs, lengths)
     C: sp.csr_matrix              # constraints
@@ -364,6 +377,12 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
                          < tri.triangles[:, [2, 0, 1]], 1.0, -1.0)
     ct_verts = tri.vertices[tri.triangles]
     ct_area = tri.areas
+    slot_weights = np.empty((3, 3, tri.n_triangles))
+    for i in range(3):
+        s_i = slot_sign[:, i] / (2.0 * ct_area)
+        slot_weights[i, 0] = -s_i * ct_verts[:, i, 0]
+        slot_weights[i, 1] = -s_i * ct_verts[:, i, 1]
+        slot_weights[i, 2] = s_i
 
     # --- constraint rows and interface edges -------------------------------
     inv_area_k = 1.0 / np.array([sub.area for sub in decomp.basic])
@@ -426,8 +445,8 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
         J_hats.append((_pattern_positions(D_hat, r, c),
                        np.concatenate([w, -w, -w, w])))
 
-    return CorrectorSpace(decomp, ct_verts, ct_area, coarse.fine_tri_ct,
-                          slot_dof, slot_sign, n_dofs, ifaces, C, M_hat, D_hat,
+    return CorrectorSpace(decomp, coarse.fine_tri_ct, slot_dof, slot_sign,
+                          slot_weights, n_dofs, ifaces, C, M_hat, D_hat,
                           J_hats)
 
 
@@ -481,12 +500,15 @@ class RhsTable:
     S1: Optional[float] = None
 
 
-def _to_dofs(space: CorrectorSpace, slot_vals: np.ndarray) -> np.ndarray:
-    """Per dof, the sum of its slots' values (CT, 3) times their signs;
-    ``slot_vals`` is overwritten."""
-    slot_vals *= space.slot_sign
-    return np.bincount(space.slot_dof.ravel(), slot_vals.ravel(),
-                       space.n_dofs)
+def _to_dofs(space: CorrectorSpace, x: dict) -> np.ndarray:
+    """Per dof, the sum over its slots (c, i) of sum_k slot_weights[i, k,
+    c] x[k][c], for per-cell rows ``x`` {k: (CT,)} (a missing k is a zero
+    row): the transpose of ``rt0_affine``'s map."""
+    w = space.slot_weights
+    slot = np.empty(space.slot_dof.shape)
+    for i in range(3):
+        slot[:, i] = sum(w[i, k] * x_k for k, x_k in x.items())
+    return np.bincount(space.slot_dof.ravel(), slot.ravel(), space.n_dofs)
 
 
 def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
@@ -497,11 +519,14 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
     ``f_tri`` holds the cell integrals of f.  With ``steering`` the table
     also holds sum S1 of ytilde, for the iterate's eps rounds.
 
-    The cross term of basis function i is sum_m ra_m . p_m - (sum_m ra_m)
-    . V_i, ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m and V_i
-    the cell-triangle's vertices.  Summed over the slots of each dof it is
-    l1; the residual against the basis's divergence is l2, and ytilde's
-    jump integral over each coarse interface edge, over its length, l3.
+    With ra_m = A^{-1} (ytilde - A grad v) at side midpoint p_m, a cell's
+    midpoint-rule sums R = sum_t |t|/3 sum_m ra_m and P = sum_t |t|/3
+    sum_m ra_m . p_m over its fine triangles give the cross term of its
+    slot i, (P - R . V_i) / (2 S) times the slot's sign, V_i the vertex
+    opposite the slot and S the cell's area.  Summed over the slots of
+    each dof it is l1 (``_to_dofs`` of (R, P)); the residual against the
+    basis's divergence is l2, and ytilde's jump integral over each coarse
+    interface edge, over its length, l3.
     """
     mesh = space.decomp.mesh
 
@@ -509,19 +534,16 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
     pts = mesh.side_midpoints
     ra = [mat_vec(problem.A_inv, mid[:, m, 0] - a_grad_v[:, 0],
                   mid[:, m, 1] - a_grad_v[:, 1]) for m in range(3)]
-    ra_p = sum(r0 * pts[:, m, 0] + r1 * pts[:, m, 1]
-               for m, (r0, r1) in enumerate(ra))
-    ra_sum = [ra[0][d] + ra[1][d] + ra[2][d] for d in range(2)]
-
     ct = space.fine_tri_ct
-    n_ct = len(space.ct_area)
-    scale = mesh.areas / (6.0 * space.ct_area[ct])               # w/(2 S_ct)
-    slot = np.empty((n_ct, 3))
-    for i in range(3):
-        slot[:, i] = np.bincount(
-            ct, (ra_p - ra_sum[0] * space.ct_verts[ct, i, 0]
-                 - ra_sum[1] * space.ct_verts[ct, i, 1]) * scale, n_ct)
-    l1 = _to_dofs(space, slot)
+    n_ct = space.slot_dof.shape[0]
+    x = {d: np.bincount(ct, (ra[0][d] + ra[1][d] + ra[2][d]) * mesh.areas,
+                        n_ct) for d in range(2)}
+    x[2] = np.bincount(ct, sum(r0 * pts[:, m, 0] + r1 * pts[:, m, 1]
+                               for m, (r0, r1) in enumerate(ra)) * mesh.areas,
+                       n_ct)
+    for row in x.values():
+        row /= 3.0                           # the midpoint rule's weight
+    l1 = _to_dofs(space, x)
     S1 = None
     if steering:
         _, w = quad_rule(2)
@@ -531,8 +553,8 @@ def rhs_table(space: CorrectorSpace, ytilde: BrokenFluxField,
         S1 = float(np.sum(mesh.areas * dens))
 
     res = constraint_residuals(ytilde, f_tri)
-    per_ct = np.bincount(ct, res.cell, n_ct) / space.ct_area
-    l2 = _to_dofs(space, np.repeat(per_ct[:, None], 3, axis=1))
+    # slot i's weight 2 is its sign over 2 S
+    l2 = _to_dofs(space, {2: 2.0 * np.bincount(ct, res.cell, n_ct)})
     l3 = np.zeros(space.n_dofs)
     for m, (dk, sign, length) in enumerate(space.ifaces):
         # every coarse edge covers an equal run of consecutive fine edges
@@ -576,7 +598,8 @@ def steering_sums(space: CorrectorSpace, table: RhsTable, q: np.ndarray,
     # not ``@`` for the dot product (see ``linalg._dot``)
     S1 = table.S1 + np.einsum("i,i->", 2.0 * table.l1 + space.M_hat @ q, q)
     areas = space.decomp.mesh.areas
-    half_div = rt0_affine(space, q, slice(None))[1][space.fine_tri_ct]
+    half_div = np.take(rt0_affine(space, q, slice(None))[1],
+                       space.fine_tri_ct)
     cell = table.residuals.cell + 2.0 * areas * half_div
     S2 = s2_density(cell, areas, f_osc).sum()
     jumps = [ev + corrector_jumps(space, q, g) for g, ev
@@ -616,10 +639,11 @@ class CorrectorSolver:
     and ``alphas``, those of eps = (1, 1, 1).  The solver also owns the
     run's tables of the problem on the fine mesh: the cell integrals
     ``f_tri`` of f, the oscillation ``f_osc`` of f (see ``s2_density``)
-    and ``exact_grad``, the exact gradient at the degree-5 points, filled
-    on first use.  ``solve`` takes an
-    iterate's ``rhs_table``, the weights of its round, a start and the
-    start's majorant under those weights.
+    and ``grad_moments``, the exact gradient's degree-5 mean (T, 2) and
+    centered spread (T,) per triangle (``problem.exact_grad_moments``),
+    filled on first use.  ``solve`` takes an iterate's ``rhs_table``, the
+    weights of its round, a start and the start's majorant under those
+    weights.
 
     Besides the fixed-weight factor the solver keeps at most one other:
     that of the last eps round it factorized, kept across iterates, since
@@ -643,10 +667,12 @@ class CorrectorSolver:
         return corrector_matrix(self.space, alphas, self.constants.beta)
 
     @cached_property
-    def exact_grad(self) -> np.ndarray:
-        """``exact_grad_table`` on the fine mesh (T, 7, 2)."""
-        out = exact_grad_table(self.space.decomp.mesh, self.problem)
-        out.flags.writeable = False
+    def grad_moments(self) -> tuple:
+        """``exact_grad_moments`` on the fine mesh, read-only: the mean
+        (T, 2) and the centered spread (T,) of the exact gradient."""
+        out = exact_grad_moments(self.space.decomp.mesh, self.problem)
+        for a in out:
+            a.flags.writeable = False
         return out
 
     def solve(self, table: RhsTable, alphas, start=None, ref_sq=None):

@@ -34,8 +34,10 @@ agree with these to roundoff and never enter a report.  S1 and
 ``energy_error``, which a run compares the majorant with, write out their
 2x2 quadratic forms (``problem.quad_form``); S1 and S2 sum per subdomain
 by ``np.bincount``.
-``energy_error`` integrates the error of grad v against the exact gradient
-at the degree-5 points; its caller attaches it to the report.
+``energy_error`` is the degree-5 integral of the error of grad v, formed
+from the exact gradient's per-triangle mean and centered spread
+(``problem.exact_grad_moments``) in one pass over (T,) arrays; its caller
+attaches it to the report.
 """
 
 from __future__ import annotations
@@ -151,19 +153,21 @@ class MajorantReport:
         return self.total / err if err > 0 else math.inf
 
 
-def energy_error(mesh: TriMesh, A, grad_v: np.ndarray,
-                 grad_u: np.ndarray) -> float:
+def energy_error(mesh: TriMesh, A, grad_v: np.ndarray, grad_mean: np.ndarray,
+                 grad_spread: np.ndarray) -> float:
     """Energy norm ||grad(u - v)||_A of the error of v, from its gradient
-    ``grad_v`` (T, 2) and the exact gradient ``grad_u`` at the degree-5
-    points (``problem.exact_grad_table``, (T, 7, 2)).  Four (T, 7) arrays
-    are alive at most.
+    ``grad_v`` (T, 2) and the degree-5 moments of the exact gradient
+    (``problem.exact_grad_moments``): its mean ``grad_mean`` (T, 2) and
+    centered spread ``grad_spread`` (T,) per triangle.  It is the degree-5
+    sum of (grad u - grad v) . A (grad u - grad v), written as
+    sum spread + sum |T| (gbar - grad v) . A (gbar - grad v).
     """
-    d0 = grad_u[..., 0] - grad_v[:, 0, None]            # (T, 7)
-    d1 = grad_u[..., 1] - grad_v[:, 1, None]
-    dens = quad_form(A, d0, d1)                         # d . A d
-    _, w = quad_rule(5)
-    # not ``@``, which OpenBLAS threads at these sizes (see ``linalg._dot``)
-    val = (mesh.areas * np.einsum("tq,q->t", dens, w)).sum()
+    dens = quad_form(A, grad_mean[:, 0] - grad_v[:, 0],
+                     grad_mean[:, 1] - grad_v[:, 1])
+    dens *= mesh.areas
+    dens += grad_spread
+    # pairwise summation, off BLAS (see ``linalg._dot``)
+    val = dens.sum()
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -227,7 +231,7 @@ def evaluate_majorant(y: BrokenFluxField, a_grad_v: np.ndarray,
     # S1: || y - A grad v ||^2 with weight A^{-1}, per subdomain
     _, w = quad_rule(2)
     r = y.values()                                          # (T, 3, 2)
-    r -= a_grad_v[:, None, :]
+    r -= np.tile(a_grad_v, 3).reshape(r.shape)              # as in y.values
     dens = quad_form(problem.A_inv, r[..., 0], r[..., 1])   # r . A^-1 r
     per_tri_1 = mesh.areas * (dens @ w)
     S1 = np.bincount(decomp.tri_subdomain, per_tri_1, decomp.n_basic)

@@ -21,7 +21,10 @@ All objects are treated as immutable once built; nothing in the package
 mutates a mesh after construction, so concurrent reads are safe.  That lets
 a ``TriMesh`` own its derived geometry: the P1 basis gradients, the edge
 lengths and the side midpoints (the points of the degree-2 rule) are each
-computed on first use, kept on the mesh and handed out read-only.
+computed on first use, kept on the mesh and handed out read-only.  A
+``DomainDecomposition`` keeps the tables of gradient averaging the same
+way: a key per triangle corner for its (subdomain, vertex) pair and the
+area sum per key.
 """
 
 from __future__ import annotations
@@ -249,6 +252,24 @@ class DomainDecomposition:
     @property
     def n_basic(self) -> int:
         return len(self.basic)
+
+    @cached_property
+    def corner_key(self) -> np.ndarray:
+        """The key of every triangle corner's (subdomain, vertex) pair
+        (T, 3), read-only; filled on first use.  The keys number the pairs
+        that some corner has, 0, 1, ..., in the order of subdomain * V +
+        vertex."""
+        mesh = self.mesh
+        pair = (self.tri_subdomain * mesh.n_vertices)[:, None] + mesh.triangles
+        _, key = np.unique(pair, return_inverse=True)
+        return _read_only(key.reshape(pair.shape))
+
+    @cached_property
+    def corner_area_sums(self) -> np.ndarray:
+        """Per ``corner_key``, the area of the subdomain's triangles at the
+        vertex, read-only and positive; filled on first use."""
+        return _read_only(np.bincount(self.corner_key.ravel(),
+                                      np.repeat(self.mesh.areas, 3)))
 
     @property
     def n_overlap(self) -> int:

@@ -21,9 +21,12 @@ table prints.  A run returns its geometry, its problem and one
 ``SweepRow`` per certified sweep, which reads its error from its report.
 
 What does not change from sweep to sweep is computed once per run: the
-mesh keeps its P1 gradients, edge lengths and side midpoints, and the
-run's ``CorrectorSolver`` keeps the cell integrals and oscillation of f
-and the exact gradient at the degree-5 points.  What depends on the iterate but
+mesh keeps its P1 gradients, edge lengths and side midpoints, the
+decomposition the averaging's corner keys and area sums, the corrector
+space its slot weights, and the run's ``CorrectorSolver`` the cell
+integrals and oscillation of f and the exact gradient's degree-5 mean
+and centered spread per triangle, from which the energy error is one
+pass over (T,) arrays.  What depends on the iterate but
 not on the eps weights is formed once per iterate in ``certify_iterate``,
 however many eps rounds certify it, and passed on: grad v, the flux
 A grad v (averaged into the flux candidate, read by the table and by the
@@ -199,9 +202,9 @@ def certify_iterate(v: ScalarFieldP1, solver: CorrectorSolver,
     grad_v = v.gradient()
     a_grad_v = np.stack(mat_vec(problem.A, grad_v[:, 0], grad_v[:, 1]), axis=1)
     yt = average_gradient(a_grad_v, space.decomp)
-    # before the table, which keeps h = 1/128's peak RSS lower; through the
-    # module, so that a probe wrapping it there sees it
-    err = majorant.energy_error(v.mesh, problem.A, grad_v, solver.exact_grad)
+    # through the module, so that a probe wrapping it there sees it
+    err = majorant.energy_error(v.mesh, problem.A, grad_v,
+                                *solver.grad_moments)
     rounds = 1 + (OPT_ROUNDS if eps_policy == "opt" else 0)
     table = rhs_table(space, yt, a_grad_v, problem, solver.f_tri,
                       steering=rounds > 1)

@@ -13,10 +13,10 @@ with a ``linalg.SymmetricFactorization`` of its own.
 Tables that stay the same for a whole run are kept by their owners: the P1
 gradients of ``p1_gradients`` on the ``TriMesh`` (``mesh.p1_grads``), and
 the cell integrals of f, the oscillation of f (``f_oscillation``) and the
-exact gradient at the degree-5 points (``exact_grad_table``, filled one
-point at a time) on the ``flux.CorrectorSolver`` of a run.
-The energy error against that exact-gradient table is
-``majorant.energy_error``.
+degree-5 moments of the exact gradient (``exact_grad_moments``: its mean
+and its centered spread per triangle, formed a block of triangles at a
+time) on the ``flux.CorrectorSolver`` of a run.  The energy error from
+those moments is ``majorant.energy_error``.
 """
 
 from __future__ import annotations
@@ -233,19 +233,35 @@ def solve_dirichlet(mesh: TriMesh, K, F, boundary_nodes,
     return ScalarFieldP1(mesh, x)
 
 
-def exact_grad_table(mesh: TriMesh, problem: EllipticProblem) -> np.ndarray:
-    """The exact gradient at the degree-5 points of every triangle, (T, 7, 2).
+# Triangles per block of ``exact_grad_moments``: its temporaries stay near
+# 1 MB whatever the mesh.
+_MOMENT_BLOCK = 4096
 
-    Filled one point at a time, so that the temporaries of ``exact_grad``
-    are those of one point, not of all seven; the values are those of the
-    all-points evaluation.
+
+def exact_grad_moments(mesh: TriMesh, problem: EllipticProblem):
+    """The degree-5 moments of the exact gradient g on every triangle: its
+    mean gbar = sum_q w_q g(x_q) (T, 2) and its centered spread
+    |T| sum_q w_q (g(x_q) - gbar) . A (g(x_q) - gbar) (T,).
+
+    The unit-area weights sum to 1 and the deviations g(x_q) - gbar have
+    weighted mean zero, so for any constant c the degree-5 rule gives
+    int_T (g - c) . A (g - c) = spread + |T| (gbar - c) . A (gbar - c)
+    exactly, with no cancellation.  Formed ``_MOMENT_BLOCK`` triangles at
+    a time, so that the (T, 7, 2) values are never held at once.
     """
-    bary, _ = quad_rule(5)
-    corners = mesh.vertices[mesh.triangles]              # (T, 3, 2)
-    out = np.empty((mesh.n_triangles, len(bary), 2))
-    for q, b in enumerate(bary):
-        out[:, q] = problem.exact_grad(b @ corners)
-    return out
+    bary, w = quad_rule(5)
+    T = mesh.n_triangles
+    mean = np.empty((T, 2))
+    spread = np.empty(T)
+    for start in range(0, T, _MOMENT_BLOCK):
+        t = slice(start, start + _MOMENT_BLOCK)
+        g = problem.exact_grad(bary @ mesh.vertices[mesh.triangles[t]])
+        m = np.einsum("q,tqd->td", w, g)                # (n, 7, 2) -> (n, 2)
+        g = g - m[:, None, :]                           # g may be read-only
+        dens = quad_form(problem.A, g[..., 0], g[..., 1])
+        spread[t] = mesh.areas[t] * np.einsum("tq,q->t", dens, w)
+        mean[t] = m
+    return mean, spread
 
 
 def f_cell_integrals(mesh: TriMesh, f):

@@ -161,13 +161,52 @@ def test_run_output_is_reproducible(tmp_path):
     assert (out1 / "table.md").read_bytes() == (out2 / "table.md").read_bytes()
 
 
-def test_run_emit_fields(tmp_path):
+def vtk_cell_data(path, name, n_cells):
+    """The cell array ``name`` of a written VTK file as float rows."""
+    lines = path.read_text().splitlines()
+    i = next(k for k, ln in enumerate(lines)
+             if ln.split()[:2] in (["SCALARS", name], ["VECTORS", name]))
+    i += 2 if lines[i].startswith("SCALARS") else 1    # skip LOOKUP_TABLE
+    return np.array([[float(t) for t in ln.split()]
+                     for ln in lines[i:i + n_cells]])
+
+
+def test_run_emit_fields(tmp_path, monkeypatch):
     out = tmp_path / "art"
     assert main(RUN_ARGS[:3] + ["--sweeps", "2", "--out", str(out),
                                 "--emit-fields"]) == 0
     dumps = sorted(p.name for p in out.glob("fields_sweep*.vtk"))
     assert dumps == ["fields_sweep1.vtk", "fields_sweep2.vtk"]
     assert "POINT_DATA" in (out / "fields_sweep1.vtk").read_text()
+
+    # with a coarse corrector (H > h) the fields are those of the flux
+    # each sweep certified: the corrector evaluated through its cells
+    certified = []
+    certify = pipeline.certify_iterate
+
+    def keep(*args, **kwargs):
+        y, rep = certify(*args, **kwargs)
+        certified.append(y)
+        return y, rep
+
+    monkeypatch.setattr(pipeline, "certify_iterate", keep)
+    out = tmp_path / "coarse"
+    assert main(["run", "--h", "1/8", "--H", "1/4", "--sweeps", "2",
+                 "--out", str(out), "--emit-fields"]) == 0
+    assert len(certified) == 2
+    center = np.full((1, 3), 1.0 / 3.0)
+    for sweep, y in enumerate(certified, start=1):
+        assert y.space.slot_dof.shape[0] < y.mesh.n_triangles
+        path = out / f"fields_sweep{sweep}.vtk"
+        T = y.mesh.n_triangles
+        written = "%.12g"
+        div = vtk_cell_data(path, "div_y", T)[:, 0]
+        assert np.array_equal(div, [float(written % d)
+                                    for d in y.divergence()])
+        flux_y = vtk_cell_data(path, "flux_y", T)
+        assert np.array_equal(flux_y[:, :2],
+                              [[float(written % c) for c in row]
+                               for row in y.values(center)[:, 0, :]])
 
 
 def test_emit_fields_without_out_exits_config(capsys):

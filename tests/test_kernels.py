@@ -26,7 +26,8 @@ from ddmcert.majorant import (MajorantConstants, alpha_weights, energy_error,
                               evaluate_majorant)
 from ddmcert.mesh import build_coarse_mesh, build_lshape_mesh
 from ddmcert.pipeline import RunConfig, build_preset
-from ddmcert.problem import (EllipticProblem, f_cell_integrals,
+from ddmcert.problem import (EllipticProblem, ScalarFieldP1,
+                             exact_grad_moments, f_cell_integrals,
                              manufactured_lshape_problem, mat_vec,
                              p1_gradients, quad_form, quad_rule)
 from ddmcert.schwarz import run_schwarz
@@ -156,37 +157,45 @@ def ref_c1_rows(coarse, decomp, Q):
     return sp.diags(1.0 / areas_k) @ (r1 @ Q)
 
 
-def ref_affine(y, Q):
+def ref_cells(coarse):
+    """The slot matrix Q of ``coarse``, its cell-triangles' vertices
+    (CT, 3, 2) and areas, and the cell-triangle of every fine triangle."""
+    tri = coarse.tri
+    return SimpleNamespace(Q=ref_slot_matrix(coarse),
+                           verts=tri.vertices[tri.triangles],
+                           area=tri.areas, ct=coarse.fine_tri_ct)
+
+
+def ref_affine(y, cells):
     """Per fine triangle, the corrector as a + g x, or zero without one."""
     T = y.mesh.n_triangles
     if y.space is None:
         return np.zeros((T, 2)), np.zeros(T)
-    s = y.space
-    fluxes = (Q @ y.coeffs).reshape(-1, 3)
-    moment = np.einsum("ci,cid->cd", fluxes, s.ct_verts)
-    scale = 1.0 / (2.0 * s.ct_area)
-    ct = s.fine_tri_ct
+    fluxes = (cells.Q @ y.coeffs).reshape(-1, 3)
+    moment = np.einsum("ci,cid->cd", fluxes, cells.verts)
+    scale = 1.0 / (2.0 * cells.area)
+    ct = cells.ct
     return (-moment * scale[:, None])[ct], (fluxes.sum(axis=1) * scale)[ct]
 
 
-def ref_midpoint_values(y, Q):
+def ref_midpoint_values(y, cells):
     mesh = y.mesh
     bary, _ = quad_rule(2)
     p1 = np.einsum("qi,tid->tqd", bary, y.p1_part)
     pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
-    a, g = ref_affine(y, Q)
+    a, g = ref_affine(y, cells)
     return p1 + (a[:, None, :] + g[:, None, None] * pts)
 
 
-def ref_divergence(y, Q):
-    _, g = ref_affine(y, Q)
+def ref_divergence(y, cells):
+    _, g = ref_affine(y, cells)
     return (np.einsum("tid,tid->t", y.p1_part, p1_gradients(y.mesh))
             + 2.0 * g)
 
 
-def ref_jumps(y, m, Q):
+def ref_jumps(y, m, cells):
     g = y.decomp.interfaces[m]
-    a, slope = ref_affine(y, Q)
+    a, slope = ref_affine(y, cells)
     out = np.zeros((len(g.edges), 2))
     for side, sgn in ((0, 1.0), (1, -1.0)):
         tris = g.side_tris[:, side]
@@ -201,37 +210,38 @@ def ref_jumps(y, m, Q):
     return out
 
 
-def ref_rhs_table(space, yt, v, problem, f_tri, Q):
+def ref_rhs_table(space, yt, v, problem, f_tri, cells):
     """(l1, l2, a_grad_v) of the averaged flux ``yt`` of v: the cross and
     divergence terms per slot, taken to the dofs through Q."""
     mesh = space.decomp.mesh
     gv = np.einsum("de,te->td", problem.A, ref_gradient(v))
-    r = ref_midpoint_values(yt, Q) - gv[:, None, :]
+    r = ref_midpoint_values(yt, cells) - gv[:, None, :]
     ra = np.einsum("de,tqe->tqd", np.linalg.inv(problem.A), r)
-    ct = space.fine_tri_ct
+    ct = cells.ct
     bary, _ = quad_rule(2)
     pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
-    diff = pts[:, :, None, :] - space.ct_verts[ct][:, None, :, :]
+    diff = pts[:, :, None, :] - cells.verts[ct][:, None, :, :]
     cross = np.einsum("tmd,tmid->ti", ra, diff)
-    cross *= (mesh.areas / (6.0 * space.ct_area[ct]))[:, None]
-    slots = np.zeros((len(space.ct_area), 3))
+    cross *= (mesh.areas / (6.0 * cells.area[ct]))[:, None]
+    slots = np.zeros((len(cells.area), 3))
     np.add.at(slots, ct, cross)
-    per_ct = np.zeros(len(space.ct_area))
-    np.add.at(per_ct, ct, ref_divergence(yt, Q) * mesh.areas + f_tri)
-    return (Q.T @ slots.ravel(), Q.T @ np.repeat(per_ct / space.ct_area, 3),
+    per_ct = np.zeros(len(cells.area))
+    np.add.at(per_ct, ct, ref_divergence(yt, cells) * mesh.areas + f_tri)
+    Q = cells.Q
+    return (Q.T @ slots.ravel(), Q.T @ np.repeat(per_ct / cells.area, 3),
             gv)
 
 
-def ref_interface_term(coarse, yt, Q):
+def ref_interface_term(coarse, yt, cells):
     """l3: on the two dofs of every coarse interface edge, +- the integral
     of yt's jump over the edge along the edge normal, over its length."""
     tri = coarse.tri
     _, edge_dof, s0, s1 = ref_edge_dofs(coarse)
     mesh = yt.mesh
-    out = np.zeros(Q.shape[1])
+    out = np.zeros(cells.Q.shape[1])
     for m, g in enumerate(yt.decomp.interfaces):
         fine_int = (mesh.edge_lengths[g.edges]
-                    * ref_jumps(yt, m, Q).mean(axis=1))
+                    * ref_jumps(yt, m, cells).mean(axis=1))
         fine_mid = mesh.vertices[g.endpoints].mean(axis=1)
         for e in np.flatnonzero((np.minimum(s0, s1) == g.k)
                                 & (np.maximum(s0, s1) == g.j)):
@@ -256,24 +266,24 @@ def ref_energy_error(v, problem):
                                    mesh.areas[:, None] * w, d, ad)))
 
 
-def ref_term_sums(y, v, problem, f_tri, f_sq, Q):
+def ref_term_sums(y, v, problem, f_tri, f_sq, cells):
     """S1, S2 per basic subdomain and S3 per interface."""
     mesh, decomp = y.mesh, y.decomp
     _, w = quad_rule(2)
     gv = np.einsum("de,te->td", problem.A, ref_gradient(v))
-    r = ref_midpoint_values(y, Q) - gv[:, None, :]
+    r = ref_midpoint_values(y, cells) - gv[:, None, :]
     ra = np.einsum("de,tqe->tqd", np.linalg.inv(problem.A), r)
     S1 = np.zeros(decomp.n_basic)
     np.add.at(S1, decomp.tri_subdomain,
               mesh.areas * np.einsum("tqd,tqd,q->t", ra, r, w))
-    c = ref_divergence(y, Q)
+    c = ref_divergence(y, cells)
     S2 = np.zeros(decomp.n_basic)
     np.add.at(S2, decomp.tri_subdomain,
               c ** 2 * mesh.areas + 2.0 * c * f_tri + f_sq)
     S3 = np.array([
         np.sum(mesh.edge_lengths[g.edges] * (a * a + a * b + b * b) / 3.0)
         for m, g in enumerate(decomp.interfaces)
-        for a, b in [ref_jumps(y, m, Q).T]])
+        for a, b in [ref_jumps(y, m, cells).T]])
     return S1, S2, S3
 
 
@@ -305,7 +315,7 @@ def full_a(request):
                            constants=constants, space=space, solver=solver,
                            a_grad_v=gv, yt=yt, table=table,
                            y=corrected_flux(yt, q, space), coarse=coarse,
-                           Q=ref_slot_matrix(coarse))
+                           cells=ref_cells(coarse))
 
 
 def test_average_gradient_matches_reference(full_a):
@@ -315,19 +325,68 @@ def test_average_gradient_matches_reference(full_a):
 
 def test_rhs_table_matches_reference(full_a):
     l1, l2, gv = ref_rhs_table(full_a.space, full_a.yt, full_a.v,
-                               full_a.problem, full_a.solver.f_tri, full_a.Q)
+                               full_a.problem, full_a.solver.f_tri,
+                               full_a.cells)
     assert_close(full_a.table.l1, l1)
     assert_close(full_a.table.l2, l2)
     assert_close(full_a.table.l3,
-                 ref_interface_term(full_a.coarse, full_a.yt, full_a.Q))
+                 ref_interface_term(full_a.coarse, full_a.yt, full_a.cells))
     assert_close(full_a.a_grad_v, gv)
 
 
 def test_energy_error_matches_reference(full_a):
     v = full_a.v
     got = energy_error(v.mesh, full_a.problem.A, v.gradient(),
-                       full_a.solver.exact_grad)
+                       *full_a.solver.grad_moments)
     want = ref_energy_error(full_a.v, full_a.problem)
+    assert abs(got - want) <= RTOL * want
+
+
+def full_a_problem():
+    """The preset's solution u under ``A_FULL``: f = -div(A_FULL grad u),
+    so that the iterates converge to u's discretization."""
+    base = manufactured_lshape_problem()
+    pi = np.pi
+
+    def f(p):
+        sx, cx = np.sin(pi * p[..., 0]), np.cos(pi * p[..., 0])
+        sy, cy = np.sin(pi * p[..., 1]), np.cos(pi * p[..., 1])
+        uxx = -sx * sy + 0.5 * cx * (1.0 - cy)
+        uyy = -sx * sy + 0.5 * (1.0 - cx) * cy
+        uxy = cx * cy + 0.5 * sx * sy
+        return -(A_FULL[0, 0] * uxx + 2.0 * A_FULL[0, 1] * uxy
+                 + A_FULL[1, 1] * uyy)
+
+    return EllipticProblem(A=A_FULL, f=f, u_g=base.u_g, exact_u=base.exact_u,
+                           exact_grad=base.exact_grad)
+
+
+@pytest.fixture(scope="module")
+def h32_iterates():
+    """Sweeps 1 and 16 of an h = 1/32 run under ``A_FULL``: a large error
+    and one at the discretization error."""
+    problem = full_a_problem()
+    mesh, decomp = build_lshape_mesh(1 / 32)
+    kept = {}
+
+    def keep(n, v):
+        if n in (1, 16):
+            kept[n] = ScalarFieldP1(mesh, v.values.copy())
+
+    run_schwarz(mesh, decomp, problem, "multiplicative", 16, on_sweep=keep)
+    return problem, kept
+
+
+@pytest.mark.parametrize("sweep", [1, 16])
+def test_energy_error_moments_match_the_seven_point_sum(h32_iterates, sweep):
+    # spread + |T| (gbar - grad v) . A (gbar - grad v) is the degree-5 sum
+    # rearranged, with nothing that cancels: equal to roundoff both far
+    # from and at convergence
+    problem, kept = h32_iterates
+    v = kept[sweep]
+    got = energy_error(v.mesh, problem.A, v.gradient(),
+                       *exact_grad_moments(v.mesh, problem))
+    want = ref_energy_error(v, problem)
     assert abs(got - want) <= RTOL * want
 
 
@@ -338,7 +397,7 @@ def test_term_sums_match_reference(full_a):
     S1, S2, S3 = ref_term_sums(full_a.y, full_a.v, full_a.problem,
                                *f_cell_integrals(full_a.v.mesh,
                                                  full_a.problem.f),
-                               full_a.Q)
+                               full_a.cells)
     assert_close(rep.S1, S1)
     assert_close(rep.S2, S2)
     assert_close(rep.S3, S3)

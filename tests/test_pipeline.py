@@ -8,7 +8,6 @@ import pytest
 
 from ddmcert import flux, linalg, majorant, pipeline, problem
 from ddmcert.pipeline import OPT_ROUNDS, RunConfig, run_case
-from ddmcert.problem import quad_rule
 
 
 @pytest.fixture
@@ -31,8 +30,8 @@ def calls(monkeypatch):
                         counted("rhs_table", pipeline.rhs_table))
     monkeypatch.setattr(flux, "corrector_rhs",
                         counted("corrector_rhs", flux.corrector_rhs))
-    monkeypatch.setattr(flux, "exact_grad_table",
-                        counted("exact_grad_table", flux.exact_grad_table))
+    monkeypatch.setattr(flux, "exact_grad_moments",
+                        counted("exact_grad_moments", flux.exact_grad_moments))
     make_problem = pipeline.manufactured_lshape_problem
 
     def counted_problem():
@@ -56,12 +55,14 @@ def test_sweep_invariants_computed_once_per_run(calls):
         # one weight-free table per iterate, weighted once per round
         assert calls["rhs_table"] == sweeps
         assert calls["corrector_rhs"] == sweeps * (1 + OPT_ROUNDS)
-        per_run[sweeps] = (calls["p1_gradients"], calls["exact_grad_table"],
+        per_run[sweeps] = (calls["p1_gradients"], calls["exact_grad_moments"],
                            calls["exact_grad"])
     assert per_run[2] == per_run[6]
-    # one table per run, filled one degree-5 point at a time
+    # one moments table per run, formed a block of triangles at a time
+    # with all seven degree-5 points of the block in one call
     assert per_run[2][1] == 1
-    assert per_run[2][2] == len(quad_rule(5)[1])
+    blocks = -(-res.mesh.n_triangles // problem._MOMENT_BLOCK)
+    assert per_run[2][2] == blocks
 
 
 def test_certify_iterate_rejects_an_unknown_eps_policy(cert4):
