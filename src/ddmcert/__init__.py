@@ -8,7 +8,6 @@ from .mesh import (
     build_lshape_mesh,
     build_rect_mesh,
     build_coarse_mesh,
-    compatibility_check,
 )
 from .problem import (
     EllipticProblem,

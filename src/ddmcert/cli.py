@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -104,9 +105,12 @@ def build_config(args) -> RunConfig:
 
 
 def sci3(x: float) -> str:
-    """3 significant digits, compact exponent: 0.0828 -> '8.28e-2'."""
+    """3 significant digits, compact exponent: 0.0828 -> '8.28e-2'; a NaN
+    or infinity as 'nan' or 'inf'."""
     if x == 0:
         return "0.00e0"
+    if not math.isfinite(x):
+        return str(float(x))
     mant, exp = f"{x:.2e}".split("e")
     return f"{mant}e{int(exp)}"
 

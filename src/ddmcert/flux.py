@@ -280,7 +280,7 @@ def constraint_residuals(y: BrokenFluxField, f_tri: np.ndarray) -> FluxResiduals
     decomp = y.decomp
     cell = y.divergence() * mesh.areas + f_tri
     r = np.bincount(decomp.tri_subdomain, cell, decomp.n_basic)
-    r /= np.array([sub.area for sub in decomp.basic])
+    r /= decomp.sub_area
 
     jumps, edge_int = [], []
     s = np.zeros(len(decomp.interfaces))
@@ -307,20 +307,21 @@ class CorrectorSpace:
     other edge.  A dof is the total flux across its edge along the edge
     normal, the tangent from the lower to the higher vertex index turned
     clockwise.  Slot ``i`` of a cell-triangle is its side opposite vertex
-    ``i``, with outward flux ``slot_sign * q[slot_dof]``: ``slot_dof`` is
-    the dof of the side's edge on the cell's side and ``slot_sign`` +1
-    where the counter-clockwise side runs from its lower vertex index to
-    its higher one, so that the edge normal points outward, else -1.
+    ``i``, with outward flux sign * q[slot_dof]: ``slot_dof`` is the dof
+    of the side's edge on the cell's side and the sign is +1 where the
+    counter-clockwise side runs from its lower vertex index to its higher
+    one, so that the edge normal points outward, else -1.
     ``ifaces[m]`` holds, for the coarse edges of interface m in the
     traversal order of its fine edges, their omega_k dofs (each omega_j dof
     is the next one), their orientation (+1 where the edge normal points
     along n_kj, else -1) and their lengths.  Of the coarse mesh the space
     keeps only ``fine_tri_ct`` and the slot weights: with V_i the vertex
     opposite slot i and S the area of cell-triangle c, ``slot_weights[i,
-    :, c]`` is slot_sign (-V_i, 1) / (2 S), so that the corrector of dofs
+    :, c]`` is sign (-V_i, 1) / (2 S), so that the corrector of dofs
     q on c is a + g x with (a, g) = sum_i q[slot_dof[c, i]]
-    slot_weights[i, :, c] (``rt0_affine``).  The cell index is last, so
-    that each of the nine weights is one contiguous (CT,) row.
+    slot_weights[i, :, c] (``rt0_affine``); the weights are the one record
+    of the sign, that of ``slot_weights[i, 2, c]``.  The cell index is
+    last, so that each of the nine weights is one contiguous (CT,) row.
 
     ``C`` holds the admissibility constraint rows (one per basic subdomain,
     then one per interface), each normalized by the measure it averages
@@ -335,7 +336,6 @@ class CorrectorSpace:
     decomp: DomainDecomposition
     fine_tri_ct: np.ndarray       # (T,)
     slot_dof: np.ndarray          # (CT, 3)
-    slot_sign: np.ndarray         # (CT, 3)
     slot_weights: np.ndarray      # (3, 3, CT)
     n_dofs: int
     ifaces: list                  # per interface: (dofs, signs, lengths)
@@ -373,21 +373,21 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     edge_j[crossing] = np.maximum(s0, s1)
     slot_dof = (edge_dof[tri.tri_edges]
                 + (edge_j[tri.tri_edges] == cell_sub[:, None]))
-    slot_sign = np.where(tri.triangles[:, [1, 2, 0]]
+    side_sign = np.where(tri.triangles[:, [1, 2, 0]]
                          < tri.triangles[:, [2, 0, 1]], 1.0, -1.0)
     ct_verts = tri.vertices[tri.triangles]
     ct_area = tri.areas
     slot_weights = np.empty((3, 3, tri.n_triangles))
     for i in range(3):
-        s_i = slot_sign[:, i] / (2.0 * ct_area)
+        s_i = side_sign[:, i] / (2.0 * ct_area)
         slot_weights[i, 0] = -s_i * ct_verts[:, i, 0]
         slot_weights[i, 1] = -s_i * ct_verts[:, i, 1]
         slot_weights[i, 2] = s_i
 
     # --- constraint rows and interface edges -------------------------------
-    inv_area_k = 1.0 / np.array([sub.area for sub in decomp.basic])
+    inv_area_k = 1.0 / decomp.sub_area
     c1 = sp.coo_matrix(
-        ((slot_sign * inv_area_k[cell_sub][:, None]).ravel(),
+        ((side_sign * inv_area_k[cell_sub][:, None]).ravel(),
          (np.repeat(cell_sub, 3), slot_dof.ravel())),
         shape=(decomp.n_basic, n_dofs)).tocsr()
     c1.eliminate_zeros()        # the two slots of an interior edge cancel
@@ -421,7 +421,7 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
     n_j = sum(len(r) for r in j_rows)
     rows = np.concatenate([np.repeat(slot_dof, 3, axis=1).ravel(), *j_rows])
     cols = np.concatenate([np.tile(slot_dof, 3).ravel(), *j_cols])
-    sign_pair = (slot_sign[:, :, None] * slot_sign[:, None, :]).ravel()
+    sign_pair = (side_sign[:, :, None] * side_sign[:, None, :]).ravel()
 
     def assemble(local):
         data = np.concatenate([sign_pair * local.ravel(), np.zeros(n_j)])
@@ -445,9 +445,8 @@ def build_corrector_space(coarse: CoarseMesh, decomp: DomainDecomposition,
         J_hats.append((_pattern_positions(D_hat, r, c),
                        np.concatenate([w, -w, -w, w])))
 
-    return CorrectorSpace(decomp, coarse.fine_tri_ct, slot_dof, slot_sign,
-                          slot_weights, n_dofs, ifaces, C, M_hat, D_hat,
-                          J_hats)
+    return CorrectorSpace(decomp, coarse.fine_tri_ct, slot_dof, slot_weights,
+                          n_dofs, ifaces, C, M_hat, D_hat, J_hats)
 
 
 # ---------------------------------------------------------------------------

@@ -97,20 +97,13 @@ class MajorantConstants:
         interface.  E_max counts the largest number of interfaces meeting a
         single basic subdomain.
         """
-        C_P = np.array([sub.diameter / math.pi for sub in decomp.basic])
-        beta = np.empty(len(decomp.interfaces))
-        for m, g in enumerate(decomp.interfaces):
-            vals = []
-            for side in (g.k, g.j):
-                ext = decomp.basic[side].bbox[1] - decomp.basic[side].bbox[0]
-                h2 = float(abs(ext @ g.normal))
-                vals.append(poincare_edge_constant(h2) ** 2)
-            beta[m] = beta_pair(math.sqrt(vals[0]), math.sqrt(vals[1]))
-        counts = np.zeros(decomp.n_basic)
-        for g in decomp.interfaces:
-            counts[g.k] += 1
-            counts[g.j] += 1
-        E_max = float(counts.max()) if decomp.interfaces else 1.0
+        ext = decomp.sub_bbox[:, 1] - decomp.sub_bbox[:, 0]
+        C_P = np.hypot(ext[:, 0], ext[:, 1]) / math.pi
+        edge_c = [[poincare_edge_constant(float(abs(ext[s] @ g.normal)))
+                   for s in (g.k, g.j)] for g in decomp.interfaces]
+        beta = np.array([beta_pair(c_k, c_j) for c_k, c_j in edge_c])
+        sides = [s for g in decomp.interfaces for s in (g.k, g.j)]
+        E_max = float(np.bincount(sides).max()) if sides else 1.0
         return cls(C_min=problem.C_min, C_P=C_P, beta=beta, E_max=E_max)
 
 

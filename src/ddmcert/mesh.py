@@ -22,9 +22,12 @@ mutates a mesh after construction, so concurrent reads are safe.  That lets
 a ``TriMesh`` own its derived geometry: the P1 basis gradients, the edge
 lengths and the side midpoints (the points of the degree-2 rule) are each
 computed on first use, kept on the mesh and handed out read-only.  A
-``DomainDecomposition`` keeps the tables of gradient averaging the same
-way: a key per triangle corner for its (subdomain, vertex) pair and the
-area sum per key.
+``DomainDecomposition`` records its partition once, as the basic subdomain
+of every fine triangle (``tri_subdomain``), and derives the rest from it
+the same way: two arrays per basic subdomain, its area ``sub_area`` (N,)
+and its bounding box ``sub_bbox`` (N, 2, 2), and the tables of gradient
+averaging, a key per triangle corner for its (subdomain, vertex) pair and
+the area sum per key.
 """
 
 from __future__ import annotations
@@ -93,11 +96,7 @@ class TriMesh:
     boundary_vertex_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = self.vertices[self.triangles]
-        self.areas = 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        self.areas = np.abs(self.signed_areas())
         mask = np.zeros(len(self.vertices), dtype=bool)
         mask[self.edges[self.boundary_edge_flags].ravel()] = True
         self.boundary_vertex_mask = mask
@@ -203,21 +202,6 @@ class TriMesh:
 
 
 @dataclass
-class BasicSubdomain:
-    """One non-overlapping cell omega_k of the partition."""
-
-    index: int
-    tris: np.ndarray          # fine triangle indices
-    area: float
-    bbox: np.ndarray          # (2, 2): [[xmin, ymin], [xmax, ymax]]
-
-    @property
-    def diameter(self) -> float:
-        d = self.bbox[1] - self.bbox[0]
-        return float(np.hypot(d[0], d[1]))
-
-
-@dataclass
 class Interface:
     """Oriented interface gamma_kj between basic subdomains (k < j).
 
@@ -244,14 +228,32 @@ class DomainDecomposition:
     """Partition into basic subdomains plus overlapping solve subdomains."""
 
     mesh: TriMesh
-    basic: list[BasicSubdomain]
     overlaps: list[np.ndarray]          # per Omega_j: basic subdomain indices
     interfaces: list[Interface]
     tri_subdomain: np.ndarray           # (T,) basic index per fine triangle
 
     @property
     def n_basic(self) -> int:
-        return len(self.basic)
+        return len(self.sub_area)
+
+    @cached_property
+    def sub_area(self) -> np.ndarray:
+        """|omega_k| per basic subdomain (N,), read-only; filled on first
+        use.  Each is the sum of its triangles' areas in triangle order."""
+        ts = self.tri_subdomain
+        return _read_only(np.array([self.mesh.areas[ts == k].sum()
+                                    for k in range(int(ts.max()) + 1)]))
+
+    @cached_property
+    def sub_bbox(self) -> np.ndarray:
+        """Bounding box [[xmin, ymin], [xmax, ymax]] per basic subdomain
+        (N, 2, 2), read-only; filled on first use."""
+        mesh = self.mesh
+        bbox = np.empty((self.n_basic, 2, 2))
+        for k in range(self.n_basic):
+            p = mesh.vertices[mesh.triangles[self.tri_subdomain == k]]
+            bbox[k] = p.min(axis=(0, 1)), p.max(axis=(0, 1))
+        return _read_only(bbox)
 
     @cached_property
     def corner_key(self) -> np.ndarray:
@@ -275,17 +277,9 @@ class DomainDecomposition:
     def n_overlap(self) -> int:
         return len(self.overlaps)
 
-    def overlap_tris(self, j: int) -> np.ndarray:
-        """All fine triangles of overlapping subdomain Omega_j."""
-        return np.concatenate([self.basic[k].tris for k in self.overlaps[j]])
-
     def validate(self) -> None:
-        mesh = self.mesh
-        seen = np.zeros(mesh.n_triangles, dtype=np.int64)
-        for sub in self.basic:
-            seen[sub.tris] += 1
-        if np.any(seen != 1):
-            raise MeshError("basic subdomains do not partition the mesh")
+        if np.any(np.bincount(self.tri_subdomain) == 0):
+            raise MeshError("a basic subdomain has no triangle")
         for j, members in enumerate(self.overlaps):
             if len(members) == 0:
                 raise MeshError(f"overlapping subdomain {j} is empty")
@@ -337,13 +331,6 @@ def _lattice_cells(m: int, n: int) -> np.ndarray:
                         "than an index array can hold")
     j, i = np.divmod(np.arange(m * n), m)
     return np.stack([i, j], axis=1)
-
-
-def _basic_subdomain(mesh: TriMesh, index: int, tris: np.ndarray) -> BasicSubdomain:
-    coords = mesh.vertices[np.unique(mesh.triangles[tris])]
-    bbox = np.vstack([coords.min(axis=0), coords.max(axis=0)])
-    return BasicSubdomain(index, np.asarray(tris),
-                          float(mesh.areas[tris].sum()), bbox)
 
 
 def _build_interfaces(mesh: TriMesh, tri_subdomain: np.ndarray) -> list[Interface]:
@@ -399,13 +386,9 @@ def _build_interfaces(mesh: TriMesh, tri_subdomain: np.ndarray) -> list[Interfac
 
 def _decomposition(mesh: TriMesh, tri_subdomain: np.ndarray,
                    overlaps: list[list[int]]) -> DomainDecomposition:
-    n_basic = int(tri_subdomain.max()) + 1
-    basic = [_basic_subdomain(mesh, k, np.nonzero(tri_subdomain == k)[0])
-             for k in range(n_basic)]
-    interfaces = _build_interfaces(mesh, tri_subdomain)
     decomp = DomainDecomposition(
-        mesh, basic, [np.asarray(o, dtype=np.int64) for o in overlaps],
-        interfaces, tri_subdomain)
+        mesh, [np.asarray(o, dtype=np.int64) for o in overlaps],
+        _build_interfaces(mesh, tri_subdomain), tri_subdomain)
     decomp.validate()
     return decomp
 
@@ -477,24 +460,6 @@ class CoarseMesh:
     cell_sub: np.ndarray
 
 
-def compatibility_check(N_cells: int, N_f: int, N_fD: int,
-                        ell: int) -> tuple[bool, int]:
-    """Solvability of the corrector constraints on a coarse mesh of
-    ``N_cells`` cells with ``ell`` sides each, ``N_f`` sides in all and
-    ``N_fD`` of them on the Dirichlet boundary.
-
-    The constrained minimization is solvable whenever the cell-wise flux
-    degrees of freedom (ell N_cells, each cell counting its own sides; the
-    assembled space is smaller because shared sides are identified) plus
-    the Dirichlet-boundary edges cover the divergence unknowns, one per
-    cell, plus one unknown per edge: dim Q_N + N_fD >= N + N_f.  Returns
-    (satisfied, slack); slack is the number of remaining free parameters
-    when satisfied.
-    """
-    slack = ell * N_cells + N_fD - N_cells - N_f
-    return slack >= 0, int(slack)
-
-
 def _lattice_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
                            H: float, ratio: int):
     """One-diagonal triangulation of the H x H lattice squares tiling the
@@ -508,8 +473,8 @@ def _lattice_triangulation(mesh: TriMesh, decomp: DomainDecomposition,
         return i
 
     blocks = []
-    for sub in decomp.basic:
-        (i0, j0), (i1, j1) = [[lat(x) for x in corner] for corner in sub.bbox]
+    for box in decomp.sub_bbox:
+        (i0, j0), (i1, j1) = [[lat(x) for x in corner] for corner in box]
         blocks.append(_lattice_cells(i1 - i0, j1 - j0) + [i0, j0])
     squares = np.concatenate(blocks)
     square_sub = np.repeat(np.arange(decomp.n_basic), [len(b) for b in blocks])

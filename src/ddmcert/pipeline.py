@@ -59,7 +59,7 @@ from . import majorant
 from .majorant import (MajorantConstants, MajorantReport, alpha_weights,
                        evaluate_majorant, optimize_eps, weighted_parts)
 from .mesh import (DomainDecomposition, TriMesh, build_coarse_mesh,
-                   build_lshape_mesh, build_rect_mesh, compatibility_check)
+                   build_lshape_mesh, build_rect_mesh)
 from .problem import (EllipticProblem, ScalarFieldP1,
                       manufactured_lshape_problem, mat_vec)
 from .schwarz import run_schwarz
@@ -144,14 +144,11 @@ class SweepRow:
     def error(self) -> float:
         return self.report.energy_err
 
-    @property
-    def guarantee_slack(self) -> float:
-        """min(bound) - error; ``violates_guarantee`` is the scaled check."""
-        return min(self.report.total, self.report.D11) - self.error
-
     def violates_guarantee(self) -> bool:
-        bound = min(self.report.total, self.report.D11)
-        return self.error > bound * (1.0 + GUARANTEE_RTOL)
+        """True unless error <= min(M, D11) (1 + GUARANTEE_RTOL), so that a
+        NaN error or bound is a violation."""
+        bound = np.minimum(self.report.total, self.report.D11)
+        return not self.error <= bound * (1.0 + GUARANTEE_RTOL)
 
 
 @dataclass
@@ -371,8 +368,7 @@ def run_checks(h: float = 0.25):
     worst = max(np.abs(r.subdomain).max(),
                 np.abs(r.interface).max() if len(r.interface) else 0.0)
     add("admissibility means <= 1e-10", worst <= 1e-10, f"max {worst:.2e}")
-    ok = all(row.error <= min(row.report.total, row.report.D11)
-             * (1 + GUARANTEE_RTOL) for row in res.rows)
+    ok = not any(row.violates_guarantee() for row in res.rows)
     add("guarantee error <= bounds", ok,
         f"final error {err:.3e} vs bound {min(rep.total, rep.D11):.3e}")
 
@@ -394,15 +390,4 @@ def run_checks(h: float = 0.25):
         f"{opt.total:.4e} <= {rep.total:.4e}")
     within("optimal-eps value matches structural bound", 1e-6,
            (opt.total, opt.D11))
-
-    ok_a0, _ = compatibility_check(6, 13, 0, 3)
-    ok_a1, slack_a1 = compatibility_check(6, 13, 1, 3)
-    add("compatibility verdicts (triangulated hexagon)",
-        (not ok_a0) and ok_a1 and slack_a1 == 0)
-    # the 1 x 1 and 2 x 2 grids, with no Dirichlet edge
-    m11, _ = build_rect_mesh(1, 1, 1.0)
-    m22, _ = build_rect_mesh(2, 2, 1.0)
-    ok_b1, _ = compatibility_check(m11.n_triangles, m11.n_edges, 0, 3)
-    ok_b2, _ = compatibility_check(m22.n_triangles, m22.n_edges, 0, 3)
-    add("compatibility verdicts (grids)", (not ok_b1) and ok_b2)
     return out

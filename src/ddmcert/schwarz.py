@@ -32,8 +32,7 @@ from .problem import (EllipticProblem, ScalarFieldP1, assemble_load,
 def interior_nodes(mesh: TriMesh, decomp: DomainDecomposition, j: int) -> np.ndarray:
     """Vertices strictly inside Omega_j: all incident triangles belong to
     Omega_j and the vertex is not on the outer boundary."""
-    in_overlap = np.zeros(mesh.n_triangles, dtype=bool)
-    in_overlap[decomp.overlap_tris(j)] = True
+    in_overlap = np.isin(decomp.tri_subdomain, decomp.overlaps[j])
     total = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
     inside = np.bincount(mesh.triangles[in_overlap].ravel(),
                          minlength=mesh.n_vertices)

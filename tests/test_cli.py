@@ -1,7 +1,10 @@
 import argparse
 import csv
+import dataclasses
 import math
+import re
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
@@ -91,6 +94,8 @@ def test_sci3():
     assert sci3(123.456) == "1.23e2"
     assert sci3(1.0) == "1.00e0"
     assert sci3(0.0) == "0.00e0"
+    assert [sci3(x) for x in (math.nan, math.inf, -math.inf)] \
+        == ["nan", "inf", "-inf"]
 
 
 def test_fmt_ieff():
@@ -300,11 +305,18 @@ def test_table2_labels_rows_by_coarse_size(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["1/4", "1/8"]
 
 
+CHECK_ROWS = ["admissibility means <= 1e-10", "guarantee error <= bounds",
+              "M_sq equals sum of parts", "per-subdomain breakdown sums",
+              "optimized eps never increases M",
+              "optimal-eps value matches structural bound"]
+
+
 def test_check_command_passes(capsys):
     assert main(["check", "--h", "1/4"]) == 0
-    stdout = capsys.readouterr().out
-    assert "FAIL" not in stdout
-    assert stdout.count("PASS") >= 8
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:6] for line in lines] == ["PASS  "] * len(CHECK_ROWS)
+    width = max(map(len, CHECK_ROWS))
+    assert [line[6:6 + width].rstrip() for line in lines] == CHECK_ROWS
 
 
 def test_check_prints_the_relative_gaps(capsys):
@@ -438,6 +450,20 @@ def test_non_admissible_certificate_exits_solver(monkeypatch, capsys):
     assert "subdomain mean residual" in err
 
 
+@pytest.mark.parametrize("field", ["energy_err", "total_sq", "D11"])
+def test_nan_certificate_exits_guarantee(field, monkeypatch, capsys):
+    # a NaN error or bound is not a certified number
+    certify = pipeline.certify_iterate
+
+    def nan_report(*args, **kwargs):
+        y, rep = certify(*args, **kwargs)
+        return y, dataclasses.replace(rep, **{field: math.nan})
+
+    monkeypatch.setattr(pipeline, "certify_iterate", nan_report)
+    assert main(["run", "--h", "1/4", "--sweeps", "2"]) == 3
+    capsys.readouterr()
+
+
 def test_subdomain_factorization_failure_exits_solver(monkeypatch, capsys):
     def breakdown(B):
         raise linalg.SolverError("symmetric factorization breakdown: test")
@@ -538,3 +564,39 @@ def test_python_dash_m_runs_the_cli(args, code, monkeypatch, capsys):
         runpy.run_module("ddmcert", run_name="__main__")
     assert exc.value.code == code
     capsys.readouterr()
+
+
+WORKFLOW = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+            / "tests.yml")
+
+
+def workflow_commands(text: str) -> list:
+    """The arguments of every ``python -m ddmcert`` line of ``text``, a
+    ``$NAME`` among them expanded over the values of the shell loop ``for
+    NAME in A B ...; do``."""
+    loops = dict(re.findall(r"for (\w+) in ([^;]+); do", text))
+    commands = []
+    for line in text.splitlines():
+        _, found, rest = line.partition("python -m ddmcert")
+        if not found:
+            continue
+        argv = shlex.split(rest)
+        var = next((a for a in argv if a[:1] == "$" and a[1:] in loops),
+                   None)
+        if var is None:
+            commands.append(argv)
+        else:
+            commands += [[value if a == var else a for a in argv]
+                         for value in loops[var[1:]].split()]
+    return commands
+
+
+def test_workflow_commands_parse():
+    # nothing else shows that the CI workflow's commands are still valid
+    commands = workflow_commands(WORKFLOW.read_text())
+    assert [c[0] for c in commands].count("run") == 5
+    assert [c for c in commands if c[0] != "run"] == [
+        ["check"], ["table1"], ["table2"], ["table3"], ["table4"]]
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

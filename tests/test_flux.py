@@ -10,7 +10,7 @@ from ddmcert.flux import (KAPPA_MAX, BrokenFluxField, CorrectorSolver,
 from ddmcert.majorant import (MajorantConstants, alpha_weights,
                               evaluate_majorant)
 from ddmcert.mesh import (build_coarse_mesh, build_lshape_mesh,
-                          build_rect_mesh, compatibility_check)
+                          build_rect_mesh)
 from ddmcert.pipeline import RunConfig, build_preset
 from ddmcert.problem import (EllipticProblem, ScalarFieldP1, f_cell_integrals,
                              manufactured_lshape_problem)
@@ -130,12 +130,13 @@ def test_single_cell_represents_constants():
     diagonal = np.all(np.isclose(0.5 * (a + b), 0.5), axis=1)
     assert np.count_nonzero(diagonal) == 1
     assert np.allclose(coeffs[diagonal], 1.0)
-    # a slot's sign is that of its outward normal against the edge normal
+    # a slot's sign, carried by its weights, is that of its outward normal
+    # against the edge normal
     v = tri.vertices[tri.triangles]
     side = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
     outward = np.stack([side[..., 1], -side[..., 0]], axis=-1)
     dot = np.einsum("csd,csd->cs", outward, normal[tri.tri_edges])
-    assert (space.slot_sign == np.sign(dot)).all()
+    assert (np.sign(space.slot_weights[:, 2].T) == np.sign(dot)).all()
     zero = np.zeros((mesh.n_triangles, 3, 2))
     y = BrokenFluxField(mesh, decomp, zero, space, coeffs)
     vals = y.values(BARY)
@@ -148,12 +149,15 @@ def test_single_cell_represents_constants():
 def test_coarse_mesh_slack(preset, H):
     # every boundary edge is Dirichlet, and a triangulation with N cells,
     # N_f edges and N_b boundary edges has 3 N = 2 N_f - N_b, so the
-    # solvability slack 3 N + N_b - N - N_f is (N + N_b) / 2 > 0
+    # corrector's solvability slack, 3 N + N_b (flux dofs counted per cell,
+    # plus the Dirichlet edges) less N + N_f (one divergence unknown per
+    # cell and one per edge), is (N + N_b) / 2 > 0
     mesh, decomp, _ = build_preset(RunConfig(h=1 / 8, H=H, preset=preset))
     tri = build_coarse_mesh(mesh, decomp, H).tri
+    n, n_f = tri.n_triangles, tri.n_edges
     n_b = int(np.count_nonzero(tri.boundary_edge_flags))
-    ok, slack = compatibility_check(tri.n_triangles, tri.n_edges, n_b, 3)
-    assert ok and 2 * slack == tri.n_triangles + n_b
+    assert 3 * n == 2 * n_f - n_b
+    assert 2 * (3 * n + n_b - n - n_f) == n + n_b > 0
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def ref_average_gradient(v, decomp, A):
     mesh = v.mesh
     flux = np.einsum("de,te->td", A, ref_gradient(v))
     p1_part = np.empty((mesh.n_triangles, 3, 2))
-    for sub in decomp.basic:
-        tris = sub.tris
+    for k in range(decomp.n_basic):
+        tris = np.flatnonzero(decomp.tri_subdomain == k)
         num = np.zeros((mesh.n_vertices, 2))
         den = np.zeros(mesh.n_vertices)
         w = mesh.areas[tris]
@@ -153,8 +153,7 @@ def ref_c1_rows(coarse, decomp, Q):
     r1 = sp.coo_matrix((np.ones(n_slots),
                         (np.repeat(coarse.cell_sub, 3), np.arange(n_slots))),
                        shape=(decomp.n_basic, n_slots)).tocsr()
-    areas_k = np.array([sub.area for sub in decomp.basic])
-    return sp.diags(1.0 / areas_k) @ (r1 @ Q)
+    return sp.diags(1.0 / decomp.sub_area) @ (r1 @ Q)
 
 
 def ref_cells(coarse):
@@ -439,10 +438,10 @@ def test_space_forms_match_slot_products(preset, H):
     iface_rows = space.C[decomp.n_basic:].tocoo()
     assert_same_csr(space.C, sp.vstack([ref_c1_rows(coarse, decomp, Q),
                                         iface_rows]).tocsr())
-    # the slot map is Q's rows
+    # the slot map is Q's rows, each slot's sign that of its weights
     dense = np.zeros(Q.shape)
-    dense[np.arange(Q.shape[0]),
-          space.slot_dof.ravel()] = space.slot_sign.ravel()
+    sign = np.sign(space.slot_weights[:, 2].T)
+    dense[np.arange(Q.shape[0]), space.slot_dof.ravel()] = sign.ravel()
     assert np.array_equal(dense, Q.toarray())
 
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddmcert.flux import build_corrector_space
 from ddmcert.mesh import (MeshError, build_coarse_mesh, build_lshape_mesh,
-                          build_rect_mesh, compatibility_check)
+                          build_rect_mesh)
 
 
 def test_lshape_quarter_counts():
@@ -73,11 +75,37 @@ def test_decomposition_partition():
     mesh, decomp = build_lshape_mesh(0.25)
     assert decomp.n_basic == 3
     assert decomp.n_overlap == 2
-    # basic subdomains partition the triangle set
-    assert sorted(np.concatenate([s.tris for s in decomp.basic]).tolist()) \
-        == list(range(mesh.n_triangles))
+    # one basic subdomain per triangle, 32 triangles each
+    assert decomp.tri_subdomain.shape == (mesh.n_triangles,)
+    assert np.bincount(decomp.tri_subdomain).tolist() == [32, 32, 32]
     # overlap subdomains per the L-shape preset
     assert [tuple(o) for o in decomp.overlaps] == [(0, 1), (1, 2)]
+
+
+def test_subdomain_arrays():
+    mesh, decomp = build_lshape_mesh(0.25)
+    # each area is its triangles' areas summed in triangle order
+    for k in range(3):
+        want = mesh.areas[np.flatnonzero(decomp.tri_subdomain == k)].sum()
+        assert decomp.sub_area[k] == want
+    assert np.allclose(decomp.sub_area, 1.0)
+    assert np.array_equal(decomp.sub_bbox,
+                          [[[0, 1], [1, 2]], [[0, 0], [1, 1]],
+                           [[1, 0], [2, 1]]])
+    for table in (decomp.sub_area, decomp.sub_bbox):
+        assert not table.flags.writeable
+    _, rect = build_rect_mesh(4, 3, 0.5)
+    assert np.array_equal(rect.sub_bbox, [[[0, 0], [2, 1.5]]])
+    assert np.isclose(rect.sub_area[0], 3.0)
+
+
+def test_validate_rejects_a_subdomain_without_triangles():
+    # a missing index would divide the c1 means by a zero area
+    _, decomp = build_lshape_mesh(0.25)
+    ts = decomp.tri_subdomain
+    bad = replace(decomp, tri_subdomain=np.where(ts == 1, 2, ts))
+    with pytest.raises(MeshError, match="no triangle"):
+        bad.validate()
 
 
 def test_interface_orientation():
@@ -98,45 +126,6 @@ def test_rect_triangle_counts():
     assert mesh.n_vertices == 20
     assert mesh.n_edges == 43          # N_f = N_v + N - 1
     assert decomp.n_basic == 1
-
-
-def test_compatibility_fig3_hexagon():
-    # triangulated hexagon: 6 cells, 8 vertices, 13 edges
-    ok, slack = compatibility_check(6, 13, 0, 3)
-    assert not ok and slack == -1
-    ok, slack = compatibility_check(6, 13, 1, 3)
-    assert ok and slack == 0
-
-
-def test_compatibility_regular_grids():
-    # no Dirichlet edge
-    m11, _ = build_rect_mesh(1, 1, 1.0)
-    ok, _ = compatibility_check(m11.n_triangles, m11.n_edges, 0, 3)
-    assert not ok
-    m22, _ = build_rect_mesh(2, 2, 1.0)
-    ok, slack = compatibility_check(m22.n_triangles, m22.n_edges, 0, 3)
-    assert ok and slack == 0
-
-
-@pytest.mark.parametrize("mn,cells", [((2, 3), "triangle"),
-                                      ((3, 3), "quad"),
-                                      ((1, 4), "triangle"),
-                                      ((5, 2), "quad")])
-def test_compatibility_closed_form(mn, cells):
-    # uniform ell-gon meshes: satisfied <=> N(ell-2) + N_fD >= N_v - 1
-    m, n = mn
-    n_v = (m + 1) * (n + 1)
-    if cells == "quad":
-        # the m x n lattice of squares itself
-        ell, n_cells, n_f = 4, m * n, m * (n + 1) + n * (m + 1)
-    else:
-        mesh, _ = build_rect_mesh(m, n, 1.0)
-        assert mesh.n_vertices == n_v
-        ell, n_cells, n_f = 3, mesh.n_triangles, mesh.n_edges
-    for n_fd in (0, 1, 2, 5):
-        ok, _ = compatibility_check(n_cells, n_f, n_fd, ell)
-        closed = n_cells * (ell - 2) + n_fd >= n_v - 1
-        assert ok == closed
 
 
 @pytest.mark.parametrize("H", [1 / 4, 1 / 2, 1.0])
